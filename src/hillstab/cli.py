@@ -91,10 +91,7 @@ def cmd_eigs(args) -> int:
         s = fq.spectrum(a, args.count, args.count)
     interlace_ok = True
     if s.periodic and s.antiperiodic:
-        try:
-            fq.check_interlacing(s)
-        except HillstabError:
-            interlace_ok = False
+        interlace_ok, _ = fq.check_interlacing(s)
     doc = {
         "manifest": _manifest(args, "eigs", [args.coeff_file]),
         "periodic": [{"index": e.index, "value": e.value,
@@ -111,23 +108,28 @@ def cmd_eigs(args) -> int:
 def _conclusion_confirmed(a, cert, spec_cache) -> bool:
     """Ground-truth check of one holds=true certificate's conclusion."""
     tol = 1e-6
+    n = cert.n_or_p
+    # one run certifies n = 1..3 or a single n: the cached spectra reach
+    # index 2n + 1 for the largest n, and hold at least 8 eigenvalues
+    count = 2 * max(3, n or 0) + 2
     if cert.theorem_id == "L1_PERIODIC_N":
-        n = cert.n_or_p
         if "p" not in spec_cache:
-            spec_cache["p"] = fq.periodic_eigenvalues(a, 2 * 3 + 2)
+            spec_cache["p"] = fq.periodic_eigenvalues(a, count)
         vals = spec_cache["p"].periodic_values()
         return vals[2 * n] < tol and vals[2 * n + 1] > -tol
     if cert.theorem_id == "L1_ANTIPERIODIC_N":
-        n = cert.n_or_p
         if "ap" not in spec_cache:
-            spec_cache["ap"] = fq.antiperiodic_eigenvalues(a, 2 * 3 + 2)
+            spec_cache["ap"] = fq.antiperiodic_eigenvalues(a, count)
         vals = spec_cache["ap"].antiperiodic_values()
         # antiperiodic indexing starts at 1
         return vals[2 * n - 1] < tol and vals[2 * n] > -tol
     if cert.theorem_id in ("L1_ZONE_KP", "LINF_FIRST_ZONE"):
         if "sp" not in spec_cache:
             spec_cache["sp"] = fq.spectrum(a, 4, 4)
-        return fq.classify(a, 0.0, spec_cache["sp"]).kind == "Stable"
+        v = fq.classify(a, 0.0, spec_cache["sp"])
+        # LINF_FIRST_ZONE concludes lambda_0 < 0 < anti_lambda_1: zone 0
+        return v.kind == "Stable" and (cert.theorem_id == "L1_ZONE_KP"
+                                       or v.zone_index == 0)
     if cert.theorem_id == "LINF_PERIODIC":
         if "p" not in spec_cache:
             spec_cache["p"] = fq.periodic_eigenvalues(a, 8)
@@ -280,6 +282,15 @@ def cmd_nonlinear(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hillstab",
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="periodic/antiperiodic eigenvalues")
     p.add_argument("coeff_file")
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_int_at_least(1), default=5)
     p.add_argument("--bc", choices=["periodic", "antiperiodic", "both"],
                    default="both")
     p.add_argument("--output")
@@ -313,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("constants", help="table of the optimal constants")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_int_at_least(0), default=10)
     p.add_argument("--period", type=float, default=2 * math.pi)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output")
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeff_file")
     p.add_argument("--mu-from", type=float, required=True)
     p.add_argument("--mu-to", type=float, required=True)
-    p.add_argument("--points", type=int, default=601)
+    p.add_argument("--points", type=_int_at_least(1), default=601)
     p.add_argument("--output")
     p.set_defaults(func=cmd_chart)
 

@@ -1,14 +1,19 @@
 """T-periodic piecewise-defined coefficients with exact expression pieces.
 
 A coefficient is a finite list of half-open intervals partitioning [0, T),
-each carrying a closed-form expression in x.  Evaluation extends the
-coefficient T-periodically to the whole line.  Norms are computed by
-adaptive Simpson quadrature seeded at piece breakpoints, so two-plateau
-potentials and boundary-layer witness families integrate to full accuracy.
+each carrying a closed-form expression in x.  Evaluation takes an array of
+points, extends the coefficient T-periodically to the whole line and
+evaluates each piece's expression once on the points inside it.  The
+integration cells of an interval are cut at piece breakpoints and removable
+points; `sample` draws dense points inside each cell for the sup/inf
+functionals, and integrals use adaptive Simpson quadrature run breadth first
+over all cells at once, so two-plateau potentials and boundary-layer witness
+families integrate to full accuracy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -21,7 +26,7 @@ from .errors import NonFiniteValue, ParseError, QuadratureFailure
 QUAD_TOL = 1e-10
 #: evaluation budget for one quadrature call
 QUAD_BUDGET = 1_000_000
-#: half-width of the neighborhood excluded around a removable point
+#: offset past a removable point at which its right-hand limit is taken
 REMOVABLE_EPS = 1e-9
 #: uniform samples per period used for a.e. dominance checks
 DOMINANCE_SAMPLES = 1 << 14
@@ -62,37 +67,42 @@ class PeriodicCoefficient:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _reduce(self, x: float) -> float:
-        y = x % self.period
+    def _reduce(self, x) -> np.ndarray:
+        y = np.mod(np.ravel(x), self.period)
         # guard against y == period from floating-point roundoff
-        return 0.0 if y >= self.period else y
-
-    def _piece_at(self, y: float):
-        for s, e, piece in self.pieces:
-            if s <= y < e or (e == self.period and y == e):
-                return piece
-        return self.pieces[-1][2]
-
-    def eval(self, x: float) -> float:
-        """T-periodic evaluation; removable points use the right-hand limit."""
-        y = self._reduce(x)
-        for p in self.removable_points:
-            if abs(y - self._reduce(p)) <= 1e-12:
-                y = self._reduce(p) + REMOVABLE_EPS
-                break
-        try:
-            v = float(self._piece_at(y).eval(x=y))
-        except (ZeroDivisionError, OverflowError) as err:
-            raise NonFiniteValue(f"coefficient is not finite at x={x}") from err
-        if not np.isfinite(v):
-            raise NonFiniteValue(f"coefficient is not finite at x={x}")
-        return v
+        y[y >= self.period] = 0.0
+        return y
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
-            return self.eval(float(x))
-        return np.array([self.eval(float(t)) for t in np.asarray(x).ravel()]
-                        ).reshape(np.shape(x))
+        """T-periodic evaluation at a point or an array of points; removable
+        points use the right-hand limit.  Each piece's expression is
+        evaluated once, on all the points that fall in it."""
+        xs = np.asarray(x, dtype=float)
+        y = self._reduce(xs)
+        hit = np.zeros(y.shape, dtype=bool)
+        for p in self._reduce(self.removable_points):
+            near = ~hit & (np.abs(y - p) <= 1e-12)
+            y[near] = p + REMOVABLE_EPS
+            hit |= near
+        starts = self.breakpoints()[:-1]
+        # points before the first start (a tolerated gap) go to the last piece
+        idx = (np.searchsorted(starts, y, side="right") - 1) % len(starts)
+        vals = np.empty_like(y)
+        for i in np.unique(idx):
+            at = idx == i
+            try:
+                vals[at] = self.pieces[i][2].eval(x=y[at])
+            except (ZeroDivisionError, OverflowError):
+                vals[at] = np.nan
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise NonFiniteValue(
+                f"coefficient is not finite at x={xs.ravel()[bad.argmax()]}")
+        return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+
+    def eval(self, x: float) -> float:
+        """T-periodic evaluation at one point; see __call__."""
+        return float(self(x))
 
     # -- structure ------------------------------------------------------------
 
@@ -197,84 +207,91 @@ def from_expression(text_or_expr, period: float) -> PeriodicCoefficient:
     return PeriodicCoefficient(period, ((0.0, period, e),))
 
 
-# -- quadrature ---------------------------------------------------------------
+# -- sampling and quadrature --------------------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, budget: list) -> float:
-    fa, fm, fb = f(a), f((a + b) / 2), f(b)
-    budget[0] -= 3
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, budget, 0)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, budget, depth) -> float:
-    if budget[0] <= 0:
-        raise QuadratureFailure("quadrature evaluation budget exhausted")
-    m = (a + b) / 2
-    lm, rm = (a + m) / 2, (m + b) / 2
-    flm, frm = f(lm), f(rm)
-    budget[0] -= 2
-    left = (m - a) / 6 * (fa + 4 * flm + fm)
-    right = (b - m) / 6 * (fm + 4 * frm + fb)
-    if depth > 2 and abs(left + right - whole) <= 15 * tol:
-        return left + right + (left + right - whole) / 15
-    if depth > 60:
-        raise QuadratureFailure("quadrature did not converge (depth limit)")
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2, budget, depth + 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2, budget, depth + 1))
-
-
-def _integration_cells(a: PeriodicCoefficient, s: float, e: float) -> list:
-    """Split [s, e] at piece breakpoints and removable-point neighborhoods."""
+def _integration_cells(a: PeriodicCoefficient, s: float, e: float) -> np.ndarray:
+    """Split [s, e] at piece breakpoints and removable points: (n, 2) cells."""
     T = a.period
-    cuts = {s, e}
-    k_lo = int(np.floor(s / T)) - 1
-    k_hi = int(np.ceil(e / T)) + 1
-    for k in range(k_lo, k_hi + 1):
-        for b in a.breakpoints():
-            t = b + k * T
-            if s < t < e:
-                cuts.add(t)
-        for p in a.removable_points:
-            for t in (p + k * T - REMOVABLE_EPS, p + k * T + REMOVABLE_EPS):
-                if s < t < e:
-                    cuts.add(t)
-    pts = sorted(cuts)
-    cells = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = (lo + hi) / 2
-        if any(abs(a._reduce(mid) - a._reduce(p)) < REMOVABLE_EPS
-               for p in a.removable_points):
-            continue  # measure-zero exclusion around removable points
-        cells.append((lo, hi))
-    return cells
+    marks = np.concatenate([a.breakpoints(), a.removable_points])
+    ks = np.arange(np.floor(s / T) - 1, np.ceil(e / T) + 2)
+    t = (marks + ks[:, None] * T).ravel()
+    pts = np.unique(np.concatenate([[s, e], t[(s < t) & (t < e)]]))
+    return np.column_stack([pts[:-1], pts[1:]])
 
 
-def _integrate(a: PeriodicCoefficient, f, s: float, e: float,
-               tol: float | None = None) -> float:
-    if tol is None:
-        tol = QUAD_TOL
+def sample(a: PeriodicCoefficient, interval: tuple[float, float],
+           samples_per_piece: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Dense samples of a inside every integration cell of the interval.
+
+    Each cell [lo, hi] gets samples_per_piece points from lo to hi, inset by
+    1e-12 (hi - lo) at both ends.  Returns (xs, a(xs)) with xs ascending.
+    """
+    s, e = interval
+    if e <= s:
+        raise ValueError("interval must be nonempty")
+    lo, hi = _integration_cells(a, s, e).T
+    inset = 1e-12 * (hi - lo)
+    xs = np.linspace(lo + inset, hi - inset, samples_per_piece, axis=1).ravel()
+    return xs, a(xs)
+
+
+def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """Adaptive Simpson over all cells [lo_i, hi_i] at once, breadth first.
+
+    Each level halves every open interval with one call of f on all the new
+    nodes and halves tol.  An interval is accepted from depth 3 on when the
+    two halves differ from the whole by at most 15 tol, with the Richardson
+    term added; one still open past depth 60 fails.
+    """
+    f_lo, f_mid, f_hi = np.split(f(np.concatenate([lo, (lo + hi) / 2, hi])), 3)
+    used = 3 * len(lo)
+    whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
+    total = 0.0
+    for depth in itertools.count():
+        used += 2 * len(lo)
+        if used > QUAD_BUDGET:
+            raise QuadratureFailure("quadrature evaluation budget exhausted")
+        m = (lo + hi) / 2
+        f_lm, f_rm = np.split(f(np.concatenate([(lo + m) / 2, (m + hi) / 2])), 2)
+        left = (m - lo) / 6 * (f_lo + 4 * f_lm + f_mid)
+        right = (hi - m) / 6 * (f_mid + 4 * f_rm + f_hi)
+        diff = left + right - whole
+        done = (depth > 2) & (np.abs(diff) <= 15 * tol)
+        total += float(np.sum((left + right + diff / 15)[done]))
+        if done.all():
+            return total
+        if depth > 60:
+            raise QuadratureFailure("quadrature did not converge (depth limit)")
+        go = ~done
+        # the open intervals split into [lo, m] and [m, hi]
+        lo, hi = np.concatenate([lo[go], m[go]]), np.concatenate([m[go], hi[go]])
+        f_lo, f_mid, f_hi = (np.concatenate([f_lo[go], f_mid[go]]),
+                             np.concatenate([f_lm[go], f_rm[go]]),
+                             np.concatenate([f_mid[go], f_hi[go]]))
+        whole = np.concatenate([left[go], right[go]])
+        tol /= 2
+
+
+def _integrate(a: PeriodicCoefficient, f, s: float, e: float) -> float:
     if e < s:
         raise ValueError("interval must satisfy s <= e")
     if e == s:
         return 0.0
-    cells = _integration_cells(a, s, e)
-    budget = [QUAD_BUDGET]
-    per_cell_tol = tol / max(1, len(cells))
-    return sum(_adaptive_simpson(f, lo, hi, per_cell_tol, budget)
-               for lo, hi in cells)
+    lo, hi = _integration_cells(a, s, e).T
+    return _adaptive_simpson(f, lo, hi, QUAD_TOL / len(lo))
 
 
 def l1_distance(a: PeriodicCoefficient, c: float,
                 interval: tuple[float, float]) -> float:
     """Integral of |a(x) - c| over the interval, absolute tolerance 1e-10."""
     s, e = interval
-    return _integrate(a, lambda x: abs(a.eval(x) - c), s, e)
+    return _integrate(a, lambda x: np.abs(a(x) - c), s, e)
 
 
 def integral(a: PeriodicCoefficient, interval: tuple[float, float]) -> float:
     """Signed integral of a over the interval."""
     s, e = interval
-    return _integrate(a, a.eval, s, e)
+    return _integrate(a, a, s, e)
 
 
 def mean(a: PeriodicCoefficient) -> float:
@@ -283,36 +300,24 @@ def mean(a: PeriodicCoefficient) -> float:
 
 def linf_norm(a: PeriodicCoefficient, interval: tuple[float, float],
               samples_per_piece: int = 4096) -> float:
-    """Essential supremum of |a| on the interval via dense per-piece sampling."""
-    s, e = interval
-    if e <= s:
-        raise ValueError("interval must be nonempty")
-    best = 0.0
-    for lo, hi in _integration_cells(a, s, e):
-        xs = np.linspace(lo + 1e-12 * (hi - lo), hi - 1e-12 * (hi - lo),
-                         samples_per_piece)
-        vals = np.abs([a.eval(float(x)) for x in xs])
-        best = max(best, float(np.max(vals)))
-    return best
+    """Essential supremum of |a| on the interval: the largest |a| over the
+    per-cell samples of `sample`."""
+    _, vals = sample(a, interval, samples_per_piece)
+    return float(np.max(np.abs(vals)))
 
 
 def dominates(a: PeriodicCoefficient, c: float) -> DominanceReport:
     """Check c <= a almost everywhere, with strictness on positive measure.
 
-    Uniform sampling of 2^14 points per period plus piece endpoints offset
-    by +-1e-9; "positive measure" means at least one uniform sample is
-    strictly above c.
+    One array evaluation at 2^14 uniform points per period plus the piece
+    endpoints offset by +-1e-9; "positive measure" means at least one
+    uniform sample is strictly above c.
     """
-    T = a.period
-    xs = list(np.linspace(0.0, T, DOMINANCE_SAMPLES, endpoint=False))
-    extra = []
-    for b in a.breakpoints():
-        extra.extend([b - 1e-9, b + 1e-9])
-    vals_uniform = np.array([a.eval(x) - c for x in xs])
-    vals_extra = np.array([a.eval(x) - c for x in extra])
-    all_vals = np.concatenate([vals_uniform, vals_extra])
-    min_gap = float(np.min(all_vals))
+    xs = np.linspace(0.0, a.period, DOMINANCE_SAMPLES, endpoint=False)
+    extra = (a.breakpoints()[:, None] + [-1e-9, 1e-9]).ravel()
+    gaps = a(np.concatenate([xs, extra])) - c
+    min_gap = float(np.min(gaps))
     holds_ae = bool(min_gap >= -1e-12)
-    strict_fraction = float(np.mean(vals_uniform > 1e-12))
+    strict_fraction = float(np.mean(gaps[:DOMINANCE_SAMPLES] > 1e-12))
     strict = bool(holds_ae and strict_fraction >= 1.0 / DOMINANCE_SAMPLES)
     return DominanceReport(holds_ae, strict, min_gap, strict_fraction)

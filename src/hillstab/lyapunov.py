@@ -70,13 +70,8 @@ class Certificate:
         }
 
 
-def _ess_inf(a: cf.PeriodicCoefficient, samples_per_piece: int = 4096) -> float:
-    worst = math.inf
-    for lo, hi in cf._integration_cells(a, 0.0, a.period):
-        xs = np.linspace(lo + 1e-12 * (hi - lo), hi - 1e-12 * (hi - lo),
-                         samples_per_piece)
-        worst = min(worst, min(a.eval(float(x)) for x in xs))
-    return worst
+def _ess_inf(a: cf.PeriodicCoefficient) -> float:
+    return float(np.min(cf.sample(a, (0.0, a.period))[1]))
 
 
 def certify_l1_periodic(a: cf.PeriodicCoefficient, n: int) -> Certificate:
@@ -161,22 +156,14 @@ def _require_period_pi(a: cf.PeriodicCoefficient):
         raise DomainError("this certificate is stated for period pi")
 
 
-def _split_sups(a: cf.PeriodicCoefficient, samples_per_piece: int = 4096):
+def _split_sups(a: cf.PeriodicCoefficient):
     """Dense one-pass |a| sampling with prefix/suffix running maxima.
 
     Returns (sup_left, sup_right) callables so the x0 scan costs O(1) per
     split point instead of re-sampling both sides.
     """
-    xs_all, vals = [], []
-    for lo, hi in cf._integration_cells(a, 0.0, a.period):
-        xs = np.linspace(lo + 1e-12 * (hi - lo), hi - 1e-12 * (hi - lo),
-                         samples_per_piece)
-        xs_all.append(xs)
-        vals.append(np.abs([a.eval(float(x)) for x in xs]))
-    xs = np.concatenate(xs_all)
-    vals = np.concatenate(vals)
-    order = np.argsort(xs)
-    xs, vals = xs[order], vals[order]
+    xs, vals = cf.sample(a, (0.0, a.period))
+    vals = np.abs(vals)
     prefix = np.maximum.accumulate(vals)
     suffix = np.maximum.accumulate(vals[::-1])[::-1]
 

@@ -120,12 +120,9 @@ def _sandwich(p: NonlinearProblem, u_box) -> tuple[bool, float]:
     lo, hi = _box(p, u_box)
     xs = np.linspace(0.0, p.period, GRID, endpoint=False)
     us = np.linspace(lo, hi, GRID)
-    av = np.array([p.alpha_env.eval(float(x)) for x in xs])
-    bv = np.array([p.beta_env.eval(float(x)) for x in xs])
-    worst = math.inf
-    for u in us:
-        fu = np.asarray(p.fu_eval(xs, float(u)), dtype=float)
-        worst = min(worst, float(np.min(fu - av)), float(np.min(bv - fu)))
+    fu = p.fu_eval(xs, us[:, None])
+    worst = min(float(np.min(fu - p.alpha_env(xs))),
+                float(np.min(p.beta_env(xs) - fu)))
     return worst >= -SANDWICH_SLACK, worst
 
 
@@ -182,11 +179,8 @@ def check_classical_band(p: NonlinearProblem, u_box=None) -> ly.Certificate:
     T = p.period
     xs = np.linspace(0.0, T, GRID, endpoint=False)
     us = np.linspace(lo, hi, GRID)
-    fmin, fmax = math.inf, -math.inf
-    for u in us:
-        fu = np.asarray(p.fu_eval(xs, float(u)), dtype=float)
-        fmin = min(fmin, float(np.min(fu)))
-        fmax = max(fmax, float(np.max(fu)))
+    fu = p.fu_eval(xs, us[:, None])
+    fmin, fmax = float(np.min(fu)), float(np.max(fu))
     band = None
     n = 0
     while (2 * n * math.pi / T) ** 2 < fmax:
@@ -283,6 +277,4 @@ def ode_residual(p: NonlinearProblem, s: Solution) -> float:
     xs = np.linspace(h, p.period - h, 4096)
     ddu = (sol.sol(xs + h)[1] - sol.sol(xs - h)[1]) / (2 * h)
     u = sol.sol(xs)[0]
-    fvals = np.array([float(p.f_eval(float(x), float(v)))
-                      for x, v in zip(xs, u)])
-    return float(np.max(np.abs(ddu + fvals)))
+    return float(np.max(np.abs(ddu + p.f_eval(xs, u))))

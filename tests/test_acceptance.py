@@ -163,7 +163,8 @@ def test_criterion_05_two_step_resonance():
 def test_criterion_06_interlacing(sweep, sweep_spectra):
     with _Criterion(6, "interlacing across the random sweep"):
         for spec in sweep_spectra:
-            fq.check_interlacing(spec, slack=1e-9)
+            ok, msg = fq.check_interlacing(spec, slack=1e-9)
+            assert ok, msg
 
 
 def test_criterion_07_zero_structure():

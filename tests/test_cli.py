@@ -5,6 +5,7 @@ import pytest
 
 from hillstab import cli
 from hillstab import coeff as cf
+from hillstab import lyapunov as ly
 
 T = 2 * math.pi
 
@@ -79,6 +80,40 @@ def test_certify_with_verify(tmp_path, capsys):
     assert by_id["L1_PERIODIC_N"]["holds"] is True
     confirmed = [v for v in doc["verification"] if "confirmed" in v]
     assert confirmed and all(v["confirmed"] for v in confirmed)
+
+
+def test_certify_verify_beyond_n3(tmp_path, capsys):
+    # lam_8 = 4^2 - 16.5 = -0.5 < 0 < lam_9 = 5^2 - 16.5 = 8.5
+    f = coeff_file(tmp_path, cf.constant(16.5, T))
+    code, out = run(capsys, "certify", f, "--n", "4", "--verify")
+    assert code == 0
+    checks = json.loads(out)["verification"]
+    l1 = [v for v in checks if v.get("theorem_id") == "L1_PERIODIC_N"]
+    assert l1 == [{"theorem_id": "L1_PERIODIC_N", "n_or_p": 4,
+                   "confirmed": True}]
+
+
+def test_first_zone_verification_needs_zone_0():
+    # a = 2, T = pi: lam_0 = -2 < alam_1 = alam_2 = -1 < 0 < lam_1 = 2, so
+    # mu = 0 is stable but in zone 1, not the zone LINF_FIRST_ZONE claims
+    a = cf.constant(2.0, math.pi)
+    forged = ly.Certificate("LINF_FIRST_ZONE", None, {}, True,
+                            "lambda_0(a) < 0 < anti_lambda_1(a)")
+    assert not cli._conclusion_confirmed(a, forged, {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--count", "0"],
+    ["chart", "--mu-from", "0", "--mu-to", "1", "--points", "0"],
+    ["constants", "--n-max", "-1"],
+])
+def test_bad_counts_rejected(tmp_path, capsys, argv):
+    f = coeff_file(tmp_path, cf.constant(0.0, T))
+    if argv[0] != "constants":
+        argv = argv[:1] + [f] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
 
 
 def test_certify_theorem_filter(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hillstab import coeff as cf
 from hillstab import expr as ex
+from hillstab import witness as wt
 from hillstab.errors import NonFiniteValue, ParseError
 
 T = 2 * math.pi
@@ -43,6 +44,28 @@ def test_call_vectorizes():
     a = three_step([1.0, 2.0, 3.0])
     out = a(np.array([1.0, 3.0, 5.0]))
     np.testing.assert_allclose(out, [1.0, 2.0, 3.0])
+
+
+def _scan_eval(a, x):
+    """Reference: one point at a time, removable points first, then the
+    first piece whose half-open interval holds the reduced point."""
+    y = x % a.period
+    y = 0.0 if y >= a.period else y
+    for p in a.removable_points:
+        if abs(y - p % a.period) <= 1e-12:
+            y = p % a.period + cf.REMOVABLE_EPS
+            break
+    piece = next((f for s, e, f in a.pieces if s <= y < e), a.pieces[-1][2])
+    return float(piece.eval(x=y))
+
+
+def test_array_eval_matches_pointwise_scan():
+    a = wt.make_a_eps(2, T, 0.05)
+    rng = np.random.default_rng(3)
+    marks = np.concatenate([a.breakpoints(), a.removable_points])
+    xs = np.concatenate([rng.uniform(-2 * T, 3 * T, 2000), marks,
+                         marks + T, marks - 1e-13, [-1e-17]])
+    np.testing.assert_array_equal(a(xs), [_scan_eval(a, x) for x in xs])
 
 
 def test_nonfinite_detection():
@@ -160,6 +183,12 @@ def test_removable_point_uses_right_limit():
     assert np.isfinite(v) and v == pytest.approx(1.0, abs=1e-6)
     assert cf.integral(a, (0.0, 1.0)) == pytest.approx(0.9460830703671830,
                                                        abs=1e-8)
+
+
+def test_removable_point_keeps_its_measure():
+    # a removable point inside a piece takes nothing away from the integral
+    a = cf.PeriodicCoefficient(T, ((0.0, T, ex.Const(3.0)),), (1.0,))
+    assert cf.integral(a, (0.0, T)) == pytest.approx(3.0 * T, abs=1e-12)
 
 
 @given(st.floats(min_value=-3, max_value=3),
