@@ -22,11 +22,14 @@ a = coeff.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
 
 print("coefficient: 0 on (0,2), 2 on (2,2pi)")
 spec = floquet.spectrum(a, 5, 4)
-floquet.check_interlacing(spec)
 print("periodic eigenvalues:   ",
       [f"{v:+.6f}" for v in spec.periodic_values()])
 print("antiperiodic eigenvalues:",
       [f"{v:+.6f}" for v in spec.antiperiodic_values()])
+ok, msg = floquet.check_interlacing(spec)
+if not ok:
+    raise RuntimeError(f"band edges do not interlace: {msg}")
+print("interlacing: ok")
 
 print("\n  mu      Delta(mu)  verdict")
 for mu in np.linspace(-2.0, 4.0, 31):

@@ -36,7 +36,6 @@ from .errors import HillstabError  # noqa: F401
 from .floquet import (  # noqa: F401
     SpectrumSlice,
     StabilityVerdict,
-    TransferMatrix,
     antiperiodic_eigenvalues,
     check_interlacing,
     classify,

@@ -3,8 +3,10 @@ generation, zero structures, discriminant charts, and nonlinear probing.
 
 All JSON outputs embed a run manifest (command, inputs, parameters,
 tolerances, tool version) so artifacts are reproducible.  Exit codes:
-0 success, 2 parse error, 3 root-search or integration failure, 4 a
-``--verify`` pass found a certificate contradicted by the ground truth.
+0 success, 1 any other ``HillstabError`` (for example ``witness a-eps
+--eps 10``), 2 parse error or bad option value, 3 root-search or integration
+failure, 4 a ``--verify`` pass found a certificate contradicted by the
+ground truth.
 """
 
 from __future__ import annotations
@@ -108,41 +110,36 @@ def cmd_eigs(args) -> int:
 def _conclusion_confirmed(a, cert, spec_cache) -> bool:
     """Ground-truth check of one holds=true certificate's conclusion."""
     tol = 1e-6
+    if cert.theorem_id == "CLASSICAL_16T":
+        return abs(fq.discriminant(a, 0.0) - 2.0) > 1e-9
     n = cert.n_or_p
-    # one run certifies n = 1..3 or a single n: the cached spectra reach
-    # index 2n + 1 for the largest n, and hold at least 8 eigenvalues
-    count = 2 * max(3, n or 0) + 2
+    # one run certifies n = 1..3 or a single n: the cached spectrum reaches
+    # index 2n + 1 for the largest n of the L1_*_N theorems, and holds at
+    # least 8 eigenvalues of each kind
+    indexed = cert.theorem_id in ("L1_PERIODIC_N", "L1_ANTIPERIODIC_N")
+    count = 2 * max(3, n if indexed else 0) + 2
+    s = spec_cache.get("s")
+    if s is None or len(s.periodic) < count:
+        s = spec_cache["s"] = fq.spectrum(a, count, count)
+    lam, alam = s.periodic_values(), s.antiperiodic_values()
     if cert.theorem_id == "L1_PERIODIC_N":
-        if "p" not in spec_cache:
-            spec_cache["p"] = fq.periodic_eigenvalues(a, count)
-        vals = spec_cache["p"].periodic_values()
-        return vals[2 * n] < tol and vals[2 * n + 1] > -tol
+        return lam[2 * n] < tol and lam[2 * n + 1] > -tol
     if cert.theorem_id == "L1_ANTIPERIODIC_N":
-        if "ap" not in spec_cache:
-            spec_cache["ap"] = fq.antiperiodic_eigenvalues(a, count)
-        vals = spec_cache["ap"].antiperiodic_values()
         # antiperiodic indexing starts at 1
-        return vals[2 * n - 1] < tol and vals[2 * n] > -tol
+        return alam[2 * n - 1] < tol and alam[2 * n] > -tol
     if cert.theorem_id in ("L1_ZONE_KP", "LINF_FIRST_ZONE"):
-        if "sp" not in spec_cache:
-            spec_cache["sp"] = fq.spectrum(a, 4, 4)
-        v = fq.classify(a, 0.0, spec_cache["sp"])
+        v = fq.classify(a, 0.0, s)
         # LINF_FIRST_ZONE concludes lambda_0 < 0 < anti_lambda_1: zone 0
         return v.kind == "Stable" and (cert.theorem_id == "L1_ZONE_KP"
                                        or v.zone_index == 0)
     if cert.theorem_id == "LINF_PERIODIC":
-        if "p" not in spec_cache:
-            spec_cache["p"] = fq.periodic_eigenvalues(a, 8)
-        vals = spec_cache["p"].periodic_values()
-        return vals[0] < tol and vals[1] > -tol
-    if cert.theorem_id == "CLASSICAL_16T":
-        return abs(fq.discriminant(a, 0.0) - 2.0) > 1e-9
+        return lam[0] < tol and lam[1] > -tol
     return True
 
 
 def cmd_certify(args) -> int:
     a = _load_coefficient(args)
-    n_list = [args.n] if args.n else [1, 2, 3]
+    n_list = [args.n] if args.n is not None else [1, 2, 3]
     theorems = [args.theorem] if args.theorem else None
     certs = ly.certify_all(a, n_list=n_list, theorems=theorems)
     doc = {
@@ -160,12 +157,11 @@ def cmd_certify(args) -> int:
             checks.append({"theorem_id": c.theorem_id, "n_or_p": c.n_or_p,
                            "confirmed": ok})
             contradiction = contradiction or not ok
-        if "p" in spec_cache:
+        if "s" in spec_cache:
             checks.append({"periodic_eigenvalues":
-                           spec_cache["p"].periodic_values()})
-        if "ap" in spec_cache:
+                           spec_cache["s"].periodic_values()})
             checks.append({"antiperiodic_eigenvalues":
-                           spec_cache["ap"].antiperiodic_values()})
+                           spec_cache["s"].antiperiodic_values()})
         doc["verification"] = checks
     _emit(doc, args)
     return EXIT_SOUNDNESS if contradiction else 0
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the certification theorems")
     p.add_argument("coeff_file")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
     p.add_argument("--theorem", choices=ly.THEOREM_IDS, default=None)
     p.add_argument("--verify", action="store_true",
                    help="cross-check holds=true certificates against the "
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="emit an extremal coefficient file")
     p.add_argument("family", choices=["a-eps", "two-step"])
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--period", type=float, default=2 * math.pi)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -344,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeff_file")
     p.add_argument("--bc", choices=["periodic", "antiperiodic"],
                    default="periodic")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_int_at_least(1), default=None,
                    help="also run the structure checks at this index")
     p.add_argument("--output")
     p.set_defaults(func=cmd_zeros)
@@ -360,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nonlinear", help="nonlinear periodic BVP tooling")
     p.add_argument("action", choices=["check", "solve"])
     p.add_argument("problem_file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--starts", type=_int_at_least(1), default=16)
     p.add_argument("--output")
     p.set_defaults(func=cmd_nonlinear)
 

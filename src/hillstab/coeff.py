@@ -5,16 +5,18 @@ each carrying a closed-form expression in x.  Evaluation takes an array of
 points, extends the coefficient T-periodically to the whole line and
 evaluates each piece's expression once on the points inside it.  The
 integration cells of an interval are cut at piece breakpoints and removable
-points; `sample` draws dense points inside each cell for the sup/inf
-functionals, and integrals use adaptive Simpson quadrature run breadth first
-over all cells at once, so two-plateau potentials and boundary-layer witness
-families integrate to full accuracy.
+points and moved into [0, T] by whole periods; `sample` draws dense points
+inside each cell for the sup/inf functionals, and integrals use adaptive
+Simpson quadrature run breadth first over all cells at once, with each cell's
+ends evaluated in its own piece, so two-plateau potentials and
+boundary-layer witness families integrate to full accuracy.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,14 +211,22 @@ def from_expression(text_or_expr, period: float) -> PeriodicCoefficient:
 
 # -- sampling and quadrature --------------------------------------------------
 
-def _integration_cells(a: PeriodicCoefficient, s: float, e: float) -> np.ndarray:
-    """Split [s, e] at piece breakpoints and removable points: (n, 2) cells."""
+def _integration_cells(a: PeriodicCoefficient, s: float, e: float):
+    """Split [s, e] at piece breakpoints and removable points.
+
+    Returns (lo, hi, shift): cell i is [lo_i, hi_i] + shift_i, where
+    [lo_i, hi_i] is its place in [0, T] and shift_i a whole number of periods,
+    so that no point of a cell wraps into another period's piece.
+    """
     T = a.period
-    marks = np.concatenate([a.breakpoints(), a.removable_points])
-    ks = np.arange(np.floor(s / T) - 1, np.ceil(e / T) + 2)
-    t = (marks + ks[:, None] * T).ravel()
-    pts = np.unique(np.concatenate([[s, e], t[(s < t) & (t < e)]]))
-    return np.column_stack([pts[:-1], pts[1:]])
+    marks = np.concatenate([a.breakpoints(), a._reduce(a.removable_points)])
+    cells = []
+    for k in range(math.floor(s / T), math.ceil(e / T)):
+        lo, hi = max(s - k * T, 0.0), min(e - k * T, T)
+        pts = np.unique(np.concatenate([[lo, hi],
+                                        marks[(lo < marks) & (marks < hi)]]))
+        cells += [(p, q, k * T) for p, q in zip(pts[:-1], pts[1:])]
+    return np.array(cells).T
 
 
 def sample(a: PeriodicCoefficient, interval: tuple[float, float],
@@ -229,10 +239,10 @@ def sample(a: PeriodicCoefficient, interval: tuple[float, float],
     s, e = interval
     if e <= s:
         raise ValueError("interval must be nonempty")
-    lo, hi = _integration_cells(a, s, e).T
+    lo, hi, shift = _integration_cells(a, s, e)
     inset = 1e-12 * (hi - lo)
-    xs = np.linspace(lo + inset, hi - inset, samples_per_piece, axis=1).ravel()
-    return xs, a(xs)
+    xs = np.linspace(lo + inset, hi - inset, samples_per_piece, axis=1)
+    return (xs + shift[:, None]).ravel(), a(xs.ravel())
 
 
 def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
@@ -243,7 +253,9 @@ def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
     two halves differ from the whole by at most 15 tol, with the Richardson
     term added; one still open past depth 60 fails.
     """
-    f_lo, f_mid, f_hi = np.split(f(np.concatenate([lo, (lo + hi) / 2, hi])), 3)
+    # the right end is taken one ulp inside, so that it is in the cell's piece
+    f_lo, f_mid, f_hi = np.split(
+        f(np.concatenate([lo, (lo + hi) / 2, np.nextafter(hi, lo)])), 3)
     used = 3 * len(lo)
     whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
     total = 0.0
@@ -277,7 +289,8 @@ def _integrate(a: PeriodicCoefficient, f, s: float, e: float) -> float:
         raise ValueError("interval must satisfy s <= e")
     if e == s:
         return 0.0
-    lo, hi = _integration_cells(a, s, e).T
+    # f is T-periodic: integrate it over the cells' places in [0, T]
+    lo, hi, _ = _integration_cells(a, s, e)
     return _adaptive_simpson(f, lo, hi, QUAD_TOL / len(lo))
 
 

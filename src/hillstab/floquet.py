@@ -1,11 +1,13 @@
 """Ground-truth spectral engine for u'' + (mu + a(x)) u = 0.
 
-Monodromy matrices are assembled piece by piece: constant pieces propagate
-through exact trigonometric/hyperbolic blocks, anything else goes through a
-high-order adaptive Runge-Kutta integrator.  Periodic and antiperiodic
-eigenvalues are the roots of Delta(mu) = +-2 where Delta is the trace of the
-monodromy matrix; double band edges show up as tangencies of Delta with +-2
-and are detected by local maximization.
+Monodromy matrices are 2x2 arrays assembled piece by piece: constant pieces
+propagate through exact trigonometric/hyperbolic blocks, anything else goes
+through a high-order adaptive Runge-Kutta integrator.  Periodic and
+antiperiodic eigenvalues are the roots of Delta(mu) = +-2 where Delta is the
+trace of the monodromy matrix.  Both kinds interlace along the one curve
+Delta(mu), so a single upward scan evaluates Delta once per grid point and
+collects the band edges of both kinds; double band edges show up as
+tangencies of Delta with +-2 and are detected by local maximization.
 """
 
 from __future__ import annotations
@@ -29,34 +31,6 @@ TOL_BOUNDARY = 1e-7
 TOL_ROOT = 1e-10
 #: local ODE tolerance for non-constant pieces
 ODE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 fundamental-solution matrix mapping (u, u') at s to (u, u') at e."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    @property
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        a = self.as_array() @ other.as_array()
-        return TransferMatrix(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.as_array() @ y
 
 
 class EigEntry(NamedTuple):
@@ -89,21 +63,22 @@ class StabilityVerdict:
 
 # -- piecewise propagation ----------------------------------------------------
 
-def _const_block(q: float, L: float) -> TransferMatrix:
-    """Exact transfer matrix of u'' + q u = 0 over an interval of length L."""
+def _const_block(q: float, L: float) -> np.ndarray:
+    """Exact transfer matrix of u'' + q u = 0 over an interval of length L:
+    the 2x2 map of (u, u') at its start to (u, u') at its end."""
     if q > 0:
         w = math.sqrt(q)
         c, s = math.cos(w * L), math.sin(w * L)
-        return TransferMatrix(c, s / w, -w * s, c)
+        return np.array([[c, s / w], [-w * s, c]])
     if q < 0:
         w = math.sqrt(-q)
         ch, sh = math.cosh(w * L), math.sinh(w * L)
-        return TransferMatrix(ch, sh / w, w * sh, ch)
-    return TransferMatrix(1.0, L, 0.0, 1.0)
+        return np.array([[ch, sh / w], [w * sh, ch]])
+    return np.array([[1.0, L], [0.0, 1.0]])
 
 
 def _piece_matrix(a: cf.PeriodicCoefficient, mu: float, s: float, e: float,
-                  piece: ex.Expression) -> TransferMatrix:
+                  piece: ex.Expression) -> np.ndarray:
     cval = ex.constant_value(piece)
     if cval is not None:
         return _const_block(mu + cval, e - s)
@@ -118,12 +93,12 @@ def _piece_matrix(a: cf.PeriodicCoefficient, mu: float, s: float, e: float,
     if not sol.success:
         raise IntegrationFailure(f"ODE solver failed on [{s}, {e}]: {sol.message}")
     y = sol.y[:, -1]
-    return TransferMatrix(y[0], y[2], y[1], y[3])
+    return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
-def monodromy(a: cf.PeriodicCoefficient, mu: float) -> TransferMatrix:
+def monodromy(a: cf.PeriodicCoefficient, mu: float) -> np.ndarray:
     """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period."""
-    M = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+    M = np.eye(2)
     for s, e, piece in a.pieces:
         M = _piece_matrix(a, mu, s, e, piece) @ M
     return M
@@ -131,7 +106,7 @@ def monodromy(a: cf.PeriodicCoefficient, mu: float) -> TransferMatrix:
 
 def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
     """Trace of the monodromy matrix."""
-    return monodromy(a, mu).trace
+    return float(np.trace(monodromy(a, mu)))
 
 
 # -- dense trajectories -------------------------------------------------------
@@ -141,8 +116,7 @@ class _ConstSegment:
         self.s, self.e, self.q, self.y0 = s, e, q, np.asarray(y0, dtype=float)
 
     def __call__(self, x):
-        B = _const_block(self.q, x - self.s)
-        return B.apply(self.y0)
+        return _const_block(self.q, x - self.s) @ self.y0
 
 
 class _OdeSegment:
@@ -214,150 +188,135 @@ def _polish_tangency(g, m: float, scale: float) -> float:
         return (g(mu + h) - g(mu - h)) / (2 * h)
 
     lo, hi = m - 20 * h, m + 20 * h
-    try:
-        if dg(lo) > 0 > dg(hi):
-            return brentq(dg, lo, hi, xtol=TOL_ROOT)
-        if dg(lo) < 0 < dg(hi):
-            return brentq(dg, lo, hi, xtol=TOL_ROOT)
-    except ValueError:
-        pass
+    d_lo, d_hi = dg(lo), dg(hi)
+    if d_lo > 0 > d_hi or d_lo < 0 < d_hi:
+        return brentq(dg, lo, hi, xtol=TOL_ROOT)
     return m
 
 
-def _march_roots(g, mu_start: float, gap_scale, n_roots_needed: int,
-                 first_is_simple_downcross: bool):
-    """Collect roots of g along increasing mu.
+def _gap_scale(mu: float, T: float, abar: float) -> float:
+    """Local spacing of the unperturbed band edges near mu."""
+    j = max(1.0, T * math.sqrt(max(mu + abar, 1.0)) / math.pi)
+    return max((2 * j + 1) * math.pi ** 2 / T ** 2, 0.5 * math.pi ** 2 / T ** 2)
 
-    g is <= 0 between band-edge pairs and >= 0 inside them; simple edges are
+
+class _Edges:
+    """Roots of g = sign * Delta - 2 met along the scan, with multiplicity.
+
+    g is <= 0 between band-edge pairs and > 0 inside them; simple edges are
     sign changes, coincident pairs are interior local maxima touching zero.
-    When first_is_simple_downcross, the march starts in a g > 0 region whose
-    single exit crossing is the lowest eigenvalue.
+    The periodic kind (sign +1) starts inside: the scan begins below lam0,
+    where Delta > 2, so its first root is a single down-crossing.
     """
-    roots = []
-    mu = mu_start
-    g_prev = g(mu)
-    if first_is_simple_downcross:
-        # lowest eigenvalue: g goes + -> -
-        guard = 0
-        while g_prev <= 0:
-            mu -= gap_scale(mu)
-            g_prev = g(mu)
-            guard += 1
-            if guard > 200:
-                raise RootSearchFailure("could not bracket the lowest eigenvalue")
-        while True:
-            step = gap_scale(mu) / 64
-            mu_next = mu + step
-            g_next = g(mu_next)
-            if g_prev > 0 >= g_next:
-                roots.append((brentq(g, mu, mu_next, xtol=TOL_ROOT), 1))
-                mu, g_prev = mu_next, g_next
-                break
-            mu, g_prev = mu_next, g_next
-            if mu > mu_start + 10000 * gap_scale(mu_start):
-                raise RootSearchFailure("lowest eigenvalue not found")
-    window = [mu]
-    vals = [g_prev]
-    while len(roots) < n_roots_needed:
-        step = gap_scale(mu) / 64
-        mu_next = mu + step
-        g_next = g(mu_next)
-        if g_prev <= 0 < g_next:
-            r1 = brentq(g, mu, mu_next, xtol=TOL_ROOT)
-            # follow until the down-crossing closes the pair
-            m2, gp2 = mu_next, g_next
-            while True:
-                st2 = gap_scale(m2) / 64
-                m3 = m2 + st2
-                g3 = g(m3)
-                if gp2 > 0 >= g3:
-                    r2 = brentq(g, m2, m3, xtol=TOL_ROOT)
-                    break
-                m2, gp2 = m3, g3
-            roots.append((r1, 1))
-            roots.append((r2, 1))
-            mu, g_prev = m3, g3
-            window, vals = [mu], [g_prev]
-            continue
-        window.append(mu_next)
-        vals.append(g_next)
-        # interior local maximum of a non-positive stretch: tangency candidate
-        if (len(vals) >= 3 and vals[-2] > vals[-3] and vals[-2] >= vals[-1]
-                and vals[-2] > -1.0):
-            lo, hi = window[-3], window[-1]
-            res = minimize_scalar(lambda m: -g(m), bounds=(lo, hi),
-                                  method="bounded",
-                                  options={"xatol": TOL_ROOT / 10})
-            gmax = -res.fun
-            mmax = res.x
-            if gmax > 1e-12:
-                r1 = brentq(g, lo, mmax, xtol=TOL_ROOT)
-                r2 = brentq(g, mmax, hi, xtol=TOL_ROOT)
-                roots.append((r1, 1))
-                roots.append((r2, 1))
-                mu, g_prev = mu_next, g_next
-                window, vals = [mu], [g_prev]
-                continue
-            if gmax > -TOL_BOUNDARY:
-                mmax = _polish_tangency(g, mmax, gap_scale(mmax))
-                roots.append((mmax, 2))
-                roots.append((mmax, 2))
-                mu, g_prev = mu_next, g_next
-                window, vals = [mu], [g_prev]
-                continue
-        mu, g_prev = mu_next, g_next
-        if len(window) > 100000:
+
+    def __init__(self, a, sign: float, count: int, scale, mu: float, d: float):
+        self.a, self.sign, self.count, self.scale = a, sign, count, scale
+        self.roots = []
+        self.inside = sign > 0
+        # grid points since the last edge, and g there
+        self.xs, self.gs = [mu], [sign * d - 2.0]
+
+    def g(self, mu: float) -> float:
+        return self.sign * discriminant(self.a, mu) - 2.0
+
+    def open(self) -> bool:
+        return len(self.roots) < self.count
+
+    def step(self, mu: float, mu_next: float, d: float) -> bool:
+        """Take the next grid point, where Delta = d; True if an edge was found."""
+        g_prev, g_next = self.gs[-1], self.sign * d - 2.0
+        if (g_prev > 0 >= g_next) if self.inside else (g_prev <= 0 < g_next):
+            self.roots.append((brentq(self.g, mu, mu_next, xtol=TOL_ROOT), 1))
+            self.inside = not self.inside
+        else:
+            self.xs.append(mu_next)
+            self.gs.append(g_next)
+            if self.inside or not self._tangency():
+                return False
+        self.xs, self.gs = [mu_next], [g_next]
+        return True
+
+    def _tangency(self) -> bool:
+        """An interior local maximum of a non-positive stretch: two close
+        simple edges, a double edge, or neither."""
+        gs = self.gs
+        if not (len(gs) >= 3 and gs[-2] > gs[-3] and gs[-2] >= gs[-1]
+                and gs[-2] > -1.0):
+            return False
+        g, lo, hi = self.g, self.xs[-3], self.xs[-1]
+        res = minimize_scalar(lambda m: -g(m), bounds=(lo, hi),
+                              method="bounded", options={"xatol": TOL_ROOT / 10})
+        gmax, mmax = -res.fun, res.x
+        if gmax > 1e-12:
+            self.roots.append((brentq(g, lo, mmax, xtol=TOL_ROOT), 1))
+            self.roots.append((brentq(g, mmax, hi, xtol=TOL_ROOT), 1))
+            return True
+        if gmax > -TOL_BOUNDARY:
+            mmax = _polish_tangency(g, mmax, self.scale(mmax))
+            self.roots += [(mmax, 2), (mmax, 2)]
+            return True
+        return False
+
+
+def _scan(a: cf.PeriodicCoefficient, n_periodic: int, n_antiperiodic: int):
+    """The first n_periodic periodic and n_antiperiodic antiperiodic
+    eigenvalues, as EigEntry lists, from one upward scan of Delta(mu).
+
+    The grid starts at _mu_lo and steps by gap_scale / 64; each kind refines
+    its own brackets and stops once it holds its count.
+    """
+    T, abar = a.period, cf.mean(a)
+
+    def scale(mu):
+        return _gap_scale(mu, T, abar)
+
+    mu = _mu_lo(a)
+    d = discriminant(a, mu)
+    guard = 0
+    while d <= 2.0:
+        # lam0 lies below the start: step down until Delta > 2
+        mu -= scale(mu)
+        d = discriminant(a, mu)
+        guard += 1
+        if guard > 200:
+            raise RootSearchFailure("could not bracket the lowest eigenvalue")
+    kinds = [_Edges(a, 1.0, n_periodic, scale, mu, d),
+             _Edges(a, -1.0, n_antiperiodic, scale, mu, d)]
+    idle = 0
+    while any(k.open() for k in kinds):
+        mu_next = mu + scale(mu) / 64
+        d = discriminant(a, mu_next)
+        found = [k.step(mu, mu_next, d) for k in kinds if k.open()]
+        idle = 0 if any(found) else idle + 1
+        if idle > 100000:
             raise RootSearchFailure("eigenvalue scan exhausted")
-    return roots
+        mu = mu_next
+    periodic, anti = (k.roots[:k.count] for k in kinds)
+    return ([EigEntry(i, v, m) for i, (v, m) in enumerate(periodic)],
+            [EigEntry(i + 1, v, m) for i, (v, m) in enumerate(anti)])
 
 
 def periodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` periodic eigenvalues (roots of Delta = 2), with multiplicity."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    T = a.period
-    abar = cf.mean(a)
-
-    def g(mu):
-        return discriminant(a, mu) - 2.0
-
-    def gap_scale(mu):
-        # local spacing of the unperturbed band edges near mu
-        j = max(1.0, T * math.sqrt(max(mu + abar, 1.0)) / math.pi)
-        return max((2 * j + 1) * math.pi ** 2 / T ** 2, 0.5 * math.pi ** 2 / T ** 2)
-
-    roots = _march_roots(g, _mu_lo(a), gap_scale, count,
-                         first_is_simple_downcross=True)
-    entries = [EigEntry(i, v, m) for i, (v, m) in enumerate(roots[:count])]
-    return SpectrumSlice(periodic=entries)
+    return SpectrumSlice(periodic=_scan(a, count, 0)[0])
 
 
 def antiperiodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` antiperiodic eigenvalues (roots of Delta = -2), indexed from 1."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    T = a.period
-    abar = cf.mean(a)
-
-    def g(mu):
-        return -(discriminant(a, mu) + 2.0)
-
-    def gap_scale(mu):
-        j = max(1.0, T * math.sqrt(max(mu + abar, 1.0)) / math.pi)
-        return max((2 * j + 1) * math.pi ** 2 / T ** 2, 0.5 * math.pi ** 2 / T ** 2)
-
-    roots = _march_roots(g, _mu_lo(a), gap_scale, count,
-                         first_is_simple_downcross=False)
-    entries = [EigEntry(i + 1, v, m) for i, (v, m) in enumerate(roots[:count])]
-    return SpectrumSlice(antiperiodic=entries)
+    return SpectrumSlice(antiperiodic=_scan(a, 0, count)[1])
 
 
 def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
              n_antiperiodic: int) -> SpectrumSlice:
-    s = SpectrumSlice()
-    s.periodic = periodic_eigenvalues(a, n_periodic).periodic
-    s.antiperiodic = antiperiodic_eigenvalues(a, n_antiperiodic).antiperiodic
-    return s
+    """Both kinds from one scan; see periodic_eigenvalues and
+    antiperiodic_eigenvalues."""
+    if min(n_periodic, n_antiperiodic) < 1:
+        raise ValueError("count must be >= 1")
+    return SpectrumSlice(*_scan(a, n_periodic, n_antiperiodic))
 
 
 def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
@@ -365,52 +324,17 @@ def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
 
     Returns (ok, first_violation_description).
     """
-    lam = s.periodic_values()
-    ala = s.antiperiodic_values()
-    # merged sequence with strictness flags between consecutive entries
-    seq = []
-    i = j = 0
-    # pattern: lam0, alam1, alam2, lam1, lam2, alam3, alam4, lam3, ...
-    take_anti = False
-    seq.append(("lam", 0))
-    i = 1
-    while i < len(lam) or j < len(ala):
-        if take_anti is False:
-            if j + 1 < len(ala):
-                seq.append(("anti", j))
-                seq.append(("anti", j + 1))
-                j += 2
-            elif j < len(ala):
-                seq.append(("anti", j))
-                j += 1
-            else:
-                break
-            take_anti = True
-        else:
-            if i + 1 < len(lam):
-                seq.append(("lam", i))
-                seq.append(("lam", i + 1))
-                i += 2
-            elif i < len(lam):
-                seq.append(("lam", i))
-                i += 1
-            else:
-                break
-            take_anti = False
-
-    def value(tag):
-        kind, k = tag
-        return lam[k] if kind == "lam" else ala[k]
-
-    for k in range(len(seq) - 1):
-        v0, v1 = value(seq[k]), value(seq[k + 1])
-        same_kind_pair = seq[k][0] == seq[k + 1][0]
-        if same_kind_pair:
+    # place in the chain: lam_i at 2i + i%2, alam_j (j from 1) at 2j - 2 + j%2
+    chain = sorted([(2 * i + i % 2, "lam", i, v)
+                    for i, v in enumerate(s.periodic_values())] +
+                   [(2 * j + (j + 1) % 2, "anti", j, v)
+                    for j, v in enumerate(s.antiperiodic_values())])
+    for (_, k0, i0, v0), (_, k1, i1, v1) in zip(chain, chain[1:]):
+        if k0 == k1:
             if v1 < v0 - slack:
-                return False, f"ordering violated between {seq[k]} and {seq[k + 1]}"
-        else:
-            if v1 <= v0 - slack:
-                return False, f"strict ordering violated between {seq[k]} and {seq[k + 1]}"
+                return False, f"ordering violated between {(k0, i0)} and {(k1, i1)}"
+        elif v1 <= v0 - slack:
+            return False, f"strict ordering violated between {(k0, i0)} and {(k1, i1)}"
     return True, None
 
 
@@ -449,10 +373,7 @@ def classify(a: cf.PeriodicCoefficient, mu: float,
         return StabilityVerdict("BoundaryUnstable", None, (entries[k],), d)
     # pair partner: indices (2j-1, 2j) for periodic, (2j-1, 2j) from 1 for anti
     idx = entries[k].index
-    if d > 0:
-        partner_idx = idx + 1 if idx % 2 == 1 else idx - 1
-    else:
-        partner_idx = idx + 1 if idx % 2 == 1 else idx - 1
+    partner_idx = idx + 1 if idx % 2 == 1 else idx - 1
     partner = next((e for e in entries if e.index == partner_idx), None)
     if partner is None:
         return StabilityVerdict("BoundaryUnstable", None, (entries[k],), d)
@@ -471,7 +392,7 @@ def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str,
     direction of (M -+ I) from the monodromy matrix M.
     """
     sign = 1.0 if bc == "periodic" else -1.0
-    M = monodromy(a, mu).as_array()
+    M = monodromy(a, mu)
     A = M - sign * np.eye(2)
     _, svals, vt = np.linalg.svd(A)
     v = vt[-1]

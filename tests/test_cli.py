@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hillstab import cli
@@ -93,6 +94,27 @@ def test_certify_verify_beyond_n3(tmp_path, capsys):
                    "confirmed": True}]
 
 
+def test_verification_lists_both_spectra(tmp_path, capsys):
+    # a = 16.5, T = 2 pi: lam = k^2 - 16.5 and alam = (k + 1/2)^2 - 16.5,
+    # each twice; --n 4 sizes one spectrum of 10 eigenvalues of each kind
+    f = coeff_file(tmp_path, cf.constant(16.5, T))
+    code, out = run(capsys, "certify", f, "--n", "4", "--verify")
+    assert code == 0
+    checks = json.loads(out)["verification"]
+    lam = next(v["periodic_eigenvalues"] for v in checks
+               if "periodic_eigenvalues" in v)
+    alam = next(v["antiperiodic_eigenvalues"] for v in checks
+                if "antiperiodic_eigenvalues" in v)
+    k = np.arange(10)
+    assert lam == pytest.approx(((k + 1) // 2) ** 2 - 16.5, abs=1e-6)
+    assert alam == pytest.approx((k // 2 + 0.5) ** 2 - 16.5, abs=1e-6)
+
+
+def test_library_error_exit_1(capsys):
+    assert cli.main(["witness", "a-eps", "--eps", "10"]) == 1
+    assert "eps must lie" in capsys.readouterr().err
+
+
 def test_first_zone_verification_needs_zone_0():
     # a = 2, T = pi: lam_0 = -2 < alam_1 = alam_2 = -1 < 0 < lam_1 = 2, so
     # mu = 0 is stable but in zone 1, not the zone LINF_FIRST_ZONE claims
@@ -103,14 +125,18 @@ def test_first_zone_verification_needs_zone_0():
 
 
 @pytest.mark.parametrize("argv", [
-    ["eigs", "--count", "0"],
-    ["chart", "--mu-from", "0", "--mu-to", "1", "--points", "0"],
+    ["eigs", "FILE", "--count", "0"],
+    ["chart", "FILE", "--mu-from", "0", "--mu-to", "1", "--points", "0"],
     ["constants", "--n-max", "-1"],
+    ["certify", "FILE", "--n", "0"],
+    ["zeros", "FILE", "--n", "0"],
+    ["witness", "a-eps", "--n", "0"],
+    ["nonlinear", "check", "FILE", "--n", "0"],
+    ["nonlinear", "solve", "FILE", "--starts", "0"],
 ])
 def test_bad_counts_rejected(tmp_path, capsys, argv):
     f = coeff_file(tmp_path, cf.constant(0.0, T))
-    if argv[0] != "constants":
-        argv = argv[:1] + [f] + argv[1:]
+    argv = [f if arg == "FILE" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_PARSE

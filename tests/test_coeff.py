@@ -191,6 +191,21 @@ def test_removable_point_keeps_its_measure():
     assert cf.integral(a, (0.0, T)) == pytest.approx(3.0 * T, abs=1e-12)
 
 
+def test_quadrature_at_jumps_and_across_the_wrap():
+    # 1/2/3 on [0,2)/[2,4)/[4,T): nodes just below a multiple of T belong to
+    # the plateau 3, not to the 1 that starts the next period
+    a = cf.step_function(T, [(0.0, 2.0, 1.0), (2.0, 4.0, 2.0), (4.0, T, 3.0)])
+
+    def antiderivative(x):
+        k, r = divmod(x, T)
+        return (k * (3 * T - 6) + min(r, 2.0) + 2 * min(max(r - 2, 0.0), 2.0)
+                + 3 * max(r - 4, 0.0))
+
+    for s, e in [(-1.0, 0.2), (-20.0, 7.0)]:
+        assert cf.integral(a, (s, e)) == pytest.approx(
+            antiderivative(e) - antiderivative(s), abs=1e-12)
+
+
 @given(st.floats(min_value=-3, max_value=3),
        st.floats(min_value=0.1, max_value=5))
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,7 @@ def test_transfer_matrix_det_one():
                              (5.0, T, 2.2)])
     for mu in (-1.0, 0.0, 0.5, 3.0):
         M = fq.monodromy(a, mu)
-        assert M.det == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_discriminant_constant_coefficient():
@@ -71,6 +71,27 @@ def test_eigenvalues_split_for_generic_coefficient():
     pv = s.periodic_values()
     # generic coefficient: double eigenvalues split
     assert pv[1] < pv[2] - 1e-6
+
+
+def test_spectrum_is_one_scan(monkeypatch):
+    # both kinds come from one scan of Delta: the same entries as the two
+    # single-kind searches, for fewer discriminant evaluations
+    a = cf.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
+    calls = []
+    discriminant = fq.discriminant
+
+    def counted(a, mu):
+        calls.append(mu)
+        return discriminant(a, mu)
+
+    monkeypatch.setattr(fq, "discriminant", counted)
+    s = fq.spectrum(a, 5, 4)
+    n_spectrum = len(calls)
+    p = fq.periodic_eigenvalues(a, 5)
+    ap = fq.antiperiodic_eigenvalues(a, 4)
+    assert s.periodic == p.periodic
+    assert s.antiperiodic == ap.antiperiodic
+    assert n_spectrum < len(calls) - n_spectrum
 
 
 def test_interlacing_random_steps():
