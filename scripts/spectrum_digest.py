@@ -8,7 +8,7 @@ by as little as one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
-The smooth coefficients take most of the time (about a minute in all).
+The smooth coefficients and the witness a_eps take most of the time.
 """
 
 import json
@@ -25,6 +25,8 @@ SMOOTH = {
     "0.5+0.3cos(x)": cf.from_expression("0.5+0.3*cos(x)", T),
     "two_step(1, 1)": wt.make_two_step(1.0, 1.0).a,
 }
+# the one coefficient here whose pieces divide and take powers
+WITNESS = {"a_eps(1, 2pi, 0.35)": wt.make_a_eps(1, T, 0.35)}
 STEPS = {
     "const 0": cf.constant(0.0, T),
     "const 0.3": cf.constant(0.3, T),
@@ -55,8 +57,13 @@ def main():
 
     fq.discriminant = counted
     out = {}
-    for name, a in {**STEPS, **SMOOTH}.items():
-        counts = [(6, 6)] if name in SMOOTH else [(7, 7), (5, 4), (3, 6), (6, 2)]
+    for name, a in {**STEPS, **SMOOTH, **WITNESS}.items():
+        if name in WITNESS:
+            counts = [(3, 2)]
+        elif name in SMOOTH:
+            counts = [(6, 6)]
+        else:
+            counts = [(7, 7), (5, 4), (3, 6), (6, 2)]
         for p, q in counts:
             calls = 0
             s = fq.spectrum(a, p, q)

@@ -48,7 +48,10 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
                        if k not in ("func",) and v is not None},
         "tool_version": _tool_version(),
         "tolerances": {"quad": cf.QUAD_TOL, "root": fq.TOL_ROOT,
-                       "boundary": fq.TOL_BOUNDARY},
+                       "boundary": fq.TOL_BOUNDARY, "ode": fq.ODE_TOL,
+                       "residual": nl.RESIDUAL_TOL,
+                       "cluster": nl.CLUSTER_TOL,
+                       "sandwich_grid": nl.GRID},
     }
 
 
@@ -367,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved = cf.QUAD_TOL, fq.TOL_ROOT
     if args.tol_quad is not None:
         cf.QUAD_TOL = args.tol_quad
     if args.tol_root is not None:
@@ -382,6 +386,9 @@ def main(argv=None) -> int:
     except HillstabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        # the overrides hold for this call only
+        cf.QUAD_TOL, fq.TOL_ROOT = saved
 
 
 if __name__ == "__main__":

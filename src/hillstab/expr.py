@@ -38,6 +38,19 @@ class Expression:
     def __call__(self, **env):
         return self.eval(**env)
 
+    def compiled(self):
+        """This tree as a scalar Python function ``f(x, u=None)`` returning
+        a float equal bit for bit to ``float(self.eval(x=x, u=u))``.
+
+        It is compiled on the first call and kept on the node, so it lives
+        exactly as long as the tree.
+        """
+        fn = self.__dict__.get("_compiled")
+        if fn is None:
+            fn = _compile(self)
+            object.__setattr__(self, "_compiled", fn)
+        return fn
+
     def __str__(self) -> str:
         return to_string(self)
 
@@ -130,7 +143,7 @@ class Div(_Binary):
         num = self.left.eval(**env)
         den = self.right.eval(**env)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
+            return np.divide(num, den)
 
     def diff(self, var="x"):
         # (f/g)' = (f'g - fg') / g^2
@@ -318,6 +331,87 @@ def to_string(e: Expression) -> str:
     if isinstance(e, Pow):
         return f"({to_string(e.base)} ^ {e.exponent})"
     raise TypeError(f"unknown node {e!r}")
+
+
+# -- compilation --------------------------------------------------------------
+
+#: A compiled function has two bodies with the operations of eval.  The
+#: first runs on Python floats with math.sin, math.cos and `/`, which agree
+#: with numpy bit for bit but raise ValueError or ZeroDivisionError where
+#: numpy returns nan or inf; the second, run only then, is eval's numpy code.
+#: np.power stays in both: Python's `**` differs from it in the last bit.
+_FLOAT_OPS = {"div": "{} / {}", "sin": "_msin({})", "cos": "_mcos({})",
+              "pow": "_float(_power({}, {}))",
+              "clamp": "_float(_maximum({}, 0.0))"}
+_NUMPY_OPS = {"div": "_divide({}, {})", "sin": "_nsin({})",
+              "cos": "_ncos({})", "pow": "_power({}, {})",
+              "clamp": "_maximum({}, 0.0)"}
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
+_NAMESPACE = {"_float": float, "_msin": math.sin, "_mcos": math.cos,
+              "_nsin": np.sin, "_ncos": np.cos, "_power": np.power,
+              "_maximum": np.maximum, "_divide": np.divide,
+              "_errstate": np.errstate}
+
+
+def _body(e: Expression, ops: dict, consts: dict, names: set):
+    """Straight-line code for e: (lines, name or literal of the result).
+    Repeated subexpressions are computed once."""
+    lines, temps = [], {}
+
+    def value(e):
+        if isinstance(e, Const):
+            v = float(e.value)
+            if math.isfinite(v):
+                return f"({v!r})"
+            name = f"_k{len(consts)}"
+            consts[name] = v
+            return name
+        if isinstance(e, Var):
+            if e.name not in ("x", "u"):
+                raise ParseError(f"cannot compile variable {e.name!r}")
+            names.add(e.name)
+            return e.name
+        if isinstance(e, Div):
+            rhs = ops["div"].format(value(e.left), value(e.right))
+        elif isinstance(e, _Binary):
+            rhs = f"{value(e.left)} {_SYMBOLS[type(e)]} {value(e.right)}"
+        elif isinstance(e, Neg):
+            rhs = f"-{value(e.arg)}"
+        elif isinstance(e, (Sin, Cos, Clamp)):
+            rhs = ops[type(e).__name__.lower()].format(value(e.arg))
+        elif isinstance(e, Pow):
+            k = e.exponent
+            rhs = ops["pow"].format(value(e.base), abs(k))
+            if k < 0:
+                rhs = f"1.0 / {rhs}"
+        else:
+            raise TypeError(f"unknown node {e!r}")
+        if rhs not in temps:
+            temps[rhs] = f"t{len(temps)}"
+            lines.append(f"{temps[rhs]} = {rhs}")
+        return temps[rhs]
+
+    return lines, value(e)
+
+
+def _compile(e: Expression):
+    consts, names = {}, set()
+    fast, fast_out = _body(e, _FLOAT_OPS, consts, names)
+    exact, exact_out = _body(e, _NUMPY_OPS, consts, names)
+    src = "\n".join(
+        ["def f(x, u=None):"]
+        + [f"    {v} = _float({v})" for v in sorted(names)]
+        + ["    try:"]
+        + [f"        {line}" for line in fast]
+        + [f"        return {fast_out}",
+           "    except (ValueError, ZeroDivisionError):",
+           "        pass",
+           '    with _errstate(divide="ignore", invalid="ignore"):']
+        + [f"        {line}" for line in exact]
+        + [f"        return _float({exact_out})"])
+    namespace = {**_NAMESPACE, **consts}
+    exec(compile(src, "<expression>", "exec"), namespace)
+    return namespace["f"]
 
 
 # -- parsing ------------------------------------------------------------------

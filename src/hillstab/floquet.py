@@ -82,9 +82,10 @@ def _piece_matrix(a: cf.PeriodicCoefficient, mu: float, s: float, e: float,
     cval = ex.constant_value(piece)
     if cval is not None:
         return _const_block(mu + cval, e - s)
+    f = piece.compiled()
 
     def rhs(x, y):
-        q = mu + piece.eval(x=x)
+        q = mu + f(x)
         return [y[1], -q * y[0], y[3], -q * y[2]]
 
     sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0], method="DOP853",
@@ -140,8 +141,8 @@ class Trajectory:
                 seg = _ConstSegment(s, e, mu + cval, y)
                 y = seg(e)
             else:
-                def rhs(x, yy, piece=piece):
-                    q = mu + piece.eval(x=x)
+                def rhs(x, yy, f=piece.compiled()):
+                    q = mu + f(x)
                     return [yy[1], -q * yy[0]]
 
                 sol = solve_ivp(rhs, (s, e), y, method="DOP853",

@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import coeff as cf
 from . import expr as ex
+from . import floquet as fq
 from . import lyapunov as ly
 from .errors import (DomainError, IntegrationFailure, MissingEnvelopes,
                      NoConvergence, ParseError)
@@ -32,7 +33,12 @@ RESIDUAL_TOL = 1e-8
 #: initial-data distance merging two converged solutions
 CLUSTER_TOL = 1e-6
 
-_ODE_TOL = 1e-12
+
+def _central_difference(f, x, u):
+    """df/du by a central difference with step 1e-6 (1 + |u|); f(x, u) takes
+    arrays or floats."""
+    h = 1e-6 * (1.0 + abs(u))
+    return (f(x, u + h) - f(x, u - h)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,15 @@ class NonlinearProblem:
         if not self.period > 0:
             raise DomainError("period must be positive")
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
-        us = np.linspace(-3.0, 3.0, 8)
-        for u in us:
-            d = np.abs(self.f.eval(x=xs + self.period, u=u)
-                       - self.f.eval(x=xs, u=u))
-            if np.max(d) > 1e-10:
-                raise DomainError("f is not T-periodic in x on samples")
+        us = np.linspace(-3.0, 3.0, 8)[:, None]
+        d = np.abs(self.f_eval(xs + self.period, us) - self.f_eval(xs, us))
+        if np.max(d) > 1e-10:
+            raise DomainError("f is not T-periodic in x on samples")
+        if self.fu is not None:
+            fu = self.fu.eval(x=xs, u=us)
+            fd = _central_difference(self.f_eval, xs, us)
+            if np.any(np.abs(fu - fd) > 1e-6 * (1.0 + np.abs(fu))):
+                raise DomainError("fu is not the u-derivative of f on samples")
 
     def f_eval(self, x, u):
         return self.f.eval(x=x, u=u)
@@ -61,8 +70,7 @@ class NonlinearProblem:
     def fu_eval(self, x, u):
         if self.fu is not None:
             return self.fu.eval(x=x, u=u)
-        h = 1e-6 * (1.0 + np.abs(u))
-        return (self.f.eval(x=x, u=u + h) - self.f.eval(x=x, u=u - h)) / (2 * h)
+        return _central_difference(self.f_eval, x, u)
 
     @staticmethod
     def from_dict(doc: dict) -> "NonlinearProblem":
@@ -201,19 +209,40 @@ def check_classical_band(p: NonlinearProblem, u_box=None) -> ly.Certificate:
 # -- shooting -----------------------------------------------------------------
 
 def _integrate(p: NonlinearProblem, y0):
+    """Dense solution of u'' + f(x, u) = 0 on [0, T] from (u(0), u'(0))."""
+    f = p.f.compiled()
+
     def rhs(x, y):
-        return [y[1], -float(p.f_eval(x, y[0]))]
+        return [y[1], -f(x, y[0])]
 
     sol = solve_ivp(rhs, (0.0, p.period), y0, method="DOP853",
-                    rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True)
+                    rtol=fq.ODE_TOL, atol=fq.ODE_TOL, dense_output=True)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol
 
 
-def _periodicity_map(p: NonlinearProblem, c: np.ndarray) -> np.ndarray:
-    sol = _integrate(p, c)
-    return sol.y[:, -1] - c
+def _shoot(p: NonlinearProblem, c: np.ndarray):
+    """F(c) = (u(T), u'(T)) - c and its Jacobian Phi(T) - I, from one
+    integration of the state with its variational equation
+    Phi' = [[0, 1], [-f_u, 0]] Phi, Phi(0) = I."""
+    f = p.f.compiled()
+    if p.fu is not None:
+        fu = p.fu.compiled()
+    else:
+        def fu(x, u):
+            return _central_difference(f, x, u)
+
+    def rhs(x, y):
+        q = fu(x, y[0])
+        return [y[1], -f(x, y[0]), y[3], -q * y[2], y[5], -q * y[4]]
+
+    sol = solve_ivp(rhs, (0.0, p.period), [c[0], c[1], 1.0, 0.0, 0.0, 1.0],
+                    method="DOP853", rtol=fq.ODE_TOL, atol=fq.ODE_TOL)
+    if not sol.success:
+        raise IntegrationFailure(sol.message)
+    y = sol.y[:, -1]
+    return y[:2] - c, np.array([[y[2] - 1.0, y[4]], [y[3], y[5] - 1.0]])
 
 
 def solve_periodic(p: NonlinearProblem, starts: int = 16,
@@ -221,7 +250,9 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     """Newton multistart on F(c) = (u(T) - u(0), u'(T) - u'(0)).
 
     Starts are drawn uniformly from the box |u(0)|, |u'(0)| <=
-    10 (1 + max_x |f(x, 0)|); converged roots are deduplicated at 1e-6 in
+    10 (1 + max_x |f(x, 0)|); each Newton step takes F and its exact
+    Jacobian from one integration.  A start converges when |F| <
+    RESIDUAL_TOL / 100; converged roots are deduplicated at CLUSTER_TOL in
     initial data.  Raises NoConvergence when no start converges.
     """
     rng = np.random.default_rng(seed)
@@ -231,20 +262,13 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     n_conv = 0
     for _ in range(starts):
         c = rng.uniform(-scale, scale, size=2)
-        ok = False
         for _ in range(max_steps):
-            F = _periodicity_map(p, c)
+            F, J = _shoot(p, c)
             if np.linalg.norm(F) < RESIDUAL_TOL * 1e-2:
-                ok = True
+                n_conv += 1
+                if not any(np.linalg.norm(c - r) < CLUSTER_TOL for r in roots):
+                    roots.append(c.copy())
                 break
-            J = np.empty((2, 2))
-            for j in range(2):
-                h = 1e-6 * (1.0 + abs(c[j]))
-                cp, cm = c.copy(), c.copy()
-                cp[j] += h
-                cm[j] -= h
-                J[:, j] = (_periodicity_map(p, cp)
-                           - _periodicity_map(p, cm)) / (2 * h)
             try:
                 step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
@@ -252,10 +276,6 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
             if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10 * scale:
                 break
             c = c - step
-        if ok and np.linalg.norm(_periodicity_map(p, c)) < RESIDUAL_TOL:
-            n_conv += 1
-            if not any(np.linalg.norm(c - r) < CLUSTER_TOL for r in roots):
-                roots.append(c.copy())
     if n_conv == 0:
         raise NoConvergence("no shooting start converged")
     sols = []

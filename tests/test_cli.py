@@ -34,6 +34,20 @@ def test_eigs_zero_coefficient(tmp_path, capsys):
     assert doc["manifest"]["tolerances"]["root"] == 1e-10
 
 
+def test_tolerance_overrides_last_one_call(tmp_path, capsys):
+    f = coeff_file(tmp_path, cf.constant(0.0, T))
+    code, out = run(capsys, "--tol-root", "1e-4", "--tol-quad", "1e-3",
+                    "eigs", f, "--count", "2")
+    assert code == 0
+    tol = json.loads(out)["manifest"]["tolerances"]
+    assert (tol["root"], tol["quad"]) == (1e-4, 1e-3)
+    code, out = run(capsys, "eigs", f, "--count", "2")
+    assert code == 0
+    assert json.loads(out)["manifest"]["tolerances"] == {
+        "quad": 1e-10, "root": 1e-10, "boundary": 1e-7, "ode": 1e-12,
+        "residual": 1e-8, "cluster": 1e-6, "sandwich_grid": 256}
+
+
 def test_eigs_antiperiodic(tmp_path, capsys):
     f = coeff_file(tmp_path, cf.constant(0.0, T))
     code, out = run(capsys, "eigs", f, "--count", "4", "--bc", "antiperiodic")

@@ -121,3 +121,37 @@ def test_pow_diff_property(k, x):
     d = e.diff("x")
     expected = 0.0 if k == 0 else k * x ** (k - 1)
     assert d.eval(x=x) == pytest.approx(expected, rel=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("text", [
+    "2.5", "x", "u", "x + u", "x - 0.5", "-3.0*x", "x/u", "1/x", "0/x",
+    "-1/x", "-x", "sin(7*x)", "cos(x - u)", "clamp(x)", "clamp(-x)",
+    "(x - 1)^3", "x^0", "x^-2", "(x - u)^-3", "sin(1e999*x)",
+    "(1 + x)/(x - x) + cos(u)^2",
+])
+def test_compiled_matches_eval_bit_for_bit(text):
+    e = ex.parse(text, variables=("x", "u"))
+    f = e.compiled()
+    assert e.compiled() is f
+    grid = [0.0, -0.0, 1.0, -1.0, 0.3, 2.0, 1e-300, 1e300, -7.25]
+    for x in grid:
+        for u in grid:
+            with np.errstate(all="ignore"):
+                want, got = e.eval(x=x, u=u), f(x, u)
+            assert _bits(got) == _bits(want), (text, x, u)
+
+
+def test_compiled_matches_eval_on_witness_pieces():
+    from hillstab import witness as wt
+    a = wt.make_a_eps(3, 2 * math.pi, 0.01)
+    rng = np.random.default_rng(5)
+    for s, e, piece in a.pieces:
+        xs = np.concatenate([[s, e, 0.5 * (s + e)], rng.uniform(s, e, 200)])
+        want = np.broadcast_to(piece.eval(x=xs), xs.shape)
+        f = piece.compiled()
+        got = [f(x) for x in xs.tolist()]
+        np.testing.assert_array_equal(_bits(got), _bits(want))

@@ -29,6 +29,13 @@ def test_periodicity_invariant_enforced():
         nl.NonlinearProblem(ex.parse("x + u", variables=("x", "u")), T)
 
 
+def test_wrong_fu_rejected():
+    with pytest.raises(DomainError):
+        nl.NonlinearProblem(
+            ex.parse("1.5*u + 0.1*sin(u) + cos(2*x)", variables=("x", "u")),
+            T, fu=ex.parse("1.5 + 0.1*sin(u)", variables=("x", "u")))
+
+
 def test_from_json_roundtrip():
     import json
     doc = {"f": "2*u - 2*sin(x)", "period": T, "u_box": [-5, 5]}
@@ -129,6 +136,27 @@ def test_solve_linear_exact():
     assert s.du0 == pytest.approx(2.0, abs=1e-7)
     # trajectory is 2 sin x
     np.testing.assert_allclose(s.u, 2 * np.sin(s.xs), atol=1e-6)
+
+
+@pytest.mark.parametrize("with_fu", [True, False])
+def test_variational_jacobian_matches_differences(with_fu):
+    p = canonical_problem()
+    if not with_fu:
+        p = nl.NonlinearProblem(p.f, p.period)
+    c = np.array([0.7, -1.3])
+    F, J = nl._shoot(p, c)
+
+    def F_dense(c):
+        return nl._integrate(p, c).y[:, -1] - c
+
+    np.testing.assert_allclose(F, F_dense(c), atol=1e-9)
+    J_fd = np.empty((2, 2))
+    for j in range(2):
+        h = 1e-6 * (1.0 + abs(c[j]))
+        e = np.zeros(2)
+        e[j] = h
+        J_fd[:, j] = (F_dense(c + e) - F_dense(c - e)) / (2 * h)
+    np.testing.assert_allclose(J, J_fd, atol=1e-6)
 
 
 def test_solve_canonical_unique():
