@@ -42,14 +42,21 @@ class Expression:
         """This tree as a scalar Python function ``f(x, u=None)`` returning
         a float equal bit for bit to ``float(self.eval(x=x, u=u))``.
 
-        It is compiled on the first call and kept on the node, so it lives
-        exactly as long as the tree.
+        The code is compiled on the first call and kept on the node; each
+        call returns a new function over it that holds the tree for its
+        fallback to ``eval``.  The node does not hold that function, so no
+        reference cycle keeps a tree alive.  For Sin and Cos the bit equality is a
+        property of the platform: it needs numpy's float64 sin and cos to
+        round like the C library's ``math.sin`` and ``math.cos``, as they
+        did on 600 k points with numpy 2.4 on x86-64 Linux.  A numpy build
+        with its own vectorised float64 sin and cos may differ there from
+        ``eval`` by one ulp.
         """
-        fn = self.__dict__.get("_compiled")
-        if fn is None:
-            fn = _compile(self)
-            object.__setattr__(self, "_compiled", fn)
-        return fn
+        make = self.__dict__.get("_compiled")
+        if make is None:
+            make = _compile(self)
+            object.__setattr__(self, "_compiled", make)
+        return make(self.eval)
 
     def __str__(self) -> str:
         return to_string(self)
@@ -335,25 +342,20 @@ def to_string(e: Expression) -> str:
 
 # -- compilation --------------------------------------------------------------
 
-#: A compiled function has two bodies with the operations of eval.  The
-#: first runs on Python floats with math.sin, math.cos and `/`, which agree
-#: with numpy bit for bit but raise ValueError or ZeroDivisionError where
-#: numpy returns nan or inf; the second, run only then, is eval's numpy code.
-#: np.power stays in both: Python's `**` differs from it in the last bit.
-_FLOAT_OPS = {"div": "{} / {}", "sin": "_msin({})", "cos": "_mcos({})",
-              "pow": "_float(_power({}, {}))",
-              "clamp": "_float(_maximum({}, 0.0))"}
-_NUMPY_OPS = {"div": "_divide({}, {})", "sin": "_nsin({})",
-              "cos": "_ncos({})", "pow": "_power({}, {})",
-              "clamp": "_maximum({}, 0.0)"}
+#: A compiled function runs on Python floats with math.sin, math.cos and `/`,
+#: which agree with eval's numpy operations bit for bit (see
+#: Expression.compiled) but raise ValueError or ZeroDivisionError where
+#: numpy returns nan or inf; it then calls eval.  np.power stays: Python's
+#: `**` differs from it in the last bit.
+_OPS = {"div": "{} / {}", "sin": "_sin({})", "cos": "_cos({})",
+        "pow": "_float(_power({}, {}))", "clamp": "_float(_maximum({}, 0.0))"}
 _SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
-_NAMESPACE = {"_float": float, "_msin": math.sin, "_mcos": math.cos,
-              "_nsin": np.sin, "_ncos": np.cos, "_power": np.power,
-              "_maximum": np.maximum, "_divide": np.divide,
+_NAMESPACE = {"_float": float, "_sin": math.sin, "_cos": math.cos,
+              "_power": np.power, "_maximum": np.maximum,
               "_errstate": np.errstate}
 
 
-def _body(e: Expression, ops: dict, consts: dict, names: set):
+def _body(e: Expression, consts: dict, names: set):
     """Straight-line code for e: (lines, name or literal of the result).
     Repeated subexpressions are computed once."""
     lines, temps = [], {}
@@ -372,16 +374,16 @@ def _body(e: Expression, ops: dict, consts: dict, names: set):
             names.add(e.name)
             return e.name
         if isinstance(e, Div):
-            rhs = ops["div"].format(value(e.left), value(e.right))
+            rhs = _OPS["div"].format(value(e.left), value(e.right))
         elif isinstance(e, _Binary):
             rhs = f"{value(e.left)} {_SYMBOLS[type(e)]} {value(e.right)}"
         elif isinstance(e, Neg):
             rhs = f"-{value(e.arg)}"
         elif isinstance(e, (Sin, Cos, Clamp)):
-            rhs = ops[type(e).__name__.lower()].format(value(e.arg))
+            rhs = _OPS[type(e).__name__.lower()].format(value(e.arg))
         elif isinstance(e, Pow):
             k = e.exponent
-            rhs = ops["pow"].format(value(e.base), abs(k))
+            rhs = _OPS["pow"].format(value(e.base), abs(k))
             if k < 0:
                 rhs = f"1.0 / {rhs}"
         else:
@@ -395,23 +397,23 @@ def _body(e: Expression, ops: dict, consts: dict, names: set):
 
 
 def _compile(e: Expression):
+    """make(eval) -> f(x, u=None), f calling eval where the float code
+    raises."""
     consts, names = {}, set()
-    fast, fast_out = _body(e, _FLOAT_OPS, consts, names)
-    exact, exact_out = _body(e, _NUMPY_OPS, consts, names)
+    body, out = _body(e, consts, names)
     src = "\n".join(
-        ["def f(x, u=None):"]
+        ["def make(_eval):", "  def f(x, u=None):"]
         + [f"    {v} = _float({v})" for v in sorted(names)]
         + ["    try:"]
-        + [f"        {line}" for line in fast]
-        + [f"        return {fast_out}",
+        + [f"        {line}" for line in body]
+        + [f"        return {out}",
            "    except (ValueError, ZeroDivisionError):",
-           "        pass",
-           '    with _errstate(divide="ignore", invalid="ignore"):']
-        + [f"        {line}" for line in exact]
-        + [f"        return _float({exact_out})"])
+           '        with _errstate(divide="ignore", invalid="ignore"):',
+           "            return _float(_eval(x=x, u=u))",
+           "  return f"])
     namespace = {**_NAMESPACE, **consts}
     exec(compile(src, "<expression>", "exec"), namespace)
-    return namespace["f"]
+    return namespace["make"]
 
 
 # -- parsing ------------------------------------------------------------------

@@ -34,10 +34,15 @@ RESIDUAL_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 
 
+def _step(u):
+    """Step in u of the central difference at u."""
+    return 1e-6 * (1.0 + abs(u))
+
+
 def _central_difference(f, x, u):
-    """df/du by a central difference with step 1e-6 (1 + |u|); f(x, u) takes
+    """df/du by a central difference with step _step(u); f(x, u) takes
     arrays or floats."""
-    h = 1e-6 * (1.0 + abs(u))
+    h = _step(u)
     return (f(x, u + h) - f(x, u - h)) / (2 * h)
 
 
@@ -55,13 +60,16 @@ class NonlinearProblem:
             raise DomainError("period must be positive")
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
-        d = np.abs(self.f_eval(xs + self.period, us) - self.f_eval(xs, us))
-        if np.max(d) > 1e-10:
+        f0 = self.f_eval(xs, us)
+        if np.max(np.abs(self.f_eval(xs + self.period, us) - f0)) > 1e-10:
             raise DomainError("f is not T-periodic in x on samples")
         if self.fu is not None:
             fu = self.fu.eval(x=xs, u=us)
             fd = _central_difference(self.f_eval, xs, us)
-            if np.any(np.abs(fu - fd) > 1e-6 * (1.0 + np.abs(fu))):
+            # The difference of two values of size |f| is off by a few ulps
+            # of |f|, divided by the width 2h of the difference.
+            rounding = 4 * np.finfo(float).eps * np.abs(f0) / (2 * _step(us))
+            if np.any(np.abs(fu - fd) > 1e-6 * (1.0 + np.abs(fu)) + rounding):
                 raise DomainError("fu is not the u-derivative of f on samples")
 
     def f_eval(self, x, u):

@@ -136,13 +136,29 @@ def _bits(values):
 def test_compiled_matches_eval_bit_for_bit(text):
     e = ex.parse(text, variables=("x", "u"))
     f = e.compiled()
-    assert e.compiled() is f
+    assert e.compiled().__code__ is f.__code__  # compiled once
     grid = [0.0, -0.0, 1.0, -1.0, 0.3, 2.0, 1e-300, 1e300, -7.25]
     for x in grid:
         for u in grid:
             with np.errstate(all="ignore"):
                 want, got = e.eval(x=x, u=u), f(x, u)
             assert _bits(got) == _bits(want), (text, x, u)
+
+
+def test_compiled_function_is_freed_with_its_tree():
+    import gc
+    import weakref
+    e = ex.parse("1/x")
+    f = e.compiled()
+    ref = weakref.ref(e)
+    del e
+    assert f(0.0) == math.inf  # the fallback still reaches the tree
+    gc.disable()
+    try:
+        del f
+        assert ref() is None  # freed without the cyclic collector
+    finally:
+        gc.enable()
 
 
 def test_compiled_matches_eval_on_witness_pieces():

@@ -36,6 +36,14 @@ def test_wrong_fu_rejected():
             T, fu=ex.parse("1.5 + 0.1*sin(u)", variables=("x", "u")))
 
 
+@pytest.mark.parametrize("forcing", ["1e6", "1e9"])
+def test_true_fu_accepted_under_large_forcing(forcing):
+    f = ex.parse(f"2*u + {forcing}", variables=("x", "u"))
+    nl.NonlinearProblem(f, T, fu=ex.parse("2", variables=("x", "u")))
+    with pytest.raises(DomainError):
+        nl.NonlinearProblem(f, T, fu=ex.parse("3", variables=("x", "u")))
+
+
 def test_from_json_roundtrip():
     import json
     doc = {"f": "2*u - 2*sin(x)", "period": T, "u_box": [-5, 5]}
