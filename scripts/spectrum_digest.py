@@ -1,10 +1,13 @@
-"""Print the exact eigenvalues of a fixed set of coefficients as JSON.
+"""Print the exact eigenvalues and certificates of a fixed set of
+coefficients as JSON.
 
 Every entry is (index, repr(value), multiplicity), from `spectrum`,
 `periodic_eigenvalues` and `antiperiodic_eigenvalues`, together with the
-number of discriminant evaluations each `spectrum` call made.  Run it on two
-checkouts and diff the outputs to see whether a change moved any eigenvalue
-by as little as one bit:
+number of discriminant evaluations each `spectrum` call made.  Three
+coefficients also get `certify_all(...).to_dict()`, every L-infinity
+diagnostic included.  Run it on two checkouts and diff the outputs to see
+whether a change moved any eigenvalue or certificate value by as little as
+one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
@@ -17,6 +20,7 @@ import random
 
 from hillstab import coeff as cf
 from hillstab import floquet as fq
+from hillstab import lyapunov as ly
 from hillstab import witness as wt
 
 T = 2 * math.pi
@@ -40,6 +44,15 @@ for r in range(4):
     STEPS[f"random 3-plateau {r}"] = cf.step_function(
         T, [(0.0, b[0], rng.uniform(-2, 3)), (b[0], b[1], rng.uniform(-2, 3)),
             (b[1], T, rng.uniform(-2, 3))])
+
+# two of these have T = pi, so the L-infinity certificates and their 1024
+# diagnostics each are printed too
+CERTIFIED = {
+    "1.2+0.4cos(2x), T=pi": SMOOTH["1.2+0.4cos(2x), T=pi"],
+    "tall/short step, T=pi": cf.step_function(
+        math.pi, [(0.0, 0.22, 5.0), (0.22, math.pi, 0.026)]),
+    "a_eps(1, 2pi, 0.35)": WITNESS["a_eps(1, 2pi, 0.35)"],
+}
 
 
 def entries(es):
@@ -75,6 +88,8 @@ def main():
                 fq.periodic_eigenvalues(a, p).periodic)
             out[f"{name}: antiperiodic({q})"] = entries(
                 fq.antiperiodic_eigenvalues(a, q).antiperiodic)
+    for name, a in CERTIFIED.items():
+        out[f"{name}: certify_all"] = [c.to_dict() for c in ly.certify_all(a)]
     print(json.dumps(out, indent=1))
 
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from importlib.metadata import PackageNotFoundError, version
+
+import numpy as np
 
 from . import coeff as cf
 from . import floquet as fq
@@ -51,7 +54,10 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
                        "boundary": fq.TOL_BOUNDARY, "ode": fq.ODE_TOL,
                        "residual": nl.RESIDUAL_TOL,
                        "cluster": nl.CLUSTER_TOL,
-                       "sandwich_grid": nl.GRID},
+                       "sandwich_grid": nl.GRID,
+                       "quad_budget": cf.QUAD_BUDGET,
+                       "dominance_samples": cf.DOMINANCE_SAMPLES,
+                       "x0_grid": ly.X0_GRID},
     }
 
 
@@ -67,7 +73,6 @@ def _load_coefficient(args) -> cf.PeriodicCoefficient:
 
 
 def _json_default(o):
-    import numpy as np
     if isinstance(o, np.generic):
         return o.item()
     if isinstance(o, np.ndarray):
@@ -75,13 +80,26 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _emit(doc: dict, args):
-    out = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+def _write(text: str, args):
+    """Write text to the --output file, or to stdout without one."""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+            fh.write(text)
     else:
-        print(out)
+        sys.stdout.write(text)
+
+
+def _emit(doc: dict, args):
+    _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+           + "\n", args)
+
+
+def _emit_csv(header: list, rows: list, args):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write(buf.getvalue(), args)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -99,11 +117,8 @@ def cmd_eigs(args) -> int:
         interlace_ok, _ = fq.check_interlacing(s)
     doc = {
         "manifest": _manifest(args, "eigs", [args.coeff_file]),
-        "periodic": [{"index": e.index, "value": e.value,
-                      "multiplicity": e.multiplicity} for e in s.periodic],
-        "antiperiodic": [{"index": e.index, "value": e.value,
-                          "multiplicity": e.multiplicity}
-                         for e in s.antiperiodic],
+        "periodic": [e._asdict() for e in s.periodic],
+        "antiperiodic": [e._asdict() for e in s.antiperiodic],
         "interlacing_ok": interlace_ok,
     }
     _emit(doc, args)
@@ -171,23 +186,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    rows = ly.constants_table(args.n_max, args.period)
-    records = [{"n": r.n, "T": r.T,
-                "lambda_2n_minus_1": r.lambda_2n_minus_1,
-                "beta1": r.beta1, "gamma1": r.gamma1,
-                "beta1_anti": r.beta1_anti, "gamma1_anti": r.gamma1_anti,
-                "zhang": r.zhang} for r in rows]
+    records = [dataclasses.asdict(r)
+               for r in ly.constants_table(args.n_max, args.period)]
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=list(records[0]))
-        w.writeheader()
-        w.writerows(records)
-        text = buf.getvalue()
-        if getattr(args, "output", None):
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit_csv(list(records[0]), [list(r.values()) for r in records], args)
     else:
         _emit({"manifest": _manifest(args, "constants", []),
                "rows": records}, args)
@@ -229,7 +231,6 @@ def cmd_chart(args) -> int:
     a = _load_coefficient(args)
     if not args.mu_from < args.mu_to:
         raise ParseError("--mu-from must be below --mu-to")
-    import numpy as np
     mus = np.linspace(args.mu_from, args.mu_to, args.points)
     rows = []
     for mu in mus:
@@ -241,16 +242,7 @@ def cmd_chart(args) -> int:
         else:
             verdict = "Boundary"
         rows.append((float(mu), d, verdict))
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["mu", "discriminant", "verdict"])
-    w.writerows(rows)
-    text = buf.getvalue()
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_csv(["mu", "discriminant", "verdict"], rows, args)
     return 0
 
 
@@ -290,16 +282,27 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite(positive: bool = False):
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite")
+        if positive and not value > 0:
+            raise argparse.ArgumentTypeError("must be positive")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hillstab",
         description="Stability certification for u'' + (mu + a(x)) u = 0",
     )
-    ap.add_argument("--period-override", type=float, default=None,
+    ap.add_argument("--period-override", type=_finite(), default=None,
                     help="period for coefficient files that omit it")
-    ap.add_argument("--tol-quad", type=float, default=None,
+    ap.add_argument("--tol-quad", type=_finite(positive=True), default=None,
                     help="override the quadrature tolerance")
-    ap.add_argument("--tol-root", type=float, default=None,
+    ap.add_argument("--tol-root", type=_finite(positive=True), default=None,
                     help="override the eigenvalue root tolerance")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="table of the optimal constants")
     p.add_argument("--n-max", type=_int_at_least(0), default=10)
-    p.add_argument("--period", type=float, default=2 * math.pi)
+    p.add_argument("--period", type=_finite(), default=2 * math.pi)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output")
     p.set_defaults(func=cmd_constants)
@@ -332,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="emit an extremal coefficient file")
     p.add_argument("family", choices=["a-eps", "two-step"])
     p.add_argument("--n", type=_int_at_least(1), default=1)
-    p.add_argument("--period", type=float, default=2 * math.pi)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=1.0)
+    p.add_argument("--period", type=_finite(), default=2 * math.pi)
+    p.add_argument("--eps", type=_finite(), default=0.05)
+    p.add_argument("--alpha", type=_finite(), default=1.0)
+    p.add_argument("--x0", type=_finite(), default=1.0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_witness)
 
@@ -350,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chart", help="discriminant sweep as CSV")
     p.add_argument("coeff_file")
-    p.add_argument("--mu-from", type=float, required=True)
-    p.add_argument("--mu-to", type=float, required=True)
+    p.add_argument("--mu-from", type=_finite(), required=True)
+    p.add_argument("--mu-to", type=_finite(), required=True)
     p.add_argument("--points", type=_int_at_least(1), default=601)
     p.add_argument("--output")
     p.set_defaults(func=cmd_chart)

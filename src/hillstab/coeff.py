@@ -113,9 +113,6 @@ class PeriodicCoefficient:
         bps = [s for s, _, _ in self.pieces] + [self.period]
         return np.array(bps)
 
-    def is_constant_piece(self, i: int) -> float | None:
-        return ex.constant_value(self.pieces[i][2])
-
     # -- transformations ------------------------------------------------------
 
     def shift(self, r: float) -> "PeriodicCoefficient":

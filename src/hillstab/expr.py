@@ -311,6 +311,10 @@ def reflect_var(e: Expression, center2: float, var: str = "x") -> Expression:
 
 # -- printing -----------------------------------------------------------------
 
+#: infix operators, for printing and for compiled code
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def to_string(e: Expression) -> str:
     """Print in the parseable grammar (floats, x, u, pi, + - * / ^, sin, cos)."""
     if isinstance(e, Const):
@@ -319,22 +323,12 @@ def to_string(e: Expression) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Add):
-        return f"({to_string(e.left)} + {to_string(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_string(e.left)} - {to_string(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_string(e.left)} * {to_string(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_string(e.left)} / {to_string(e.right)})"
+    if isinstance(e, _Binary):
+        return f"({to_string(e.left)} {_SYMBOLS[type(e)]} {to_string(e.right)})"
     if isinstance(e, Neg):
         return f"(-{to_string(e.arg)})"
-    if isinstance(e, Sin):
-        return f"sin({to_string(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_string(e.arg)})"
-    if isinstance(e, Clamp):
-        return f"clamp({to_string(e.arg)})"
+    if isinstance(e, (Sin, Cos, Clamp)):
+        return f"{type(e).__name__.lower()}({to_string(e.arg)})"
     if isinstance(e, Pow):
         return f"({to_string(e.base)} ^ {e.exponent})"
     raise TypeError(f"unknown node {e!r}")
@@ -347,9 +341,8 @@ def to_string(e: Expression) -> str:
 #: Expression.compiled) but raise ValueError or ZeroDivisionError where
 #: numpy returns nan or inf; it then calls eval.  np.power stays: Python's
 #: `**` differs from it in the last bit.
-_OPS = {"div": "{} / {}", "sin": "_sin({})", "cos": "_cos({})",
+_OPS = {"sin": "_sin({})", "cos": "_cos({})",
         "pow": "_float(_power({}, {}))", "clamp": "_float(_maximum({}, 0.0))"}
-_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
 _NAMESPACE = {"_float": float, "_sin": math.sin, "_cos": math.cos,
               "_power": np.power, "_maximum": np.maximum,
               "_errstate": np.errstate}
@@ -373,9 +366,7 @@ def _body(e: Expression, consts: dict, names: set):
                 raise ParseError(f"cannot compile variable {e.name!r}")
             names.add(e.name)
             return e.name
-        if isinstance(e, Div):
-            rhs = _OPS["div"].format(value(e.left), value(e.right))
-        elif isinstance(e, _Binary):
+        if isinstance(e, _Binary):
             rhs = f"{value(e.left)} {_SYMBOLS[type(e)]} {value(e.right)}"
         elif isinstance(e, Neg):
             rhs = f"-{value(e.arg)}"

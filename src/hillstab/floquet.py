@@ -12,6 +12,7 @@ tangencies of Delta with +-2 and are detected by local maximization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -112,24 +113,23 @@ def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
 
 # -- dense trajectories -------------------------------------------------------
 
-class _ConstSegment:
-    def __init__(self, s, e, q, y0):
-        self.s, self.e, self.q, self.y0 = s, e, q, np.asarray(y0, dtype=float)
-
-    def __call__(self, x):
-        return _const_block(self.q, x - self.s) @ self.y0
-
-
-class _OdeSegment:
-    def __init__(self, s, e, sol):
-        self.s, self.e, self.sol = s, e, sol
-
-    def __call__(self, x):
-        return self.sol.sol(x)
+def _const_states(q: float, s: float, y0, xs: np.ndarray) -> np.ndarray:
+    """(u, u') of u'' + q u = 0 at the points xs, shape (2, len(xs)), when
+    the state at s is y0: _const_block(q, xs - s) @ y0 on arrays."""
+    L, w = xs - s, math.sqrt(abs(q))
+    if q > 0:
+        c, sw, ws = np.cos(w * L), np.sin(w * L) / w, -w * np.sin(w * L)
+    elif q < 0:
+        c, sw, ws = np.cosh(w * L), np.sinh(w * L) / w, w * np.sinh(w * L)
+    else:
+        c, sw, ws = np.ones_like(L), L, np.zeros_like(L)
+    return np.array([c * y0[0] + sw * y0[1], ws * y0[0] + c * y0[1]])
 
 
 class Trajectory:
-    """Dense solution of u'' + (mu + a(x)) u = 0 on [0, T] from given data."""
+    """Dense solution of u'' + (mu + a(x)) u = 0 on [0, T] from given data:
+    one (start, end, states) per piece, where states maps an array of points
+    to their (u, u') by the closed form or by the integrator's dense output."""
 
     def __init__(self, a: cf.PeriodicCoefficient, mu: float, y0):
         self.a, self.mu = a, mu
@@ -138,8 +138,8 @@ class Trajectory:
         for s, e, piece in a.pieces:
             cval = ex.constant_value(piece)
             if cval is not None:
-                seg = _ConstSegment(s, e, mu + cval, y)
-                y = seg(e)
+                states = functools.partial(_const_states, mu + cval, s, y)
+                y = _const_block(mu + cval, e - s) @ y
             else:
                 def rhs(x, yy, f=piece.compiled()):
                     q = mu + f(x)
@@ -150,29 +150,31 @@ class Trajectory:
                                 max_step=max((e - s) / 16, 1e-12))
                 if not sol.success:
                     raise IntegrationFailure(sol.message)
-                seg = _OdeSegment(s, e, sol)
+                states = sol.sol
                 y = sol.y[:, -1]
-            self.segments.append(seg)
+            self.segments.append((s, e, states))
         self.y_end = y
 
-    def state(self, x: float) -> np.ndarray:
-        """(u, u') at x in [0, T]."""
-        for seg in self.segments:
-            if x <= seg.e + 1e-12:
-                return seg(min(max(x, seg.s), seg.e))
-        last = self.segments[-1]
-        return last(last.e)
+    def state(self, x) -> np.ndarray:
+        """(u, u') at x in [0, T], shape (2,), or at an array of n points,
+        shape (2, n).  A point is read, clamped, in the first segment whose
+        end it does not pass by more than 1e-12."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        ends = np.array([e for _, e, _ in self.segments])
+        seg = np.minimum(np.searchsorted(ends + 1e-12, flat),
+                         len(self.segments) - 1)
+        out = np.empty((2, flat.size))
+        for j in np.unique(seg):
+            s, e, states = self.segments[j]
+            out[:, seg == j] = states(np.clip(flat[seg == j], s, e))
+        return out if xs.ndim else out[:, 0]
 
     def u(self, x: float) -> float:
         return float(self.state(x)[0])
 
     def du(self, x: float) -> float:
         return float(self.state(x)[1])
-
-    def sample(self, n: int = 4096):
-        xs = np.linspace(0.0, self.a.period, n)
-        states = np.array([self.state(float(x)) for x in xs])
-        return xs, states[:, 0], states[:, 1]
 
 
 # -- eigenvalue search --------------------------------------------------------
@@ -385,8 +387,7 @@ def classify(a: cf.PeriodicCoefficient, mu: float,
 
 # -- eigenfunctions -----------------------------------------------------------
 
-def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str,
-                  n_samples: int = 4096):
+def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str):
     """Nontrivial solution at an eigenvalue, as a dense Trajectory.
 
     bc is "periodic" or "antiperiodic".  The initial data is the kernel

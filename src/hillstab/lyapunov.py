@@ -74,45 +74,39 @@ def _ess_inf(a: cf.PeriodicCoefficient) -> float:
     return float(np.min(cf.sample(a, (0.0, a.period))[1]))
 
 
-def certify_l1_periodic(a: cf.PeriodicCoefficient, n: int) -> Certificate:
-    """a strictly above lam_{2n-1} with ||a||_L1 <= gamma1(n, T) forces
-    lam_{2n}(a) < 0 < lam_{2n+1}(a)."""
+def _certify_l1(a: cf.PeriodicCoefficient, n: int, theorem_id: str,
+                lam_key: str, lam_of, g_key: str, g_of, eig: str) -> Certificate:
+    """a strictly above lam = lam_of(n, T) with ||a||_L1 <= g = g_of(n, T)
+    forces eig_{2n}(a) < 0 < eig_{2n+1}(a): the body both L1 theorems share."""
     if n < 1:
         raise DomainError("n must be >= 1")
     T = a.period
-    lam = lambda_const(n, T)
+    lam, g = lam_of(n, T), g_of(n, T)
     dom = cf.dominates(a, lam)
     norm = cf.l1_distance(a, 0.0, (0.0, T))
-    g = gamma1(n, T)
     holds = dom.strict_on_positive_measure and norm <= g + L1_SLACK
     return Certificate(
-        "L1_PERIODIC_N", n,
-        {"lambda_2n_minus_1": lam, "l1_norm": norm, "gamma1": g,
+        theorem_id, n,
+        {lam_key: lam, "l1_norm": norm, g_key: g,
          "margin_l1": g - norm, "dominance_min_gap": dom.min_gap,
          "dominance_strict_fraction": dom.strict_fraction},
         holds,
-        f"lambda_{2 * n}(a) < 0 < lambda_{2 * n + 1}(a)",
+        f"{eig}_{2 * n}(a) < 0 < {eig}_{2 * n + 1}(a)",
     )
+
+
+def certify_l1_periodic(a: cf.PeriodicCoefficient, n: int) -> Certificate:
+    """a strictly above lam_{2n-1} with ||a||_L1 <= gamma1(n, T) forces
+    lam_{2n}(a) < 0 < lam_{2n+1}(a)."""
+    return _certify_l1(a, n, "L1_PERIODIC_N", "lambda_2n_minus_1",
+                       lambda_const, "gamma1", gamma1, "lambda")
 
 
 def certify_l1_antiperiodic(a: cf.PeriodicCoefficient, n: int) -> Certificate:
     """Antiperiodic analogue of certify_l1_periodic."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    T = a.period
-    lam = lambda_anti_const(n, T)
-    dom = cf.dominates(a, lam)
-    norm = cf.l1_distance(a, 0.0, (0.0, T))
-    g = gamma1_anti(n, T)
-    holds = dom.strict_on_positive_measure and norm <= g + L1_SLACK
-    return Certificate(
-        "L1_ANTIPERIODIC_N", n,
-        {"lambda_anti_2n_minus_1": lam, "l1_norm": norm, "gamma1_anti": g,
-         "margin_l1": g - norm, "dominance_min_gap": dom.min_gap,
-         "dominance_strict_fraction": dom.strict_fraction},
-        holds,
-        f"anti_lambda_{2 * n}(a) < 0 < anti_lambda_{2 * n + 1}(a)",
-    )
+    return _certify_l1(a, n, "L1_ANTIPERIODIC_N", "lambda_anti_2n_minus_1",
+                       lambda_anti_const, "gamma1_anti", gamma1_anti,
+                       "anti_lambda")
 
 
 def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
@@ -156,26 +150,17 @@ def _require_period_pi(a: cf.PeriodicCoefficient):
         raise DomainError("this certificate is stated for period pi")
 
 
-def _split_sups(a: cf.PeriodicCoefficient):
-    """Dense one-pass |a| sampling with prefix/suffix running maxima.
-
-    Returns (sup_left, sup_right) callables so the x0 scan costs O(1) per
-    split point instead of re-sampling both sides.
-    """
+def _x0_scan(a: cf.PeriodicCoefficient) -> tuple[np.ndarray, np.ndarray]:
+    """The X0_GRID interior split points x0 of (0, pi) and m(x0) = max(x0^2
+    sup_(0,x0)|a|, (pi - x0)^2 sup_(x0,pi)|a|), the sups read from running
+    maxima of one sampling of |a| (0 on an empty side)."""
     xs, vals = cf.sample(a, (0.0, a.period))
     vals = np.abs(vals)
-    prefix = np.maximum.accumulate(vals)
-    suffix = np.maximum.accumulate(vals[::-1])[::-1]
-
-    def sup_left(x0: float) -> float:
-        i = int(np.searchsorted(xs, x0))
-        return float(prefix[i - 1]) if i > 0 else 0.0
-
-    def sup_right(x0: float) -> float:
-        i = int(np.searchsorted(xs, x0))
-        return float(suffix[i]) if i < len(xs) else 0.0
-
-    return sup_left, sup_right
+    prefix = np.concatenate(([0.0], np.maximum.accumulate(vals)))
+    suffix = np.concatenate((np.maximum.accumulate(vals[::-1])[::-1], [0.0]))
+    x0 = np.linspace(0.0, math.pi, X0_GRID + 2)[1:-1]
+    i = np.searchsorted(xs, x0)
+    return x0, np.maximum(x0 ** 2 * prefix[i], (math.pi - x0) ** 2 * suffix[i])
 
 
 def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
@@ -187,31 +172,22 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
     """
     _require_period_pi(a)
     dom = cf.dominates(a, 0.0)
-    sup_left, sup_right = _split_sups(a)
-    xs = np.linspace(0.0, math.pi, X0_GRID + 2)[1:-1]
-    diags = []
-    holds = False
-    best = None
-    for x0 in xs:
-        x0 = float(x0)
-        m = max(x0 ** 2 * sup_left(x0),
-                (math.pi - x0) ** 2 * sup_right(x0))
-        alpha = math.sqrt(m)
-        alpha_ok = alpha < math.pi / 2
-        if alpha_ok:
-            lo = math.pi * (1 - math.cos(alpha)) / 2
-            hi = math.pi * (1 + math.cos(alpha)) / 2
-            window_ok = lo < x0 < hi
-        else:
-            lo = hi = math.nan
-            window_ok = False
-        ok = alpha_ok and window_ok
-        diags.append({"x0": x0, "alpha_needed": alpha, "alpha_ok": alpha_ok,
-                      "window": (lo, hi), "window_ok": window_ok, "ok": ok})
-        if ok and best is None:
-            best = diags[-1]
-        holds = holds or ok
-    holds = holds and dom.strict_on_positive_measure
+    x0, m = _x0_scan(a)
+    alpha = np.sqrt(m)
+    alpha_ok = alpha < math.pi / 2
+    cos = np.where(alpha_ok, np.cos(alpha), math.nan)
+    lo = math.pi * (1 - cos) / 2
+    hi = math.pi * (1 + cos) / 2
+    # NaN windows compare False, so window_ok implies alpha_ok
+    window_ok = (lo < x0) & (x0 < hi)
+    diags = tuple(
+        {"x0": x, "alpha_needed": al, "alpha_ok": al_ok, "window": (l, h),
+         "window_ok": ok, "ok": ok}
+        for x, al, al_ok, l, h, ok in zip(
+            x0.tolist(), alpha.tolist(), alpha_ok.tolist(), lo.tolist(),
+            hi.tolist(), window_ok.tolist()))
+    best = next((d for d in diags if d["ok"]), None)
+    holds = best is not None and dom.strict_on_positive_measure
     hyp = {"dominance_min_gap": dom.min_gap,
            "dominance_strict_fraction": dom.strict_fraction}
     if best is not None:
@@ -220,7 +196,7 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
     return Certificate(
         "LINF_FIRST_ZONE", None, hyp, holds,
         "the equation is stable at mu = 0: lambda_0(a) < 0 < anti_lambda_1(a)",
-        tuple(diags),
+        diags,
     )
 
 
@@ -228,29 +204,23 @@ def certify_linf_periodic(a: cf.PeriodicCoefficient) -> Certificate:
     """Weaker max-bound < pi^2 at some split point: lambda_0(a) < 0 < lambda_1(a)."""
     _require_period_pi(a)
     dom = cf.dominates(a, 0.0)
-    sup_left, sup_right = _split_sups(a)
-    xs = np.linspace(0.0, math.pi, X0_GRID + 2)[1:-1]
-    diags = []
-    best_margin = -math.inf
-    best_x0 = None
-    for x0 in xs:
-        x0 = float(x0)
-        m = max(x0 ** 2 * sup_left(x0),
-                (math.pi - x0) ** 2 * sup_right(x0))
-        margin = math.pi ** 2 - m
-        ok = m < math.pi ** 2  # strict: the boundary case is excluded
-        diags.append({"x0": x0, "max_value": m, "margin": margin, "ok": ok})
-        if margin > best_margin:
-            best_margin, best_x0 = margin, x0
+    x0, m = _x0_scan(a)
+    margin = math.pi ** 2 - m
+    # strict: the boundary case is excluded
+    diags = tuple({"x0": x, "max_value": v, "margin": g,
+                   "ok": v < math.pi ** 2}
+                  for x, v, g in zip(x0.tolist(), m.tolist(), margin.tolist()))
+    best = int(np.argmax(margin))
+    best_margin = float(margin[best])
     holds = best_margin > 0 and dom.strict_on_positive_measure
     return Certificate(
         "LINF_PERIODIC", None,
-        {"best_x0": best_x0, "best_margin": best_margin,
+        {"best_x0": float(x0[best]), "best_margin": best_margin,
          "dominance_min_gap": dom.min_gap,
          "dominance_strict_fraction": dom.strict_fraction},
         holds,
         "lambda_0(a) < 0 < lambda_1(a)",
-        tuple(diags),
+        diags,
     )
 
 

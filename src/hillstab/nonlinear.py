@@ -123,43 +123,46 @@ class ShootingResult:
     n_converged_starts: int
 
 
-def _box(p: NonlinearProblem, u_box) -> tuple[float, float]:
-    if u_box is not None:
-        return float(u_box[0]), float(u_box[1])
-    if p.u_box is not None:
-        return p.u_box
-    raise DomainError("no u_box supplied")
-
-
-def _sandwich(p: NonlinearProblem, u_box) -> tuple[bool, float]:
-    """Verify alpha(x) <= f_u(x,u) <= beta(x) on the grid; worst violation."""
-    lo, hi = _box(p, u_box)
+def _fu_grid(p: NonlinearProblem, u_box) -> tuple[np.ndarray, np.ndarray]:
+    """GRID points x of [0, T) and f_u at them by GRID u values of u_box, or
+    of the problem's box without one; u along the first axis."""
+    box = u_box if u_box is not None else p.u_box
+    if box is None:
+        raise DomainError("no u_box supplied")
     xs = np.linspace(0.0, p.period, GRID, endpoint=False)
-    us = np.linspace(lo, hi, GRID)
-    fu = p.fu_eval(xs, us[:, None])
+    us = np.linspace(float(box[0]), float(box[1]), GRID)
+    return xs, p.fu_eval(xs, us[:, None])
+
+
+def _envelope_hypotheses(p: NonlinearProblem, lam: float,
+                         u_box) -> tuple[bool, dict]:
+    """lam strictly below alpha, and alpha(x) <= f_u(x,u) <= beta(x) on the
+    grid up to SANDWICH_SLACK: the hypotheses both envelope certificates
+    share, as (whether they hold, their values)."""
+    if p.alpha_env is None or p.beta_env is None:
+        raise MissingEnvelopes("alpha_env and beta_env are required")
+    dom = cf.dominates(p.alpha_env, lam)
+    xs, fu = _fu_grid(p, u_box)
     worst = min(float(np.min(fu - p.alpha_env(xs))),
                 float(np.min(p.beta_env(xs) - fu)))
-    return worst >= -SANDWICH_SLACK, worst
+    return dom.strict_on_positive_measure and worst >= -SANDWICH_SLACK, {
+        "dominance_min_gap": dom.min_gap,
+        "dominance_strict_fraction": dom.strict_fraction,
+        "sandwich_worst_margin": worst}
 
 
 def check_l1_hypotheses(p: NonlinearProblem, n: int, u_box=None) -> ly.Certificate:
     """lam_{2n-1} strictly below alpha <= f_u <= beta with ||beta||_L1 within
     the sharp constant: the periodic problem has a unique solution."""
-    if p.alpha_env is None or p.beta_env is None:
-        raise MissingEnvelopes("alpha_env and beta_env are required")
     T = p.period
     lam = ly.lambda_const(n, T)
-    dom = cf.dominates(p.alpha_env, lam)
-    sandwich_ok, worst = _sandwich(p, u_box)
+    env_ok, env = _envelope_hypotheses(p, lam, u_box)
     bnorm = cf.l1_distance(p.beta_env, 0.0, (0.0, T))
     g = ly.gamma1(n, T)
-    holds = dom.strict_on_positive_measure and sandwich_ok and \
-        bnorm <= g + ly.L1_SLACK
+    holds = env_ok and bnorm <= g + ly.L1_SLACK
     return ly.Certificate(
         "NL_L1_PERIODIC_N", n,
-        {"lambda_2n_minus_1": lam, "dominance_min_gap": dom.min_gap,
-         "dominance_strict_fraction": dom.strict_fraction,
-         "sandwich_worst_margin": worst, "beta_l1_norm": bnorm,
+        {"lambda_2n_minus_1": lam, **env, "beta_l1_norm": bnorm,
          "gamma1": g, "margin_l1": g - bnorm},
         holds,
         "the periodic problem u'' + f(x,u) = 0 has a unique solution",
@@ -169,17 +172,11 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int, u_box=None) -> ly.Certifica
 def check_linf_hypotheses(p: NonlinearProblem, u_box=None) -> ly.Certificate:
     """0 strictly below alpha <= f_u <= beta with beta passing the split-point
     Linf bound (period pi)."""
-    if p.alpha_env is None or p.beta_env is None:
-        raise MissingEnvelopes("alpha_env and beta_env are required")
+    env_ok, hyp = _envelope_hypotheses(p, 0.0, u_box)
     if abs(p.period - math.pi) > 1e-12:
         raise DomainError("this certificate is stated for period pi")
-    dom = cf.dominates(p.alpha_env, 0.0)
-    sandwich_ok, worst = _sandwich(p, u_box)
     inner = ly.certify_linf_periodic(p.beta_env)
-    holds = dom.strict_on_positive_measure and sandwich_ok and inner.holds
-    hyp = {"dominance_min_gap": dom.min_gap,
-           "dominance_strict_fraction": dom.strict_fraction,
-           "sandwich_worst_margin": worst}
+    holds = env_ok and inner.holds
     hyp.update({"beta_" + k: v for k, v in inner.hypothesis_values.items()})
     return ly.Certificate(
         "NL_LINF_PERIODIC", None, hyp, holds,
@@ -191,11 +188,8 @@ def check_linf_hypotheses(p: NonlinearProblem, u_box=None) -> ly.Certificate:
 def check_classical_band(p: NonlinearProblem, u_box=None) -> ly.Certificate:
     """f_u's sampled range strictly inside a gap ((2n)^2 pi^2/T^2,
     (2(n+1))^2 pi^2/T^2) for some n >= 0."""
-    lo, hi = _box(p, u_box)
     T = p.period
-    xs = np.linspace(0.0, T, GRID, endpoint=False)
-    us = np.linspace(lo, hi, GRID)
-    fu = p.fu_eval(xs, us[:, None])
+    _, fu = _fu_grid(p, u_box)
     fmin, fmax = float(np.min(fu)), float(np.max(fu))
     band = None
     n = 0

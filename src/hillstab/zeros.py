@@ -2,7 +2,8 @@
 
 A nontrivial solution u of u'' + a(x) u = 0 with (anti)periodic boundary
 conditions is phase-normalized so u(0) = 0 by shifting the coefficient to a
-zero of u, then its zeros and critical points in [0, T] are extracted.  The
+zero of u, then its zeros and critical points in [0, T] are extracted from
+sign changes on a grid, read from the trajectory in one array call.  The
 spacing bounds, parity of the zero count, and the per-subinterval L1
 inequalities can then be checked against the structure theorems.
 """
@@ -40,12 +41,7 @@ class ZeroStructure:
 
     def merged(self) -> list[float]:
         """The full alternating sequence x_0 < x_1 < ... < x_{2m}."""
-        out = []
-        for i, z in enumerate(self.u_zeros[:-1]):
-            out.append(z)
-            out.append(self.du_zeros[i])
-        out.append(self.u_zeros[-1])
-        return out
+        return sorted(self.u_zeros + self.du_zeros)
 
     def to_dict(self) -> dict:
         return {"u_zeros": list(self.u_zeros), "du_zeros": list(self.du_zeros),
@@ -67,16 +63,17 @@ class StructureReport:
                 and self.parity_ok and self.count_ok)
 
     def to_dict(self) -> dict:
-        return {"spacing_bound": self.spacing_bound,
-                "all_spacings_within": self.all_spacings_within,
-                "one_spacing_strict": self.one_spacing_strict,
-                "parity_ok": self.parity_ok, "count_ok": self.count_ok,
-                "all_ok": self.all_ok}
+        return {**vars(self), "all_ok": self.all_ok}
 
 
-def _sign_change_zeros(f, T: float, samples: int) -> list[float]:
+def _sign_change_zeros(traj: fq.Trajectory, k: int,
+                       samples: int) -> list[float]:
+    """Zeros in [0, T] of u (k = 0) or u' (k = 1): sign changes on a grid
+    read in one array call, each refined by brentq on scalar calls."""
+    T = traj.a.period
     xs = np.linspace(0.0, T, samples)
-    vals = np.array([f(float(x)) for x in xs])
+    vals = traj.state(xs)[k]
+    f = (traj.u, traj.du)[k]
     zeros = []
     for i in range(len(xs) - 1):
         lo, hi = float(xs[i]), float(xs[i + 1])
@@ -105,7 +102,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     """
     traj = fq.eigenfunction(a, 0.0, bc)
     T = a.period
-    u0_zeros = _sign_change_zeros(traj.u, T, samples)
+    u0_zeros = _sign_change_zeros(traj, 0, samples)
     if not u0_zeros:
         raise RootSearchFailure("eigenfunction has no zero in [0, T]")
     r = u0_zeros[0]
@@ -118,7 +115,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     if not end_ok:
         raise DegenerateSolution("normalized solution does not vanish at T")
 
-    uz = _sign_change_zeros(norm.u, T, samples)
+    uz = _sign_change_zeros(norm, 0, samples)
     if abs(uz[0]) > ENDPOINT_TOL:
         uz.insert(0, 0.0)
     else:
@@ -127,7 +124,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
         uz.append(T)
     else:
         uz[-1] = T
-    dz = [z for z in _sign_change_zeros(norm.du, T, samples)
+    dz = [z for z in _sign_change_zeros(norm, 1, samples)
           if X_TOL < z < T - X_TOL]
 
     for z in uz:
@@ -143,40 +140,35 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
         if not uz[i] < dz[i] < uz[i + 1]:
             raise DegenerateSolution("zeros of u and u' do not alternate")
 
-    merged = []
-    for i in range(m):
-        merged += [uz[i], dz[i]]
-    merged.append(uz[-1])
+    merged = sorted(uz + dz)  # the alternating sequence, as checked above
     spac = tuple(float(b - a_) for a_, b in zip(merged[:-1], merged[1:]))
     return ZeroStructure(tuple(uz), tuple(dz), m, spac, bc, r, ash)
+
+
+def _check_structure(z: ZeroStructure, bound: float, parity: int,
+                     min_m: int) -> StructureReport:
+    """Every spacing <= bound with one strict, m % 2 == parity, m >= min_m."""
+    return StructureReport(
+        bound,
+        all(s <= bound + 1e-9 for s in z.spacings),
+        any(s < bound - 1e-9 for s in z.spacings),
+        z.m % 2 == parity,
+        z.m >= min_m,
+    )
 
 
 def check_periodic_structure(z: ZeroStructure, n: int, T: float) -> StructureReport:
     """Spacing <= T/(4n) with one strict, m even and >= 2(n+1)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    bound = T / (4 * n)
-    return StructureReport(
-        bound,
-        all(s <= bound + 1e-9 for s in z.spacings),
-        any(s < bound - 1e-9 for s in z.spacings),
-        z.m % 2 == 0,
-        z.m >= 2 * (n + 1),
-    )
+    return _check_structure(z, T / (4 * n), 0, 2 * (n + 1))
 
 
 def check_antiperiodic_structure(z: ZeroStructure, n: int, T: float) -> StructureReport:
     """Spacing <= T/(2(2n-1)) with one strict, m odd and >= 2n+1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    bound = T / (2 * (2 * n - 1))
-    return StructureReport(
-        bound,
-        all(s <= bound + 1e-9 for s in z.spacings),
-        any(s < bound - 1e-9 for s in z.spacings),
-        z.m % 2 == 1,
-        z.m >= 2 * n + 1,
-    )
+    return _check_structure(z, T / (2 * (2 * n - 1)), 1, 2 * n + 1)
 
 
 def subinterval_inequality(a: cf.PeriodicCoefficient, z: ZeroStructure,

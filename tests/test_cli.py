@@ -45,7 +45,8 @@ def test_tolerance_overrides_last_one_call(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["manifest"]["tolerances"] == {
         "quad": 1e-10, "root": 1e-10, "boundary": 1e-7, "ode": 1e-12,
-        "residual": 1e-8, "cluster": 1e-6, "sandwich_grid": 256}
+        "residual": 1e-8, "cluster": 1e-6, "sandwich_grid": 256,
+        "quad_budget": 1_000_000, "dominance_samples": 16384, "x0_grid": 1024}
 
 
 def test_eigs_antiperiodic(tmp_path, capsys):
@@ -149,6 +150,26 @@ def test_first_zone_verification_needs_zone_0():
     ["nonlinear", "solve", "FILE", "--starts", "0"],
 ])
 def test_bad_counts_rejected(tmp_path, capsys, argv):
+    f = coeff_file(tmp_path, cf.constant(0.0, T))
+    argv = [f if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol-root", "-1", "eigs", "FILE"],
+    ["--tol-root", "0", "eigs", "FILE"],
+    ["--tol-quad", "nan", "certify", "FILE"],
+    ["--period-override", "inf", "eigs", "FILE"],
+    ["constants", "--period", "inf"],
+    ["chart", "FILE", "--mu-from", "0", "--mu-to", "inf", "--points", "3"],
+    ["chart", "FILE", "--mu-from", "nan", "--mu-to", "1"],
+    ["witness", "a-eps", "--eps", "nan"],
+    ["witness", "two-step", "--alpha=-inf"],
+    ["witness", "two-step", "--x0", "inf"],
+])
+def test_bad_floats_rejected(tmp_path, capsys, argv):
     f = coeff_file(tmp_path, cf.constant(0.0, T))
     argv = [f if arg == "FILE" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hillstab import coeff as cf
+from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab.errors import NotAnEigenvalue
 
@@ -155,6 +156,42 @@ def test_trajectory_matches_closed_form():
     xs = np.linspace(0, T, 100)
     np.testing.assert_allclose([traj.u(float(x)) for x in xs],
                                np.sin(2 * xs), atol=1e-9)
+
+
+def loop_state(traj, x):
+    """One point at a time: the first segment whose end x does not pass by
+    more than 1e-12, with x clamped into it; past the last, its end."""
+    for s, e, states in traj.segments:
+        if x <= e + 1e-12:
+            return states(np.array([min(max(x, s), e)]))[:, 0]
+    s, e, states = traj.segments[-1]
+    return states(np.array([e]))[:, 0]
+
+
+@pytest.mark.parametrize("a", [
+    cf.constant(4.0, T),
+    cf.step_function(T, [(0.0, 2.0, -1.5), (2.0, 4.0, 3.0), (4.0, T, 0.0)]),
+    cf.from_expression("0.5+0.3*cos(x)", T),
+], ids=["q>0", "steps q<0,q>0,q=0", "0.5+0.3cos(x)"])
+def test_trajectory_array_state(a):
+    y0 = np.array([1.0, -0.5])
+    traj = fq.Trajectory(a, 0.0, y0)
+    ends = [e for _, e, _ in a.pieces]
+    xs = np.concatenate([np.linspace(0.0, T, 301), [0.0, T, T + 1e-9], ends])
+    states = traj.state(xs)
+    assert states.shape == (2, len(xs))
+    tol = 1e-14 * np.max(np.abs(states))
+    for ref in (np.stack([traj.state(float(x)) for x in xs], axis=1),
+                np.stack([loop_state(traj, float(x)) for x in xs], axis=1)):
+        assert np.max(np.abs(states - ref)) <= tol
+    # on a constant first piece the array closed form is the exact block
+    s, e, piece = a.pieces[0]
+    q = ex.constant_value(piece)
+    if q is not None:
+        first = xs[xs <= e]
+        block = np.stack([fq._const_block(q, x - s) @ y0 for x in first],
+                         axis=1)
+        assert np.max(np.abs(traj.state(first) - block)) <= tol
 
 
 def test_spectrum_counts():
