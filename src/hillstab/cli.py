@@ -18,10 +18,10 @@ import io
 import json
 import math
 import sys
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
+from . import __version__
 from . import coeff as cf
 from . import floquet as fq
 from . import lyapunov as ly
@@ -36,20 +36,13 @@ EXIT_SEARCH = 3
 EXIT_SOUNDNESS = 4
 
 
-def _tool_version() -> str:
-    try:
-        return version("hillstab")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 def _manifest(args, command: str, inputs: list[str]) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("func",) and v is not None},
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "tolerances": {"quad": cf.QUAD_TOL, "root": fq.TOL_ROOT,
                        "boundary": fq.TOL_BOUNDARY, "ode": fq.ODE_TOL,
                        "residual": nl.RESIDUAL_TOL,
@@ -235,13 +228,7 @@ def cmd_chart(args) -> int:
     rows = []
     for mu in mus:
         d = fq.discriminant(a, float(mu))
-        if abs(d) < 2 - fq.TOL_BOUNDARY:
-            verdict = "Stable"
-        elif abs(d) > 2 + fq.TOL_BOUNDARY:
-            verdict = "Unstable"
-        else:
-            verdict = "Boundary"
-        rows.append((float(mu), d, verdict))
+        rows.append((float(mu), d, fq.band(d)))
     _emit_csv(["mu", "discriminant", "verdict"], rows, args)
     return 0
 
@@ -380,7 +367,8 @@ def main(argv=None) -> int:
         fq.TOL_ROOT = args.tol_root
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, FileNotFoundError, OSError) as e:
+    except (ParseError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (RootSearchFailure, IntegrationFailure, NoConvergence) as e:

@@ -279,22 +279,10 @@ def mul(a: Expression, b: Expression) -> Expression:
 
 def constant_value(e: Expression) -> float | None:
     """Value of a variable-free tree, or None if it references a variable."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+    try:
+        return e.eval()
+    except ParseError:  # an unbound Var
         return None
-    if isinstance(e, _Binary):
-        lv = constant_value(e.left)
-        rv = constant_value(e.right)
-        if lv is None or rv is None:
-            return None
-        return e.eval()
-    if isinstance(e, (_Unary, Pow)):
-        inner = e.arg if isinstance(e, _Unary) else e.base
-        if constant_value(inner) is None:
-            return None
-        return e.eval()
-    return None
 
 
 def shift_var(e: Expression, offset: float, var: str = "x") -> Expression:

@@ -1,8 +1,8 @@
 """Ground-truth spectral engine for u'' + (mu + a(x)) u = 0.
 
-Monodromy matrices are 2x2 arrays assembled piece by piece: constant pieces
-propagate through exact trigonometric/hyperbolic blocks, anything else goes
-through a high-order adaptive Runge-Kutta integrator.  Periodic and
+One propagator gives each piece's 2x2 transfer matrix (an exact
+trigonometric/hyperbolic block, or one integration of the fundamental
+matrix) to monodromies, trajectories and eigenfunctions.  Periodic and
 antiperiodic eigenvalues are the roots of Delta(mu) = +-2 where Delta is the
 trace of the monodromy matrix.  Both kinds interlace along the one curve
 Delta(mu), so a single upward scan evaluates Delta once per grid point and
@@ -78,32 +78,59 @@ def _const_block(q: float, L: float) -> np.ndarray:
     return np.array([[1.0, L], [0.0, 1.0]])
 
 
-def _piece_matrix(a: cf.PeriodicCoefficient, mu: float, s: float, e: float,
-                  piece: ex.Expression) -> np.ndarray:
-    cval = ex.constant_value(piece)
-    if cval is not None:
-        return _const_block(mu + cval, e - s)
-    f = piece.compiled()
+def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool):
+    """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
 
-    def rhs(x, y):
-        q = mu + f(x)
-        return [y[1], -q * y[0], y[3], -q * y[2]]
+    B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
+    else the fundamental matrix from one integration, the same bit for bit
+    with or without dense output.  With dense, columns(xs) gives the transfer
+    matrices from s to the points xs column by column, shape (4, n).
+    """
+    for s, e, piece in a.pieces:
+        cval = ex.constant_value(piece)
+        if cval is not None:
+            q = mu + cval
+            B = _const_block(q, e - s)
+            columns = functools.partial(_const_columns, q, s) if dense else None
+        else:
+            def rhs(x, y, f=piece.compiled()):
+                q = mu + f(x)
+                return [y[1], -q * y[0], y[3], -q * y[2]]
 
-    sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=ODE_TOL, atol=ODE_TOL,
-                    max_step=max((e - s) / 16, 1e-12))
-    if not sol.success:
-        raise IntegrationFailure(f"ODE solver failed on [{s}, {e}]: {sol.message}")
-    y = sol.y[:, -1]
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
+            sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                            rtol=ODE_TOL, atol=ODE_TOL, dense_output=dense,
+                            max_step=max((e - s) / 16, 1e-12))
+            if not sol.success:
+                raise IntegrationFailure(
+                    f"ODE solver failed on [{s}, {e}]: {sol.message}")
+            y = sol.y[:, -1]
+            B, columns = np.array([[y[0], y[2]], [y[1], y[3]]]), sol.sol
+        yield s, e, B, columns
+
+
+def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
+    """_const_block(q, x - s) for each x in xs on arrays, column by column."""
+    L, w = xs - s, math.sqrt(abs(q))
+    if q > 0:
+        c, sw, ws = np.cos(w * L), np.sin(w * L) / w, -w * np.sin(w * L)
+    elif q < 0:
+        c, sw, ws = np.cosh(w * L), np.sinh(w * L) / w, w * np.sinh(w * L)
+    else:
+        c, sw, ws = np.ones_like(L), L, np.zeros_like(L)
+    return np.array([c, ws, sw, c])
+
+
+def _product(pieces) -> np.ndarray:
+    """The transfer matrices B of one pass, multiplied in order."""
+    M = np.eye(2)
+    for _, _, B, _ in pieces:
+        M = B @ M
+    return M
 
 
 def monodromy(a: cf.PeriodicCoefficient, mu: float) -> np.ndarray:
     """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period."""
-    M = np.eye(2)
-    for s, e, piece in a.pieces:
-        M = _piece_matrix(a, mu, s, e, piece) @ M
-    return M
+    return _product(_propagators(a, mu, dense=False))
 
 
 def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
@@ -113,47 +140,24 @@ def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
 
 # -- dense trajectories -------------------------------------------------------
 
-def _const_states(q: float, s: float, y0, xs: np.ndarray) -> np.ndarray:
-    """(u, u') of u'' + q u = 0 at the points xs, shape (2, len(xs)), when
-    the state at s is y0: _const_block(q, xs - s) @ y0 on arrays."""
-    L, w = xs - s, math.sqrt(abs(q))
-    if q > 0:
-        c, sw, ws = np.cos(w * L), np.sin(w * L) / w, -w * np.sin(w * L)
-    elif q < 0:
-        c, sw, ws = np.cosh(w * L), np.sinh(w * L) / w, w * np.sinh(w * L)
-    else:
-        c, sw, ws = np.ones_like(L), L, np.zeros_like(L)
-    return np.array([c * y0[0] + sw * y0[1], ws * y0[0] + c * y0[1]])
+def _states(columns, y0, xs: np.ndarray) -> np.ndarray:
+    """(u, u') at the points xs from the state y0 at the piece start."""
+    m = columns(xs)
+    return m[:2] * y0[0] + m[2:] * y0[1]
 
 
 class Trajectory:
     """Dense solution of u'' + (mu + a(x)) u = 0 on [0, T] from given data:
     one (start, end, states) per piece, where states maps an array of points
-    to their (u, u') by the closed form or by the integrator's dense output."""
+    to their (u, u') by the transfer matrices of a dense _propagators pass."""
 
-    def __init__(self, a: cf.PeriodicCoefficient, mu: float, y0):
+    def __init__(self, a: cf.PeriodicCoefficient, mu: float, y0, _pieces=None):
         self.a, self.mu = a, mu
         self.segments = []
         y = np.asarray(y0, dtype=float)
-        for s, e, piece in a.pieces:
-            cval = ex.constant_value(piece)
-            if cval is not None:
-                states = functools.partial(_const_states, mu + cval, s, y)
-                y = _const_block(mu + cval, e - s) @ y
-            else:
-                def rhs(x, yy, f=piece.compiled()):
-                    q = mu + f(x)
-                    return [yy[1], -q * yy[0]]
-
-                sol = solve_ivp(rhs, (s, e), y, method="DOP853",
-                                rtol=ODE_TOL, atol=ODE_TOL, dense_output=True,
-                                max_step=max((e - s) / 16, 1e-12))
-                if not sol.success:
-                    raise IntegrationFailure(sol.message)
-                states = sol.sol
-                y = sol.y[:, -1]
-            self.segments.append((s, e, states))
-        self.y_end = y
+        for s, e, B, columns in _pieces or _propagators(a, mu, dense=True):
+            self.segments.append((s, e, functools.partial(_states, columns, y)))
+            y = B @ y
 
     def state(self, x) -> np.ndarray:
         """(u, u') at x in [0, T], shape (2,), or at an array of n points,
@@ -341,24 +345,33 @@ def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
     return True, None
 
 
+def band(d: float) -> str:
+    """Stable, Unstable or Boundary: |Delta| = |d| against 2 -+ TOL_BOUNDARY."""
+    if abs(d) < 2.0 - TOL_BOUNDARY:
+        return "Stable"
+    if abs(d) > 2.0 + TOL_BOUNDARY:
+        return "Unstable"
+    return "Boundary"
+
+
 def classify(a: cf.PeriodicCoefficient, mu: float,
              spec: SpectrumSlice | None = None) -> StabilityVerdict:
     """Stability verdict at mu from the discriminant, with boundary resolution.
 
-    |Delta| < 2 - tol is Stable, |Delta| > 2 + tol Unstable; within tolerance
-    of a band edge the verdict depends on whether the nearest eigenvalue pair
+    Stable and Unstable come from band(Delta); within tolerance of a band
+    edge the verdict depends on whether the nearest eigenvalue pair
     coincides.  The zone index is filled in when a spectrum is available.
     """
     d = discriminant(a, mu)
-    if abs(d) < 2.0 - TOL_BOUNDARY:
+    kind = band(d)
+    if kind == "Stable":
         zone = None
-        witness = None
         if spec is not None:
             below = int(np.sum(spec.periodic_values() < mu - TOL_BOUNDARY)) + \
                 int(np.sum(spec.antiperiodic_values() < mu - TOL_BOUNDARY))
             zone = below // 2
-        return StabilityVerdict("Stable", zone, witness, d)
-    if abs(d) > 2.0 + TOL_BOUNDARY:
+        return StabilityVerdict("Stable", zone, None, d)
+    if kind == "Unstable":
         return StabilityVerdict("Unstable", None, None, d)
     # band edge: locate the nearest eigenvalue pair
     if spec is None:
@@ -391,14 +404,15 @@ def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str):
     """Nontrivial solution at an eigenvalue, as a dense Trajectory.
 
     bc is "periodic" or "antiperiodic".  The initial data is the kernel
-    direction of (M -+ I) from the monodromy matrix M.
+    direction of (M -+ I), M read from the trajectory's own dense pass.
     """
     sign = 1.0 if bc == "periodic" else -1.0
-    M = monodromy(a, mu)
+    pieces = list(_propagators(a, mu, dense=True))
+    M = _product(pieces)
     A = M - sign * np.eye(2)
     _, svals, vt = np.linalg.svd(A)
     v = vt[-1]
     if np.linalg.norm(A @ v) > 1e-4:
         raise NotAnEigenvalue(
             f"mu={mu} is not a {bc} eigenvalue (defect {np.linalg.norm(A @ v):.2e})")
-    return Trajectory(a, mu, v)
+    return Trajectory(a, mu, v, _pieces=pieces)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hillstab
 from hillstab import cli
 from hillstab import coeff as cf
 from hillstab import lyapunov as ly
@@ -32,6 +33,7 @@ def test_eigs_zero_coefficient(tmp_path, capsys):
     assert vals == pytest.approx([0, 1, 1, 4, 4], abs=1e-8)
     assert doc["manifest"]["command"] == "eigs"
     assert doc["manifest"]["tolerances"]["root"] == 1e-10
+    assert doc["manifest"]["tool_version"] == hillstab.__version__
 
 
 def test_tolerance_overrides_last_one_call(tmp_path, capsys):
@@ -62,6 +64,13 @@ def test_eigs_malformed_input(tmp_path, capsys):
     p.write_text("this is not json")
     code, _ = run(capsys, "eigs", str(p))
     assert code == cli.EXIT_PARSE
+    # not UTF-8: one error line, no traceback, for coefficients and problems
+    raw = tmp_path / "bad.bin"
+    raw.write_bytes(b"\x80\x81\xff")
+    for argv in (["eigs", str(raw)], ["nonlinear", "check", str(raw)]):
+        assert cli.main(argv) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_eigs_missing_file(capsys):

@@ -144,6 +144,43 @@ def test_eigenfunction_antiperiodic():
     assert traj.du(0.0) == pytest.approx(-traj.du(T), abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [
+    cf.from_expression("0.5+0.3*cos(x)", T),
+    cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 2.0, "expr": "1.5"},
+        {"from": 2.0, "to": 4.0, "expr": "0.5+0.3*cos(x)"},
+        {"from": 4.0, "to": T, "expr": "-0.5"}]}),
+], ids=["0.5+0.3cos(x)", "steps and cos"])
+def test_eigenfunction_single_pass(a, monkeypatch):
+    """eigenfunction integrates each non-constant piece once, and takes M
+    from that pass: the product of its blocks is monodromy(a, mu) exactly."""
+    mu = fq.periodic_eigenvalues(a, 1).periodic[0].value
+    solve_ivp, propagators = fq.solve_ivp, fq._propagators
+    calls, blocks = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        for p in propagators(*args, **kwargs):
+            blocks.append(p[2])
+            yield p
+
+    monkeypatch.setattr(fq, "solve_ivp", counted)
+    monkeypatch.setattr(fq, "_propagators", recorded)
+    traj = fq.eigenfunction(a, mu, "periodic")
+    monkeypatch.undo()
+    smooth = [(s, e) for s, e, p in a.pieces if ex.constant_value(p) is None]
+    assert calls == smooth
+    M = np.eye(2)
+    for B in blocks:
+        M = B @ M
+    assert np.array_equal(M, fq.monodromy(a, mu))
+    # the kernel direction returns after one period
+    assert np.allclose(traj.state(T), traj.state(0.0), atol=1e-7)
+
+
 def test_eigenfunction_rejects_non_eigenvalue():
     a = cf.constant(0.0, T)
     with pytest.raises(NotAnEigenvalue):
