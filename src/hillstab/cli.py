@@ -57,6 +57,8 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
 def _load_coefficient(args) -> cf.PeriodicCoefficient:
     with open(args.coeff_file) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError("a coefficient document is a JSON object")
     if args.period_override is not None:
         if "period" in doc:
             raise ParseError(
@@ -210,8 +212,7 @@ def cmd_zeros(args) -> int:
             rep = zr.check_periodic_structure(z, args.n, a.period)
         else:
             rep = zr.check_antiperiodic_structure(z, args.n, a.period)
-        sub = zr.subinterval_inequality(z.shifted_coefficient, z, args.n,
-                                        a.period, args.bc)
+        sub = zr.subinterval_inequality(a, z, args.n, a.period, args.bc)
         doc["checks"] = {"structure": rep.to_dict(),
                          "subinterval_chain_ok": sub["chain_ok"],
                          "cot_sum": sub["cot_sum"],

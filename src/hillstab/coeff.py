@@ -56,6 +56,9 @@ class PeriodicCoefficient:
             raise ParseError("period must be a positive finite real")
         if not self.pieces:
             raise ParseError("coefficient needs at least one piece")
+        bounds = [v for s, e, _ in self.pieces for v in (s, e)]
+        if not np.all(np.isfinite(bounds + list(self.removable_points))):
+            raise ParseError("piece bounds and removable points must be finite")
         tol = 1e-9 * max(1.0, T)
         prev = 0.0
         for s, e, _ in self.pieces:
@@ -114,36 +117,6 @@ class PeriodicCoefficient:
         return np.array(bps)
 
     # -- transformations ------------------------------------------------------
-
-    def shift(self, r: float) -> "PeriodicCoefficient":
-        """The coefficient x -> a(r + x), same period."""
-        T = self.period
-        r = r % T
-        if r < 1e-12 * T or T - r < 1e-12 * T:
-            return self
-        new_pieces = []
-        for s, e, piece in self.pieces:
-            ys = (s - r) % T
-            ye = ys + (e - s)
-            if ye <= T + 1e-15 * T:
-                new_pieces.append((ys, min(ye, T), ex.shift_var(piece, s - ys)))
-            else:
-                new_pieces.append((ys, T, ex.shift_var(piece, s - ys)))
-                new_pieces.append((0.0, ye - T, ex.shift_var(piece, s + T - ys)))
-        new_pieces = [(s, e, p) for s, e, p in new_pieces
-                      if e - s > 1e-12 * T]
-        new_pieces.sort(key=lambda p: p[0])
-        # snap tiny gaps from modular arithmetic
-        snapped = []
-        prev = 0.0
-        for s, e, piece in new_pieces:
-            snapped.append((prev, prev + (e - s), piece))
-            prev += e - s
-        if snapped:
-            s0, _, p0 = snapped[-1]
-            snapped[-1] = (s0, T, p0)
-        removable = tuple(sorted((p - r) % T for p in self.removable_points))
-        return PeriodicCoefficient(T, tuple(snapped), removable)
 
     def positive_part(self) -> "PeriodicCoefficient":
         """Pointwise max(a, 0)."""

@@ -32,9 +32,6 @@ class Expression:
     def subs(self, var: str, repl: "Expression") -> "Expression":
         raise NotImplementedError
 
-    def depth(self) -> int:
-        raise NotImplementedError
-
     def __call__(self, **env):
         return self.eval(**env)
 
@@ -78,9 +75,6 @@ class Const(Expression):
     def subs(self, var, repl):
         return self
 
-    def depth(self):
-        return 1
-
 
 @dataclass(frozen=True, repr=False)
 class Var(Expression):
@@ -98,17 +92,11 @@ class Var(Expression):
     def subs(self, var, repl):
         return repl if self.name == var else self
 
-    def depth(self):
-        return 1
-
 
 @dataclass(frozen=True, repr=False)
 class _Binary(Expression):
     left: Expression
     right: Expression
-
-    def depth(self):
-        return 1 + max(self.left.depth(), self.right.depth())
 
 
 class Add(_Binary):
@@ -165,9 +153,6 @@ class Div(_Binary):
 @dataclass(frozen=True, repr=False)
 class _Unary(Expression):
     arg: Expression
-
-    def depth(self):
-        return 1 + self.arg.depth()
 
 
 class Neg(_Unary):
@@ -236,9 +221,6 @@ class Pow(Expression):
 
     def subs(self, var, repl):
         return Pow(self.base.subs(var, repl), self.exponent)
-
-    def depth(self):
-        return 1 + self.base.depth()
 
 
 # -- smart constructors with trivial constant folding -------------------------
@@ -405,6 +387,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.variables = variables
+        self.groups = 0
 
     def error(self, msg: str):
         raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
@@ -428,44 +411,51 @@ class _Parser:
             self.error(f"expected {ch!r}")
 
     def parse(self) -> Expression:
-        e = self.expr()
+        e, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
-        if e.depth() > MAX_DEPTH:
-            raise ParseError(f"expression deeper than {MAX_DEPTH}")
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            if self.accept("+"):
-                e = Add(e, self.term())
-            elif self.accept("-"):
-                e = Sub(e, self.term())
-            else:
-                return e
+    # Each rule returns (tree, depth).  A tree deeper than MAX_DEPTH is
+    # refused while it is built, and so are groups nested deeper, so that
+    # neither the parser nor any later walk of a tree recurses past it.
 
-    def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            if self.accept("*"):
-                e = Mul(e, self.factor())
-            elif self.accept("/"):
-                e = Div(e, self.factor())
-            else:
-                return e
+    def over(self, d: int) -> int:
+        """The depth of a node over children at most d deep."""
+        if d >= MAX_DEPTH:
+            self.error(f"expression deeper than {MAX_DEPTH}")
+        return d + 1
 
-    def factor(self) -> Expression:
-        e = self.unary()
+    def chain(self, operand, ops: dict):
+        """operand (op operand)*, grouped to the left, with op in ops."""
+        e, d = operand()
+        while (ch := self.peek()) in ops:
+            self.pos += 1
+            r, dr = operand()
+            e, d = ops[ch](e, r), self.over(max(d, dr))
+        return e, d
+
+    def expr(self):
+        return self.chain(self.term, {"+": Add, "-": Sub})
+
+    def term(self):
+        return self.chain(self.factor, {"*": Mul, "/": Div})
+
+    def factor(self):
+        e, d = self.unary()
         if self.accept("^"):
-            e = Pow(e, self.integer())
-        return e
+            e, d = Pow(e, self.integer()), self.over(d)
+        return e, d
 
-    def unary(self) -> Expression:
-        if self.accept("-"):
-            return Neg(self.unary())
-        return self.atom()
+    def unary(self):
+        negs = 0
+        while self.accept("-"):
+            negs += 1
+        e, d = self.atom()
+        for _ in range(negs):
+            e, d = Neg(e), self.over(d)
+        return e, d
 
     def integer(self) -> int:
         self.skip_ws()
@@ -477,28 +467,34 @@ class _Parser:
             self.error("expected integer exponent")
         return sign * int(self.text[start:self.pos])
 
-    def atom(self) -> Expression:
+    def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.group()
         if ch.isdigit() or ch == ".":
-            return Const(self.number())
+            return Const(self.number()), 1
         if ch.isalpha() or ch == "_":
             name = self.identifier()
             if name == "pi":
-                return Const(math.pi)
+                return Const(math.pi), 1
             if name in _FUNCTIONS:
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return _FUNCTIONS[name](e)
+                e, d = self.group()
+                return _FUNCTIONS[name](e), self.over(d)
             if name in self.variables:
-                return Var(name)
+                return Var(name), 1
             self.error(f"unknown identifier {name!r}")
         self.error("expected expression")
+
+    def group(self):
+        """'(' expr ')', at most MAX_DEPTH groups open at once."""
+        self.expect("(")
+        self.groups += 1
+        if self.groups > MAX_DEPTH:
+            self.error(f"parentheses nested deeper than {MAX_DEPTH}")
+        e = self.expr()
+        self.expect(")")
+        self.groups -= 1
+        return e
 
     def identifier(self) -> str:
         self.skip_ws()

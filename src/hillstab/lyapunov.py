@@ -4,9 +4,10 @@ Each ``certify_*`` function checks the hypotheses of one stability /
 nontrivial-kernel theorem against a periodic coefficient and emits a
 Certificate: the named hypothesis values, the margins, a boolean verdict,
 and the exact conclusion the theorem licenses -- never more.  Failed
-hypotheses yield ``holds = False`` rather than an exception, and the x0 / p
-searches are exhaustive with per-candidate diagnostics so near-misses are
-explainable.
+hypotheses yield ``holds = False`` rather than an exception.  The x0 search
+of the Linf certificates is exhaustive, with per-candidate diagnostics so
+near-misses are explainable; the k-p zone certificate evaluates the one p
+that can hold and records its diagnostic.
 """
 
 from __future__ import annotations
@@ -113,35 +114,37 @@ def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
     """k <= a with ||a||_L1 below the k-p zone bound places mu = 0 inside a
     stability zone.
 
-    For each integer p >= 1 whose bracket (p^2 pi^2/T^2, (p+1)^2 pi^2/T^2]
-    meets (0, ess-inf a], the largest admissible k is tried (the bound is
-    increasing in k); every candidate's margin is recorded.
+    Only p*, the largest p >= 1 with p^2 pi^2/T^2 < ess-inf a, is tried,
+    with the largest admissible k = min(ess-inf a, (p*+1)^2 pi^2/T^2) (the
+    bound is increasing in k); its margin is the one diagnostic.  A lower p
+    has k at the top of its bracket, where the bound is kT <= ||a||_L1, so
+    it cannot hold.  Nor can p* with k at the top: there a = k attains the
+    bound and 0 is an eigenvalue.
     """
     T = a.period
     ess = _ess_inf(a)
     norm = cf.l1_distance(a, 0.0, (0.0, T))
-    diags = []
-    holds = False
-    best_p = None
-    p = 1
-    while (p * math.pi / T) ** 2 < ess:
-        k = min(ess, (p + 1) ** 2 * math.pi ** 2 / T ** 2)
-        rhs = zone_rhs(k, p, T)
-        ok = norm <= rhs + L1_SLACK
-        diags.append({"p": p, "k": k, "rhs": rhs, "margin": rhs - norm,
-                      "ok": ok})
-        if ok and not holds:
-            holds = True
-            best_p = p
+
+    # p* is ceil(T sqrt(ess) / pi) - 1, or one off where the quotient rounds
+    p = math.ceil(T * math.sqrt(max(ess, 0.0)) / math.pi) - 1
+    if ((p + 1) * math.pi / T) ** 2 < ess:
         p += 1
+    elif p >= 1 and (p * math.pi / T) ** 2 >= ess:
+        p -= 1
+    holds, margin, diags = False, -math.inf, ()
+    if p >= 1:
+        top = ((p + 1) * math.pi / T) ** 2
+        k = min(ess, top)
+        rhs = zone_rhs(k, p, T)
+        holds, margin = k < top and norm <= rhs + L1_SLACK, rhs - norm
+        diags = ({"p": p, "k": k, "rhs": rhs, "margin": margin, "ok": holds},)
     return Certificate(
-        "L1_ZONE_KP", best_p,
-        {"ess_inf": ess, "l1_norm": norm,
-         "margin": max((d["margin"] for d in diags), default=-math.inf)},
+        "L1_ZONE_KP", p if holds else None,
+        {"ess_inf": ess, "l1_norm": norm, "margin": margin},
         holds,
         "mu = 0 lies in a stability zone (the periodic/antiperiodic "
         "eigenvalues bracketing 0 are reported by the spectrum check)",
-        tuple(diags),
+        diags,
     )
 
 

@@ -1,11 +1,12 @@
 """Zero-structure diagnostics for nontrivial periodic/antiperiodic solutions.
 
 A nontrivial solution u of u'' + a(x) u = 0 with (anti)periodic boundary
-conditions is phase-normalized so u(0) = 0 by shifting the coefficient to a
-zero of u, then its zeros and critical points in [0, T] are extracted from
-sign changes on a grid, read from the trajectory in one array call.  The
-spacing bounds, parity of the zero count, and the per-subinterval L1
-inequalities can then be checked against the structure theorems.
+conditions is phase-normalized to start at its first zero r in [0, T].  As
+u(x + T) = +-u(x), the solution on [r, r + T] is read from the
+eigenfunction's one pass over [0, T], and its zeros and critical points are
+extracted from sign changes on a grid, read in one array call.  The spacing
+bounds, parity of the zero count, and the per-subinterval L1 inequalities
+can then be checked against the structure theorems.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class ZeroStructure:
     spacings: tuple[float, ...]
     bc: str
     shift: float
-    shifted_coefficient: cf.PeriodicCoefficient
 
     def merged(self) -> list[float]:
         """The full alternating sequence x_0 < x_1 < ... < x_{2m}."""
@@ -66,14 +66,9 @@ class StructureReport:
         return {**vars(self), "all_ok": self.all_ok}
 
 
-def _sign_change_zeros(traj: fq.Trajectory, k: int,
-                       samples: int) -> list[float]:
-    """Zeros in [0, T] of u (k = 0) or u' (k = 1): sign changes on a grid
-    read in one array call, each refined by brentq on scalar calls."""
-    T = traj.a.period
-    xs = np.linspace(0.0, T, samples)
-    vals = traj.state(xs)[k]
-    f = (traj.u, traj.du)[k]
+def _sign_change_zeros(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Zeros of the scalar function f on [xs[0], xs[-1]]: sign changes of
+    its values vals on the grid xs, each refined by brentq."""
     zeros = []
     for i in range(len(xs) - 1):
         lo, hi = float(xs[i]), float(xs[i + 1])
@@ -83,7 +78,7 @@ def _sign_change_zeros(traj: fq.Trajectory, k: int,
         elif a * b < 0:
             zeros.append(float(brentq(f, lo, hi, xtol=X_TOL)))
     if vals[-1] == 0.0:
-        zeros.append(T)
+        zeros.append(float(xs[-1]))
     # merge duplicates from grid points landing on a zero
     out = []
     for z in zeros:
@@ -96,41 +91,43 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
                            samples: int = 4096) -> ZeroStructure:
     """Phase-normalize the kernel solution at mu = 0 and list its zeros.
 
-    The eigenfunction is computed once, a zero r of u is located, and the
-    structure is re-read from the solution of the r-shifted coefficient with
-    u(0) = 0, u'(0) = 1 (the same solution up to phase and scale).
+    The eigenfunction is computed once, on [0, T], and r is its first zero
+    there.  As it is (anti)periodic, u(x + T) = +-u(x), so the same
+    solution on [r, r + T] is read from that one pass, and the zeros of u
+    and u' are taken on a grid of [r, r + T] and listed relative to r.
     """
     traj = fq.eigenfunction(a, 0.0, bc)
     T = a.period
-    u0_zeros = _sign_change_zeros(traj, 0, samples)
+    sign = 1.0 if bc == "periodic" else -1.0
+    xs = np.linspace(0.0, T, samples)
+    vals = traj.state(xs)
+    y0, yT = vals[:, 0], vals[:, -1]
+    if np.max(np.abs(yT - sign * y0)) > ENDPOINT_TOL * np.max(np.abs(y0)):
+        raise DegenerateSolution(f"eigenfunction is not {bc}")
+    u0_zeros = _sign_change_zeros(traj.u, xs, vals[0])
     if not u0_zeros:
         raise RootSearchFailure("eigenfunction has no zero in [0, T]")
     r = u0_zeros[0]
-    ash = a.shift(r)
-    norm = fq.Trajectory(ash, 0.0, (0.0, 1.0))
 
-    if abs(norm.u(0.0)) > ENDPOINT_TOL:
-        raise DegenerateSolution("normalized solution does not vanish at 0")
-    end_ok = abs(norm.u(T)) <= ENDPOINT_TOL * max(1.0, abs(norm.du(T)))
-    if not end_ok:
-        raise DegenerateSolution("normalized solution does not vanish at T")
+    def state(x):
+        """(u, u') at r + x, read as sign * (u, u') at r + x - T past T."""
+        y = np.asarray(x, dtype=float) + r
+        past = y > T
+        return np.where(past, sign, 1.0) * traj.state(np.where(past, y - T, y))
 
-    uz = _sign_change_zeros(norm, 0, samples)
-    if abs(uz[0]) > ENDPOINT_TOL:
-        uz.insert(0, 0.0)
-    else:
-        uz[0] = 0.0
-    if abs(uz[-1] - T) > ENDPOINT_TOL:
-        uz.append(T)
-    else:
-        uz[-1] = T
-    dz = [z for z in _sign_change_zeros(norm, 1, samples)
+    # x = 0 and x = T are zeros of u, asserted, so u' is away from 0 there
+    vals = state(xs)
+    uz = [0.0] + [z for z in _sign_change_zeros(lambda x: state(x)[0], xs,
+                                                vals[0])
+                  if ENDPOINT_TOL < z < T - ENDPOINT_TOL] + [T]
+    dz = [z for z in _sign_change_zeros(lambda x: state(x)[1], xs, vals[1])
           if X_TOL < z < T - X_TOL]
 
-    for z in uz:
-        if abs(norm.du(z)) < 1e-8:
-            raise DegenerateSolution(
-                f"u and u' both vanish near x={z}: numerical fault")
+    du = np.abs(state(np.array(uz))[1])
+    if np.any(du < 1e-8 * abs(vals[1, 0])):
+        raise DegenerateSolution(
+            f"u and u' both vanish near x={uz[int(du.argmin())]}: "
+            "numerical fault")
 
     m = len(uz) - 1
     if len(dz) != m:
@@ -142,7 +139,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
 
     merged = sorted(uz + dz)  # the alternating sequence, as checked above
     spac = tuple(float(b - a_) for a_, b in zip(merged[:-1], merged[1:]))
-    return ZeroStructure(tuple(uz), tuple(dz), m, spac, bc, r, ash)
+    return ZeroStructure(tuple(uz), tuple(dz), m, spac, bc, r)
 
 
 def _check_structure(z: ZeroStructure, bound: float, parity: int,
@@ -177,9 +174,9 @@ def subinterval_inequality(a: cf.PeriodicCoefficient, z: ZeroStructure,
 
     On each [x_i, x_{i+1}] of the merged alternating sequence,
     int (a - lam) >= sqrt(lam) cot(sqrt(lam) (x_{i+1} - x_i)); the margins
-    and the chained total are returned.  ``a`` must be the shifted
-    coefficient stored in the structure (or any coefficient the structure
-    describes).
+    and the chained total are returned.  ``a`` is the coefficient the
+    structure was extracted from: the zeros are relative to z.shift, so
+    each integral runs over [x_i + z.shift, x_{i+1} + z.shift].
     """
     if side == "periodic":
         lam = cn.lambda_const(n, T)
@@ -197,7 +194,7 @@ def subinterval_inequality(a: cf.PeriodicCoefficient, z: ZeroStructure,
         if not 0 < arg < math.pi:
             raise DomainError("spacing outside the cot bound's domain")
         cot_term = r * math.cos(arg) / math.sin(arg)
-        dist = cf.l1_distance(a, lam, (lo, hi))
+        dist = cf.l1_distance(a, lam, (lo + z.shift, hi + z.shift))
         margins.append({"interval": (lo, hi), "l1_distance": dist,
                         "cot_bound": cot_term, "margin": dist - cot_term})
         cot_sum += cot_term

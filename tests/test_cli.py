@@ -71,6 +71,23 @@ def test_eigs_malformed_input(tmp_path, capsys):
         assert cli.main(argv) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+    # expressions too deep to walk, a NaN piece bound, a document that is
+    # not an object: each one error line, no traceback
+    docs = [{"period": T, "pieces": [{"from": 0.0, "to": T, "expr": text}]}
+            for text in ("(" * 400 + "x" + ")" * 400, "-" * 3000 + "1",
+                         "+".join(["1"] * 5000))]
+    docs.append({"period": T, "pieces": [
+        {"from": 0.0, "to": float("nan"), "expr": "1"},
+        {"from": 1.0, "to": T, "expr": "1"}]})
+    for doc in docs:
+        p.write_text(json.dumps(doc))
+        assert cli.main(["eigs", str(p)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    p.write_text("[1, 2]")
+    assert cli.main(["--period-override", "3", "eigs", str(p)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_eigs_missing_file(capsys):

@@ -74,24 +74,6 @@ def test_nonfinite_detection():
         a.eval(0.0)
 
 
-def test_shift_matches_pointwise():
-    a = cf.from_expression("sin(x) + 0.5*cos(2*x)", T)
-    for r in (0.3, 2.0, 5.9, -1.2):
-        b = a.shift(r)
-        xs = np.linspace(0.0, T, 101)
-        va = np.array([a.eval(r + x) for x in xs])
-        vb = np.array([b.eval(x) for x in xs])
-        np.testing.assert_allclose(vb, va, atol=1e-9)
-
-
-def test_shift_step_function():
-    a = three_step([1.0, 2.0, 3.0])
-    b = a.shift(3.0)
-    for x in np.linspace(0.01, T - 0.01, 200):
-        if min(abs((3.0 + x) % T - c) for c in (0.0, 2.0, 4.0)) > 1e-6:
-            assert b.eval(float(x)) == pytest.approx(a.eval(3.0 + float(x)))
-
-
 def test_json_roundtrip():
     a = cf.PeriodicCoefficient(
         T,
@@ -212,13 +194,3 @@ def test_quadrature_at_jumps_and_across_the_wrap():
 def test_constant_integral_property(c, width):
     a = cf.constant(c, T)
     assert cf.integral(a, (0.0, width)) == pytest.approx(c * width, abs=1e-9)
-
-
-@given(st.lists(st.floats(min_value=-2, max_value=2), min_size=3, max_size=3),
-       st.floats(min_value=0, max_value=T))
-@settings(max_examples=30, deadline=None)
-def test_shift_preserves_integral(vals, r):
-    a = three_step(vals)
-    b = a.shift(r)
-    assert cf.integral(b, (0.0, T)) == pytest.approx(
-        cf.integral(a, (0.0, T)), abs=1e-8)

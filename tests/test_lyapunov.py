@@ -62,6 +62,14 @@ def test_zone_kp_gap_midpoints():
         assert cert.holds
         assert cert.n_or_p == p_expected
         assert all("margin" in d for d in cert.diagnostics)
+    # a = ((p+1) pi/T)^2 makes 0 an eigenvalue: k is at its bracket top,
+    # where a = k attains the bound; only p* is evaluated
+    for cval, p_star in ((1.0, 1), (2.25, 2), (1e10, 199_999)):
+        cert = ly.certify_zone_kp(cf.constant(cval, T))
+        assert not cert.holds
+        assert cert.n_or_p is None
+        assert [d["p"] for d in cert.diagnostics] == [p_star]
+        assert cert.diagnostics[0]["k"] == cval
 
 
 def test_zone_kp_below_first_bracket():

@@ -5,6 +5,8 @@ import pytest
 
 from hillstab import coeff as cf
 from hillstab import constants as cn
+from hillstab import expr as ex
+from hillstab import floquet as fq
 from hillstab import witness as wt
 from hillstab import zeros as zr
 from hillstab.errors import DomainError, NotAnEigenvalue
@@ -61,6 +63,26 @@ def test_witness_structure():
     np.testing.assert_allclose(z.spacings, T / 8, atol=1e-2)
 
 
+def test_extract_integrates_each_piece_once(monkeypatch):
+    """The structure is read from the eigenfunction's own pass: one
+    integration per non-constant piece and none on a shifted copy."""
+    a = wt.make_a_eps(1, T, 1e-3)
+    solve_ivp = fq.solve_ivp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(fq, "solve_ivp", counted)
+    z = zr.extract_zero_structure(a, "periodic")
+    monkeypatch.undo()
+    smooth = [(s, e) for s, e, p in a.pieces if ex.constant_value(p) is None]
+    assert 0 < len(smooth) < len(a.pieces)
+    assert calls == smooth
+    assert z.m == 4
+
+
 def test_antiperiodic_structure():
     z = zr.extract_zero_structure(cf.constant(2.25, T), "antiperiodic")
     assert z.m == 3
@@ -88,8 +110,9 @@ def test_zero_stability_under_refinement():
 
 def test_subinterval_inequality_constant():
     n = 1
-    z = zr.extract_zero_structure(cf.constant(9.0, T), "periodic")
-    out = zr.subinterval_inequality(z.shifted_coefficient, z, n, T, "periodic")
+    a = cf.constant(9.0, T)
+    z = zr.extract_zero_structure(a, "periodic")
+    out = zr.subinterval_inequality(a, z, n, T, "periodic")
     assert out["chain_ok"]
     for d in out["per_interval"]:
         assert d["margin"] >= -1e-7
@@ -102,12 +125,24 @@ def test_subinterval_inequality_witness_tight():
     n, T_ = 1, T
     a = wt.make_a_eps(n, T_, 1e-3)
     z = zr.extract_zero_structure(a, "periodic")
-    out = zr.subinterval_inequality(z.shifted_coefficient, z, n, T_,
-                                    "periodic")
+    out = zr.subinterval_inequality(a, z, n, T_, "periodic")
     margins = [d["margin"] for d in out["per_interval"]]
     assert all(m >= -1e-7 for m in margins)
     # tight family: margins collapse toward 0 with eps
     assert min(margins) < 0.05
+
+
+def test_subinterval_inequality_integrates_from_the_shift():
+    # antiresonant two-step potential: the solution on [r, r + T] is
+    # symmetric about its one critical point, and so is a there, so the two
+    # subintervals carry the same L1 distance; read from 0 they do not
+    alpha = math.pi / 4
+    a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0]).a
+    z = zr.extract_zero_structure(a, "antiperiodic")
+    assert z.m == 1 and 0.5 < z.shift < a.period - 0.5
+    out = zr.subinterval_inequality(a, z, 1, a.period, "antiperiodic")
+    left, right = (d["l1_distance"] for d in out["per_interval"])
+    assert left == pytest.approx(right, abs=1e-8)
 
 
 def test_equal_spacing_bound_matches_beta1():
