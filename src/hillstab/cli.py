@@ -26,6 +26,7 @@ from . import coeff as cf
 from . import floquet as fq
 from . import lyapunov as ly
 from . import nonlinear as nl
+from . import settings
 from . import witness as wt
 from . import zeros as zr
 from .errors import (HillstabError, IntegrationFailure, NoConvergence,
@@ -43,14 +44,7 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("func",) and v is not None},
         "tool_version": __version__,
-        "tolerances": {"quad": cf.QUAD_TOL, "root": fq.TOL_ROOT,
-                       "boundary": fq.TOL_BOUNDARY, "ode": fq.ODE_TOL,
-                       "residual": nl.RESIDUAL_TOL,
-                       "cluster": nl.CLUSTER_TOL,
-                       "sandwich_grid": nl.GRID,
-                       "quad_budget": cf.QUAD_BUDGET,
-                       "dominance_samples": cf.DOMINANCE_SAMPLES,
-                       "x0_grid": ly.X0_GRID},
+        "tolerances": dataclasses.asdict(settings.current()),
     }
 
 
@@ -361,13 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    saved = cf.QUAD_TOL, fq.TOL_ROOT
-    if args.tol_quad is not None:
-        cf.QUAD_TOL = args.tol_quad
-    if args.tol_root is not None:
-        fq.TOL_ROOT = args.tol_root
     try:
-        return args.func(args)
+        with settings.use(quad=args.tol_quad, root=args.tol_root):
+            return args.func(args)
     except (ParseError, json.JSONDecodeError, UnicodeDecodeError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -378,9 +368,6 @@ def main(argv=None) -> int:
     except HillstabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        # the overrides hold for this call only
-        cf.QUAD_TOL, fq.TOL_ROOT = saved
 
 
 if __name__ == "__main__":

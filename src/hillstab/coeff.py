@@ -23,15 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import NonFiniteValue, ParseError, QuadratureFailure
-
-#: absolute tolerance for quadrature
-QUAD_TOL = 1e-10
-#: evaluation budget for one quadrature call
-QUAD_BUDGET = 1_000_000
-#: offset past a removable point at which its right-hand limit is taken
-REMOVABLE_EPS = 1e-9
-#: uniform samples per period used for a.e. dominance checks
-DOMINANCE_SAMPLES = 1 << 14
+from .settings import current
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class PeriodicCoefficient:
         hit = np.zeros(y.shape, dtype=bool)
         for p in self._reduce(self.removable_points):
             near = ~hit & (np.abs(y - p) <= 1e-12)
-            y[near] = p + REMOVABLE_EPS
+            y[near] = p + current().removable_eps
             hit |= near
         starts = self.breakpoints()[:-1]
         # points before the first start (a tolerated gap) go to the last piece
@@ -215,13 +207,15 @@ def sample(a: PeriodicCoefficient, interval: tuple[float, float],
     return (xs + shift[:, None]).ravel(), a(xs.ravel())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
     """Adaptive Simpson over all cells [lo_i, hi_i] at once, breadth first.
 
     Each level halves every open interval with one call of f on all the new
     nodes and halves tol.  An interval is accepted from depth 3 on when the
     two halves differ from the whole by at most 15 tol, with the Richardson
-    term added; one still open past depth 60 fails.
+    term added; one still open past depth 60 fails, and a Simpson estimate
+    or total that is not finite raises NonFiniteValue.
     """
     # the right end is taken one ulp inside, so that it is in the cell's piece
     f_lo, f_mid, f_hi = np.split(
@@ -231,7 +225,7 @@ def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
     total = 0.0
     for depth in itertools.count():
         used += 2 * len(lo)
-        if used > QUAD_BUDGET:
+        if used > current().quad_budget:
             raise QuadratureFailure("quadrature evaluation budget exhausted")
         m = (lo + hi) / 2
         f_lm, f_rm = np.split(f(np.concatenate([(lo + m) / 2, (m + hi) / 2])), 2)
@@ -240,6 +234,8 @@ def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
         diff = left + right - whole
         done = (depth > 2) & (np.abs(diff) <= 15 * tol)
         total += float(np.sum((left + right + diff / 15)[done]))
+        if not (np.isfinite(left + right).all() and math.isfinite(total)):
+            raise NonFiniteValue("integral is not finite")
         if done.all():
             return total
         if depth > 60:
@@ -261,7 +257,7 @@ def _integrate(a: PeriodicCoefficient, f, s: float, e: float) -> float:
         return 0.0
     # f is T-periodic: integrate it over the cells' places in [0, T]
     lo, hi, _ = _integration_cells(a, s, e)
-    return _adaptive_simpson(f, lo, hi, QUAD_TOL / len(lo))
+    return _adaptive_simpson(f, lo, hi, current().quad / len(lo))
 
 
 def l1_distance(a: PeriodicCoefficient, c: float,
@@ -292,15 +288,16 @@ def linf_norm(a: PeriodicCoefficient, interval: tuple[float, float],
 def dominates(a: PeriodicCoefficient, c: float) -> DominanceReport:
     """Check c <= a almost everywhere, with strictness on positive measure.
 
-    One array evaluation at 2^14 uniform points per period plus the piece
-    endpoints offset by +-1e-9; "positive measure" means at least one
-    uniform sample is strictly above c.
+    One array evaluation at `dominance_samples` uniform points per period
+    plus the piece endpoints offset by +-1e-9; "positive measure" means at
+    least one uniform sample is strictly above c.
     """
-    xs = np.linspace(0.0, a.period, DOMINANCE_SAMPLES, endpoint=False)
+    n = current().dominance_samples
+    xs = np.linspace(0.0, a.period, n, endpoint=False)
     extra = (a.breakpoints()[:, None] + [-1e-9, 1e-9]).ravel()
     gaps = a(np.concatenate([xs, extra])) - c
     min_gap = float(np.min(gaps))
     holds_ae = bool(min_gap >= -1e-12)
-    strict_fraction = float(np.mean(gaps[:DOMINANCE_SAMPLES] > 1e-12))
-    strict = bool(holds_ae and strict_fraction >= 1.0 / DOMINANCE_SAMPLES)
+    strict_fraction = float(np.mean(gaps[:n] > 1e-12))
+    strict = bool(holds_ae and strict_fraction >= 1.0 / n)
     return DominanceReport(holds_ae, strict, min_gap, strict_fraction)

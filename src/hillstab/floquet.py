@@ -25,13 +25,7 @@ from . import coeff as cf
 from . import expr as ex
 from .errors import (DegenerateSolution, IntegrationFailure, NotAnEigenvalue,
                      RootSearchFailure)
-
-#: tolerance on |Delta| - 2 below which mu counts as a band edge
-TOL_BOUNDARY = 1e-7
-#: bisection tolerance for eigenvalue refinement
-TOL_ROOT = 1e-10
-#: local ODE tolerance for non-constant pieces
-ODE_TOL = 1e-12
+from .settings import current
 
 
 class EigEntry(NamedTuple):
@@ -97,8 +91,9 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool):
                 q = mu + f(x)
                 return [y[1], -q * y[0], y[3], -q * y[2]]
 
+            tol = current().ode
             sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                            rtol=ODE_TOL, atol=ODE_TOL, dense_output=dense,
+                            rtol=tol, atol=tol, dense_output=dense,
                             max_step=max((e - s) / 16, 1e-12))
             if not sol.success:
                 raise IntegrationFailure(
@@ -197,7 +192,7 @@ def _polish_tangency(g, m: float, scale: float) -> float:
     lo, hi = m - 20 * h, m + 20 * h
     d_lo, d_hi = dg(lo), dg(hi)
     if d_lo > 0 > d_hi or d_lo < 0 < d_hi:
-        return brentq(dg, lo, hi, xtol=TOL_ROOT)
+        return brentq(dg, lo, hi, xtol=current().root)
     return m
 
 
@@ -233,7 +228,7 @@ class _Edges:
         """Take the next grid point, where Delta = d; True if an edge was found."""
         g_prev, g_next = self.gs[-1], self.sign * d - 2.0
         if (g_prev > 0 >= g_next) if self.inside else (g_prev <= 0 < g_next):
-            self.roots.append((brentq(self.g, mu, mu_next, xtol=TOL_ROOT), 1))
+            self.roots.append((brentq(self.g, mu, mu_next, xtol=current().root), 1))
             self.inside = not self.inside
         else:
             self.xs.append(mu_next)
@@ -250,15 +245,15 @@ class _Edges:
         if not (len(gs) >= 3 and gs[-2] > gs[-3] and gs[-2] >= gs[-1]
                 and gs[-2] > -1.0):
             return False
-        g, lo, hi = self.g, self.xs[-3], self.xs[-1]
+        g, lo, hi, cfg = self.g, self.xs[-3], self.xs[-1], current()
         res = minimize_scalar(lambda m: -g(m), bounds=(lo, hi),
-                              method="bounded", options={"xatol": TOL_ROOT / 10})
+                              method="bounded", options={"xatol": cfg.root / 10})
         gmax, mmax = -res.fun, res.x
         if gmax > 1e-12:
-            self.roots.append((brentq(g, lo, mmax, xtol=TOL_ROOT), 1))
-            self.roots.append((brentq(g, mmax, hi, xtol=TOL_ROOT), 1))
+            self.roots.append((brentq(g, lo, mmax, xtol=cfg.root), 1))
+            self.roots.append((brentq(g, mmax, hi, xtol=cfg.root), 1))
             return True
-        if gmax > -TOL_BOUNDARY:
+        if gmax > -cfg.boundary:
             mmax = _polish_tangency(g, mmax, self.scale(mmax))
             self.roots += [(mmax, 2), (mmax, 2)]
             return True
@@ -346,10 +341,10 @@ def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
 
 
 def band(d: float) -> str:
-    """Stable, Unstable or Boundary: |Delta| = |d| against 2 -+ TOL_BOUNDARY."""
-    if abs(d) < 2.0 - TOL_BOUNDARY:
+    """Stable, Unstable or Boundary: |Delta| = |d| against 2 -+ `boundary`."""
+    if abs(d) < 2.0 - current().boundary:
         return "Stable"
-    if abs(d) > 2.0 + TOL_BOUNDARY:
+    if abs(d) > 2.0 + current().boundary:
         return "Unstable"
     return "Boundary"
 
@@ -363,12 +358,12 @@ def classify(a: cf.PeriodicCoefficient, mu: float,
     coincides.  The zone index is filled in when a spectrum is available.
     """
     d = discriminant(a, mu)
-    kind = band(d)
+    kind, tol = band(d), current().boundary
     if kind == "Stable":
         zone = None
         if spec is not None:
-            below = int(np.sum(spec.periodic_values() < mu - TOL_BOUNDARY)) + \
-                int(np.sum(spec.antiperiodic_values() < mu - TOL_BOUNDARY))
+            below = int(np.sum(spec.periodic_values() < mu - tol)) + \
+                int(np.sum(spec.antiperiodic_values() < mu - tol))
             zone = below // 2
         return StabilityVerdict("Stable", zone, None, d)
     if kind == "Unstable":
@@ -393,7 +388,7 @@ def classify(a: cf.PeriodicCoefficient, mu: float,
     partner = next((e for e in entries if e.index == partner_idx), None)
     if partner is None:
         return StabilityVerdict("BoundaryUnstable", None, (entries[k],), d)
-    if abs(partner.value - entries[k].value) <= TOL_BOUNDARY:
+    if abs(partner.value - entries[k].value) <= tol:
         return StabilityVerdict("BoundaryStable", None, (entries[k], partner), d)
     return StabilityVerdict("BoundaryUnstable", None, (entries[k], partner), d)
 

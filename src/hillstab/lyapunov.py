@@ -33,13 +33,7 @@ from .constants import (  # noqa: F401  (re-exported module API)
     zone_rhs,
 )
 from .errors import DomainError
-
-#: slack on non-strict L1 hypotheses (the sharp constants are not attained,
-#: so the bound itself is admissible)
-L1_SLACK = 1e-12
-
-#: x0 grid resolution for the Linf certificates
-X0_GRID = 1024
+from .settings import current
 
 THEOREM_IDS = (
     "L1_PERIODIC_N",
@@ -85,7 +79,7 @@ def _certify_l1(a: cf.PeriodicCoefficient, n: int, theorem_id: str,
     lam, g = lam_of(n, T), g_of(n, T)
     dom = cf.dominates(a, lam)
     norm = cf.l1_distance(a, 0.0, (0.0, T))
-    holds = dom.strict_on_positive_measure and norm <= g + L1_SLACK
+    holds = dom.strict_on_positive_measure and norm <= g + current().l1_slack
     return Certificate(
         theorem_id, n,
         {lam_key: lam, "l1_norm": norm, g_key: g,
@@ -136,7 +130,7 @@ def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
         top = ((p + 1) * math.pi / T) ** 2
         k = min(ess, top)
         rhs = zone_rhs(k, p, T)
-        holds, margin = k < top and norm <= rhs + L1_SLACK, rhs - norm
+        holds, margin = k < top and norm <= rhs + current().l1_slack, rhs - norm
         diags = ({"p": p, "k": k, "rhs": rhs, "margin": margin, "ok": holds},)
     return Certificate(
         "L1_ZONE_KP", p if holds else None,
@@ -154,14 +148,14 @@ def _require_period_pi(a: cf.PeriodicCoefficient):
 
 
 def _x0_scan(a: cf.PeriodicCoefficient) -> tuple[np.ndarray, np.ndarray]:
-    """The X0_GRID interior split points x0 of (0, pi) and m(x0) = max(x0^2
+    """The `x0_grid` interior split points x0 of (0, pi) and m(x0) = max(x0^2
     sup_(0,x0)|a|, (pi - x0)^2 sup_(x0,pi)|a|), the sups read from running
     maxima of one sampling of |a| (0 on an empty side)."""
     xs, vals = cf.sample(a, (0.0, a.period))
     vals = np.abs(vals)
     prefix = np.concatenate(([0.0], np.maximum.accumulate(vals)))
     suffix = np.concatenate((np.maximum.accumulate(vals[::-1])[::-1], [0.0]))
-    x0 = np.linspace(0.0, math.pi, X0_GRID + 2)[1:-1]
+    x0 = np.linspace(0.0, math.pi, current().x0_grid + 2)[1:-1]
     i = np.searchsorted(xs, x0)
     return x0, np.maximum(x0 ** 2 * prefix[i], (math.pi - x0) ** 2 * suffix[i])
 
@@ -235,8 +229,8 @@ def classical_16T(a: cf.PeriodicCoefficient) -> Certificate:
     nonzero = cf.linf_norm(a, (0.0, T)) > 1e-14
     mean_int = cf.integral(a, (0.0, T))
     pos_int = cf.integral(a.positive_part(), (0.0, T))
-    bound = 16.0 / T
-    holds = nonzero and mean_int >= -L1_SLACK and pos_int <= bound + L1_SLACK
+    bound, slack = 16.0 / T, current().l1_slack
+    holds = nonzero and mean_int >= -slack and pos_int <= bound + slack
     return Certificate(
         "CLASSICAL_16T", None,
         {"integral": mean_int, "positive_part_integral": pos_int,

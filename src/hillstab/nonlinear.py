@@ -19,19 +19,10 @@ from scipy.integrate import solve_ivp
 
 from . import coeff as cf
 from . import expr as ex
-from . import floquet as fq
 from . import lyapunov as ly
 from .errors import (DomainError, IntegrationFailure, MissingEnvelopes,
-                     NoConvergence, ParseError)
-
-#: envelope sandwich slack on the verification grid
-SANDWICH_SLACK = 1e-10
-#: grid for envelope verification: 256 x values by 256 u values
-GRID = 256
-#: periodicity residual accepted for a shooting solution
-RESIDUAL_TOL = 1e-8
-#: initial-data distance merging two converged solutions
-CLUSTER_TOL = 1e-6
+                     NoConvergence, NonFiniteValue, ParseError)
+from .settings import current
 
 
 def _step(u):
@@ -56,8 +47,11 @@ class NonlinearProblem:
     u_box: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise DomainError("period must be positive")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ParseError("period must be a positive finite real")
+        box = self.u_box
+        if box is not None and not (len(box) == 2 and np.all(np.isfinite(box))):
+            raise ParseError("u_box must be two finite reals")
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
         f0 = self.f_eval(xs, us)
@@ -124,20 +118,20 @@ class ShootingResult:
 
 
 def _fu_grid(p: NonlinearProblem, u_box) -> tuple[np.ndarray, np.ndarray]:
-    """GRID points x of [0, T) and f_u at them by GRID u values of u_box, or
-    of the problem's box without one; u along the first axis."""
+    """`sandwich_grid` points x of [0, T) and f_u at them by as many u values
+    of u_box, or of the problem's box without one; u along the first axis."""
     box = u_box if u_box is not None else p.u_box
     if box is None:
         raise DomainError("no u_box supplied")
-    xs = np.linspace(0.0, p.period, GRID, endpoint=False)
-    us = np.linspace(float(box[0]), float(box[1]), GRID)
+    xs = np.linspace(0.0, p.period, current().sandwich_grid, endpoint=False)
+    us = np.linspace(float(box[0]), float(box[1]), current().sandwich_grid)
     return xs, p.fu_eval(xs, us[:, None])
 
 
 def _envelope_hypotheses(p: NonlinearProblem, lam: float,
                          u_box) -> tuple[bool, dict]:
     """lam strictly below alpha, and alpha(x) <= f_u(x,u) <= beta(x) on the
-    grid up to SANDWICH_SLACK: the hypotheses both envelope certificates
+    grid up to `sandwich_slack`: the hypotheses both envelope certificates
     share, as (whether they hold, their values)."""
     if p.alpha_env is None or p.beta_env is None:
         raise MissingEnvelopes("alpha_env and beta_env are required")
@@ -145,7 +139,7 @@ def _envelope_hypotheses(p: NonlinearProblem, lam: float,
     xs, fu = _fu_grid(p, u_box)
     worst = min(float(np.min(fu - p.alpha_env(xs))),
                 float(np.min(p.beta_env(xs) - fu)))
-    return dom.strict_on_positive_measure and worst >= -SANDWICH_SLACK, {
+    return dom.strict_on_positive_measure and worst >= -current().sandwich_slack, {
         "dominance_min_gap": dom.min_gap,
         "dominance_strict_fraction": dom.strict_fraction,
         "sandwich_worst_margin": worst}
@@ -159,7 +153,7 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int, u_box=None) -> ly.Certifica
     env_ok, env = _envelope_hypotheses(p, lam, u_box)
     bnorm = cf.l1_distance(p.beta_env, 0.0, (0.0, T))
     g = ly.gamma1(n, T)
-    holds = env_ok and bnorm <= g + ly.L1_SLACK
+    holds = env_ok and bnorm <= g + current().l1_slack
     return ly.Certificate(
         "NL_L1_PERIODIC_N", n,
         {"lambda_2n_minus_1": lam, **env, "beta_l1_norm": bnorm,
@@ -218,7 +212,7 @@ def _integrate(p: NonlinearProblem, y0):
         return [y[1], -f(x, y[0])]
 
     sol = solve_ivp(rhs, (0.0, p.period), y0, method="DOP853",
-                    rtol=fq.ODE_TOL, atol=fq.ODE_TOL, dense_output=True)
+                    rtol=current().ode, atol=current().ode, dense_output=True)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol
@@ -240,7 +234,7 @@ def _shoot(p: NonlinearProblem, c: np.ndarray):
         return [y[1], -f(x, y[0]), y[3], -q * y[2], y[5], -q * y[4]]
 
     sol = solve_ivp(rhs, (0.0, p.period), [c[0], c[1], 1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=fq.ODE_TOL, atol=fq.ODE_TOL)
+                    method="DOP853", rtol=current().ode, atol=current().ode)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     y = sol.y[:, -1]
@@ -254,21 +248,24 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     Starts are drawn uniformly from the box |u(0)|, |u'(0)| <=
     10 (1 + max_x |f(x, 0)|); each Newton step takes F and its exact
     Jacobian from one integration.  A start converges when |F| <
-    RESIDUAL_TOL / 100; converged roots are deduplicated at CLUSTER_TOL in
-    initial data.  Raises NoConvergence when no start converges.
+    `residual` / 100; converged roots are deduplicated at `cluster` in
+    initial data.  Raises NonFiniteValue when f(x, 0) is not finite, and
+    NoConvergence when no start converges.
     """
-    rng = np.random.default_rng(seed)
+    rng, cfg = np.random.default_rng(seed), current()
     xs = np.linspace(0.0, p.period, 256, endpoint=False)
     scale = 10.0 * (1.0 + float(np.max(np.abs(p.f_eval(xs, 0.0)))))
+    if not math.isfinite(scale):
+        raise NonFiniteValue("f(x, 0) is not finite: the starts have no scale")
     roots = []
     n_conv = 0
     for _ in range(starts):
         c = rng.uniform(-scale, scale, size=2)
         for _ in range(max_steps):
             F, J = _shoot(p, c)
-            if np.linalg.norm(F) < RESIDUAL_TOL * 1e-2:
+            if np.linalg.norm(F) < cfg.residual * 1e-2:
                 n_conv += 1
-                if not any(np.linalg.norm(c - r) < CLUSTER_TOL for r in roots):
+                if not any(np.linalg.norm(c - r) < cfg.cluster for r in roots):
                     roots.append(c.copy())
                 break
             try:

@@ -21,11 +21,7 @@ from . import coeff as cf
 from . import constants as cn
 from . import floquet as fq
 from .errors import DegenerateSolution, DomainError, RootSearchFailure
-
-#: x-resolution of zero locations
-X_TOL = 1e-10
-#: endpoint zeros are asserted, not searched
-ENDPOINT_TOL = 1e-8
+from .settings import current
 
 
 @dataclass(frozen=True)
@@ -69,20 +65,20 @@ class StructureReport:
 def _sign_change_zeros(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     """Zeros of the scalar function f on [xs[0], xs[-1]]: sign changes of
     its values vals on the grid xs, each refined by brentq."""
-    zeros = []
+    zeros, x_tol = [], current().x_tol
     for i in range(len(xs) - 1):
         lo, hi = float(xs[i]), float(xs[i + 1])
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             zeros.append(lo)
         elif a * b < 0:
-            zeros.append(float(brentq(f, lo, hi, xtol=X_TOL)))
+            zeros.append(float(brentq(f, lo, hi, xtol=x_tol)))
     if vals[-1] == 0.0:
         zeros.append(float(xs[-1]))
     # merge duplicates from grid points landing on a zero
     out = []
     for z in zeros:
-        if not out or z - out[-1] > 10 * X_TOL:
+        if not out or z - out[-1] > 10 * x_tol:
             out.append(z)
     return out
 
@@ -97,12 +93,12 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     and u' are taken on a grid of [r, r + T] and listed relative to r.
     """
     traj = fq.eigenfunction(a, 0.0, bc)
-    T = a.period
+    T, cfg = a.period, current()
     sign = 1.0 if bc == "periodic" else -1.0
     xs = np.linspace(0.0, T, samples)
     vals = traj.state(xs)
     y0, yT = vals[:, 0], vals[:, -1]
-    if np.max(np.abs(yT - sign * y0)) > ENDPOINT_TOL * np.max(np.abs(y0)):
+    if np.max(np.abs(yT - sign * y0)) > cfg.endpoint_tol * np.max(np.abs(y0)):
         raise DegenerateSolution(f"eigenfunction is not {bc}")
     u0_zeros = _sign_change_zeros(traj.u, xs, vals[0])
     if not u0_zeros:
@@ -119,9 +115,9 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     vals = state(xs)
     uz = [0.0] + [z for z in _sign_change_zeros(lambda x: state(x)[0], xs,
                                                 vals[0])
-                  if ENDPOINT_TOL < z < T - ENDPOINT_TOL] + [T]
+                  if cfg.endpoint_tol < z < T - cfg.endpoint_tol] + [T]
     dz = [z for z in _sign_change_zeros(lambda x: state(x)[1], xs, vals[1])
-          if X_TOL < z < T - X_TOL]
+          if cfg.x_tol < z < T - cfg.x_tol]
 
     du = np.abs(state(np.array(uz))[1])
     if np.any(du < 1e-8 * abs(vals[1, 0])):

@@ -48,7 +48,15 @@ def test_tolerance_overrides_last_one_call(tmp_path, capsys):
     assert json.loads(out)["manifest"]["tolerances"] == {
         "quad": 1e-10, "root": 1e-10, "boundary": 1e-7, "ode": 1e-12,
         "residual": 1e-8, "cluster": 1e-6, "sandwich_grid": 256,
-        "quad_budget": 1_000_000, "dominance_samples": 16384, "x0_grid": 1024}
+        "quad_budget": 1_000_000, "dominance_samples": 16384, "x0_grid": 1024,
+        "removable_eps": 1e-9, "l1_slack": 1e-12, "sandwich_slack": 1e-10,
+        "x_tol": 1e-10, "endpoint_tol": 1e-8}
+    # nor when the command fails
+    code, _ = run(capsys, "--tol-root", "1e-4", "eigs", "/nonexistent/x.json")
+    assert code == cli.EXIT_PARSE
+    code, out = run(capsys, "eigs", f, "--count", "2")
+    assert code == 0
+    assert json.loads(out)["manifest"]["tolerances"]["root"] == 1e-10
 
 
 def test_eigs_antiperiodic(tmp_path, capsys):
@@ -88,6 +96,20 @@ def test_eigs_malformed_input(tmp_path, capsys):
     assert cli.main(["--period-override", "3", "eigs", str(p)]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # a problem box that is not two finite reals
+    p.write_text(json.dumps({"f": "-u", "period": T, "u_box": [math.nan, 1]}))
+    assert cli.main(["nonlinear", "check", str(p)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_nonlinear_solve_infinite_start_scale(tmp_path, capsys):
+    # f(x, 0) = 1/0: the box the starts are drawn from has no finite size
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"f": "1/u", "period": T}))
+    assert cli.main(["nonlinear", "solve", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_eigs_missing_file(capsys):
@@ -113,15 +135,24 @@ def test_period_override_applied(tmp_path, capsys):
     assert vals == pytest.approx([0, 1, 1], abs=1e-8)
 
 
-def test_certify_with_verify(tmp_path, capsys):
-    f = coeff_file(tmp_path, cf.constant(1.1, T))
+@pytest.mark.parametrize("a, held", [
+    (cf.constant(1.1, T), {("L1_PERIODIC_N", 1), ("L1_ZONE_KP", 2)}),
+    # period pi: the L-infinity certificates and the classical 16/T one
+    (cf.step_function(math.pi, [(0.0, 1.0, 0.3), (1.0, math.pi, 0.9)]),
+     {("LINF_FIRST_ZONE", None), ("LINF_PERIODIC", None),
+      ("CLASSICAL_16T", None)}),
+    (cf.constant(0.6, T), {("L1_ANTIPERIODIC_N", 1), ("L1_ZONE_KP", 1)}),
+], ids=["constant-1.1", "step-period-pi", "constant-0.6"])
+def test_certify_with_verify(tmp_path, capsys, a, held):
+    f = coeff_file(tmp_path, a)
     code, out = run(capsys, "certify", f, "--n", "1", "--verify")
     assert code == 0
     doc = json.loads(out)
-    by_id = {c["theorem_id"]: c for c in doc["certificates"]}
-    assert by_id["L1_PERIODIC_N"]["holds"] is True
+    assert {(c["theorem_id"], c["n_or_p"]) for c in doc["certificates"]
+            if c["holds"]} == held
     confirmed = [v for v in doc["verification"] if "confirmed" in v]
-    assert confirmed and all(v["confirmed"] for v in confirmed)
+    assert {(v["theorem_id"], v["n_or_p"]) for v in confirmed} == held
+    assert all(v["confirmed"] for v in confirmed)
 
 
 def test_certify_verify_beyond_n3(tmp_path, capsys):

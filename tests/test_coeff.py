@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hillstab import coeff as cf
 from hillstab import expr as ex
+from hillstab import settings as config
 from hillstab import witness as wt
 from hillstab.errors import NonFiniteValue, ParseError
 
@@ -53,7 +55,7 @@ def _scan_eval(a, x):
     y = 0.0 if y >= a.period else y
     for p in a.removable_points:
         if abs(y - p % a.period) <= 1e-12:
-            y = p % a.period + cf.REMOVABLE_EPS
+            y = p % a.period + config.current().removable_eps
             break
     piece = next((f for s, e, f in a.pieces if s <= y < e), a.pieces[-1][2])
     return float(piece.eval(x=y))
@@ -118,6 +120,12 @@ def test_l1_distance():
     assert cf.l1_distance(a, 0.0, (0.0, T)) == pytest.approx(4.0, abs=1e-9)
     assert cf.l1_distance(a, 1.0, (0.0, math.pi / 2)) == pytest.approx(
         math.pi / 2 - 1.0, abs=1e-9)
+    # an integral past the largest float is not finite, not a budget
+    # failure, and its overflow warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="integral is not finite"):
+            cf.l1_distance(cf.constant(1e308, T), 0.0, (0.0, T))
 
 
 def test_linf_norm():

@@ -5,6 +5,7 @@ import pytest
 from hillstab import coeff as cf
 from hillstab import floquet as fq
 from hillstab import lyapunov as ly
+from hillstab import settings as config
 from hillstab import witness as wt
 from hillstab.errors import DomainError
 
@@ -97,8 +98,14 @@ def test_linf_first_zone():
 
 def test_linf_first_zone_diagnostics_cover_grid():
     c = ly.certify_linf_first_zone(cf.constant(1.1, PI))
-    assert len(c.diagnostics) == ly.X0_GRID
+    assert len(c.diagnostics) == config.current().x0_grid
     assert all(not d["ok"] for d in c.diagnostics)
+    # a changed grid holds inside its block only
+    with config.use(x0_grid=64):
+        c = ly.certify_linf_first_zone(cf.constant(1.1, PI))
+    assert len(c.diagnostics) == 64
+    c = ly.certify_linf_first_zone(cf.constant(1.1, PI))
+    assert len(c.diagnostics) == 1024
 
 
 def test_linf_first_zone_tall_short_interval_fixture():

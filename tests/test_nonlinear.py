@@ -53,6 +53,14 @@ def test_from_json_roundtrip():
         nl.NonlinearProblem.from_json("nope")
     with pytest.raises(ParseError):
         nl.NonlinearProblem.from_json('{"f": "u"}')  # no period
+    # periods that are not positive finite reals, boxes that are not two
+    # finite reals
+    for bad in ({"period": float("nan")}, {"period": float("inf")},
+                {"period": -1.0}, {"period": 0.0},
+                {"u_box": [float("nan"), 1]}, {"u_box": [-1, float("inf")]},
+                {"u_box": [-1, 1, 5]}, {"u_box": [1]}):
+        with pytest.raises(ParseError):
+            nl.NonlinearProblem.from_json(json.dumps({**doc, **bad}))
 
 
 def test_fu_finite_difference_fallback():
