@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._scipy import simpson
 from .errors import DegenerateDenominator, DomainError
 
 

@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from . import coeff as cf
 from . import expr as ex
-from .errors import (DegenerateSolution, IntegrationFailure, NotAnEigenvalue,
-                     RootSearchFailure)
+from ._scipy import brentq, minimize_scalar, solve_ivp
+from .errors import IntegrationFailure, NotAnEigenvalue, RootSearchFailure
 from .settings import current
 
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import coeff as cf
 from . import expr as ex
 from . import lyapunov as ly
+from ._scipy import solve_ivp
 from .errors import (DomainError, IntegrationFailure, MissingEnvelopes,
                      NoConvergence, NonFiniteValue, ParseError)
 from .settings import current
@@ -52,6 +52,12 @@ class NonlinearProblem:
         box = self.u_box
         if box is not None and not (len(box) == 2 and np.all(np.isfinite(box))):
             raise ParseError("u_box must be two finite reals")
+        for name in ("alpha_env", "beta_env"):
+            env = getattr(self, name)
+            if env is not None and \
+                    abs(env.period - self.period) > 1e-12 * self.period:
+                raise ParseError(f"{name} has period {env.period}, not the "
+                                 f"problem's period {self.period}")
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
         f0 = self.f_eval(xs, us)

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import coeff as cf
 from . import constants as cn
 from . import floquet as fq
+from ._scipy import brentq
 from .errors import DegenerateSolution, DomainError, RootSearchFailure
 from .settings import current
 

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +373,41 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(out_file.read_text())
     assert len(doc["periodic"]) == 3
+
+
+def test_scipy_imported_only_on_first_use(tmp_path):
+    """Commands that neither find roots nor integrate an ODE run without
+    importing scipy; the first one that does imports it then."""
+    step = coeff_file(tmp_path, cf.step_function(
+        T, [(0.0, 1.0, 0.3), (1.0, T, 0.9)]), "step.json")
+    smooth = coeff_file(tmp_path, cf.from_expression("0.5+0.3*cos(x)", T),
+                        "smooth.json")
+    problem = problem_file(tmp_path, {
+        "f": "1.5*u + 0.1*sin(u) + cos(2*x)", "fu": "1.5 + 0.1*cos(u)",
+        "period": T, "alpha_env": cf.constant(1.4, T).to_dict(),
+        "beta_env": cf.constant(1.6, T).to_dict(), "u_box": [-20, 20]})
+    witness = str(tmp_path / "aeps.json")
+    script = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from hillstab import cli
+step, smooth, problem, witness = sys.argv[2:]
+
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+main("witness", "a-eps", "--n", "1", "--eps", "0.05", "--output", witness)
+main("constants")
+main("certify", witness, "--n", "1")
+main("chart", step, "--mu-from", "-1", "--mu-to", "5", "--points", "101")
+main("nonlinear", "check", problem, "--n", "1")
+assert "scipy" not in sys.modules, "scipy imported before first use"
+main("eigs", smooth, "--count", "2")
+assert "scipy" in sys.modules
+"""
+    src = str(Path(hillstab.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, src, step, smooth,
+                           problem, witness],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

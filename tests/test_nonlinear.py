@@ -61,6 +61,17 @@ def test_from_json_roundtrip():
                 {"u_box": [-1, 1, 5]}, {"u_box": [1]}):
         with pytest.raises(ParseError):
             nl.NonlinearProblem.from_json(json.dumps({**doc, **bad}))
+    # envelopes whose period is not the problem's
+    env = {"f": "1.5*u", "fu": "1.5", "period": T, "u_box": [-1, 1]}
+    assert nl.NonlinearProblem.from_json(json.dumps({
+        **env, "alpha_env": cf.constant(1.4, T).to_dict(),
+        "beta_env": cf.constant(1.6, T).to_dict()})).beta_env.period == T
+    for bad in ({"alpha_env": cf.constant(1.4, 3.0).to_dict(),
+                 "beta_env": cf.constant(1.6, 3.0).to_dict()},
+                {"alpha_env": cf.constant(1.4, T).to_dict(),
+                 "beta_env": cf.constant(1.6, 3.0).to_dict()}):
+        with pytest.raises(ParseError):
+            nl.NonlinearProblem.from_json(json.dumps({**env, **bad}))
 
 
 def test_fu_finite_difference_fallback():
