@@ -3,11 +3,12 @@ coefficients as JSON.
 
 Every entry is (index, repr(value), multiplicity), from `spectrum`,
 `periodic_eigenvalues` and `antiperiodic_eigenvalues`, together with the
-number of discriminant evaluations each `spectrum` call made.  Three
-coefficients also get `certify_all(...).to_dict()`, every L-infinity
-diagnostic included.  Run it on two checkouts and diff the outputs to see
-whether a change moved any eigenvalue or certificate value by as little as
-one bit:
+number of monodromy passes (one `floquet._propagators` pass over the
+period, edge counts and discriminants alike) each `spectrum` call made.
+Three coefficients also get `certify_all(...).to_dict()`, every
+L-infinity diagnostic included.  Run it on two checkouts and diff the
+outputs to see whether a change moved any eigenvalue or certificate value
+by as little as one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
@@ -61,14 +62,14 @@ def entries(es):
 
 def main():
     calls = 0
-    discriminant = fq.discriminant
+    propagators = fq._propagators
 
-    def counted(a, mu):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return discriminant(a, mu)
+        return propagators(*args, **kwargs)
 
-    fq.discriminant = counted
+    fq._propagators = counted
     out = {}
     for name, a in {**STEPS, **SMOOTH, **WITNESS}.items():
         if name in WITNESS:
@@ -83,7 +84,7 @@ def main():
             out[f"{name}: spectrum({p}, {q})"] = {
                 "periodic": entries(s.periodic),
                 "antiperiodic": entries(s.antiperiodic),
-                "discriminant_calls": calls}
+                "monodromy_passes": calls}
             out[f"{name}: periodic({p})"] = entries(
                 fq.periodic_eigenvalues(a, p).periodic)
             out[f"{name}: antiperiodic({q})"] = entries(

@@ -40,6 +40,7 @@ from .floquet import (  # noqa: F401
     check_interlacing,
     classify,
     discriminant,
+    edge_count,
     eigenfunction,
     monodromy,
     periodic_eigenvalues,

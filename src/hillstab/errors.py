@@ -18,7 +18,7 @@ class QuadratureFailure(HillstabError):
 
 
 class RootSearchFailure(HillstabError):
-    """Eigenvalue scan exhausted its window without the requested roots."""
+    """Eigenvalue search could not bracket, part or find a requested band edge."""
 
 
 class IntegrationFailure(HillstabError):

@@ -2,17 +2,18 @@
 
 One propagator gives each piece's 2x2 transfer matrix (an exact
 trigonometric/hyperbolic block, or one integration of the fundamental
-matrix) to monodromies, trajectories and eigenfunctions.  Periodic and
-antiperiodic eigenvalues are the roots of Delta(mu) = +-2 where Delta is the
-trace of the monodromy matrix.  Both kinds interlace along the one curve
-Delta(mu), so a single upward scan evaluates Delta once per grid point and
-collects the band edges of both kinds; double band edges show up as
-tangencies of Delta with +-2 and are detected by local maximization.
+matrix) to monodromies, trajectories, eigenfunctions and edge counts.
+Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
+monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
+a pass's zero count gives E(mu), the number of edges below mu: each edge is
+bracketed by Weyl's bounds, isolated by bisection on E and refined on Delta;
+a same-kind pair E cannot part is split or found double at max +-Delta - 2.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -76,16 +77,23 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool):
     B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
     else the fundamental matrix from one integration, the same bit for bit
     with or without dense output.  With dense, columns(xs) gives the transfer
-    matrices from s to the points xs column by column, shape (4, n).
+    matrices from s to the points xs column by column, shape (4, n); without,
+    it is q = mu + a on a constant piece and else the accepted steps
+    (t, columns(t)).  More than `ode_budget` right-hand-side calls in a pass
+    raise IntegrationFailure.
     """
+    budget, evals = current().ode_budget, itertools.count(1)
     for s, e, piece in a.pieces:
         cval = ex.constant_value(piece)
         if cval is not None:
             q = mu + cval
             B = _const_block(q, e - s)
-            columns = functools.partial(_const_columns, q, s) if dense else None
+            columns = functools.partial(_const_columns, q, s) if dense else q
         else:
             def rhs(x, y, f=piece.compiled()):
+                if next(evals) > budget:
+                    raise IntegrationFailure(f"ODE budget of {budget} "
+                                             f"evaluations exhausted at mu={mu}")
                 q = mu + f(x)
                 return [y[1], -q * y[0], y[3], -q * y[2]]
 
@@ -97,7 +105,8 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool):
                 raise IntegrationFailure(
                     f"ODE solver failed on [{s}, {e}]: {sol.message}")
             y = sol.y[:, -1]
-            B, columns = np.array([[y[0], y[2]], [y[1], y[3]]]), sol.sol
+            B = np.array([[y[0], y[2]], [y[1], y[3]]])
+            columns = sol.sol if dense else (sol.t, sol.y)
         yield s, e, B, columns
 
 
@@ -174,10 +183,48 @@ class Trajectory:
         return float(self.state(x)[1])
 
 
-# -- eigenvalue search --------------------------------------------------------
+# -- edge counting and eigenvalue search -------------------------------------
 
-def _mu_lo(a: cf.PeriodicCoefficient) -> float:
-    return -cf.linf_norm(a, (0.0, a.period), samples_per_piece=256) - 1.0
+def _sign(u, du):
+    """Sign of a solution just after a point: of u, or of u' where u = 0."""
+    return np.where(u != 0, np.sign(u), np.sign(du))
+
+
+def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
+    """edge_count(a, mu) given sup a, which bounds the Sturm spacing."""
+    M, n = np.eye(2), 0
+    half = 0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300))
+    for s, e, B, columns in _propagators(a, mu, dense):
+        y, M = M[:, 1], B @ M
+        end = _sign(*M[:, 1])
+        if np.isscalar(columns):
+            # the phase sqrt(q) (x - s) passes `turns` multiples of pi: the
+            # piece holds turns or turns + 1 zeros, the sign change says which
+            turns = math.floor(math.sqrt(max(columns, 0.0)) * (e - s) / math.pi)
+            n += turns + (int(_sign(*y) != end) - turns) % 2
+            continue
+        # points half a Sturm spacing apart have at most one zero between
+        # them: the steps, or if one is longer a dense grid that fine
+        if not dense and np.max(np.diff(columns[0])) > half:
+            return _edge_count(a, mu, sup, dense=True)
+        m = columns(np.linspace(s, e, math.ceil((e - s) / half) + 1)) \
+            if dense else columns[1]
+        # e's sign is read from the block, as the next piece reads it
+        sg = np.append(_sign(*(m[:2] * y[0] + m[2:] * y[1]))[:-1], end)
+        n += int(np.count_nonzero(sg[1:] != sg[:-1]))
+    d = float(np.trace(M))
+    k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
+    return (2 * n + 1 if abs(d) < 2.0 else 2 * k), d
+
+
+def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
+    """(E, Delta) from one pass: E band edges lie below mu, and Delta is
+    discriminant(a, mu) bit for bit.  The N zeros in (0, T) of the solution
+    with (u, u')(0) = (0, 1) count the Dirichlet eigenvalues below mu, the
+    k-th in the closure of gap k (edges 2k - 1 to 2k), where Delta has the
+    sign (-1)^k: E = 2N + 1 in a band, and in a gap E = 2k with k the one of
+    N, N + 1 of that parity.  E may be off by one within rounding of an edge."""
+    return _edge_count(a, mu, float(np.max(cf.sample(a, (0.0, a.period), 256)[1])))
 
 
 def _polish_tangency(g, m: float, scale: float) -> float:
@@ -188,135 +235,99 @@ def _polish_tangency(g, m: float, scale: float) -> float:
         return (g(mu + h) - g(mu - h)) / (2 * h)
 
     lo, hi = m - 20 * h, m + 20 * h
-    d_lo, d_hi = dg(lo), dg(hi)
-    if d_lo > 0 > d_hi or d_lo < 0 < d_hi:
+    if dg(lo) * dg(hi) < 0:
         return brentq(dg, lo, hi, xtol=current().root)
     return m
 
 
-def _gap_scale(mu: float, T: float, abar: float) -> float:
-    """Local spacing of the unperturbed band edges near mu."""
-    j = max(1.0, T * math.sqrt(max(mu + abar, 1.0)) / math.pi)
-    return max((2 * j + 1) * math.pi ** 2 / T ** 2, 0.5 * math.pi ** 2 / T ** 2)
+def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
+                 n_antiperiodic: int | None) -> SpectrumSlice:
+    """The first n_periodic lam_j (edge 2j + j % 2 of the chain lam0 < alam1
+    <= alam2 < lam1 <= ...) and n_antiperiodic alam_j (edge 2j - 2 + j % 2).
+    Edge i starts from Weyl's bracket e_i(0) - [sup a, inf a], e_i(0) =
+    (ceil(i / 2) pi / T)^2, so it comes out the same whatever else is asked
+    for; brackets snap to a dyadic grid, so nearby edges share probes."""
+    if any(n is not None and n < 1 for n in (n_periodic, n_antiperiodic)):
+        raise ValueError("count must be >= 1")
+    cfg, T, counts, deltas = current(), a.period, {}, {}
+    vals = cf.sample(a, (0.0, T), 256)[1]
+    inf, sup = float(np.min(vals)), float(np.max(vals))
 
+    def probe(mu):  # None near an edge: E may be off by one, a double unparted
+        if mu not in counts:
+            counts[mu], deltas[mu] = _edge_count(a, mu, sup)
+        return None if band(deltas[mu]) == "Boundary" else counts[mu]
 
-class _Edges:
-    """Roots of g = sign * Delta - 2 met along the scan, with multiplicity.
+    def edge(i):
+        k = (i + 1) // 2  # gap k lies between edges 2k - 1 and 2k
+        sign = -1.0 if k % 2 else 1.0
 
-    g is <= 0 between band-edge pairs and > 0 inside them; simple edges are
-    sign changes, coincident pairs are interior local maxima touching zero.
-    The periodic kind (sign +1) starts inside: the scan begins below lam0,
-    where Delta > 2, so its first root is a single down-crossing.
-    """
+        def g(mu):
+            if mu not in deltas:
+                deltas[mu] = discriminant(a, mu)
+            return sign * deltas[mu] - 2.0
 
-    def __init__(self, a, sign: float, count: int, scale, mu: float, d: float):
-        self.a, self.sign, self.count, self.scale = a, sign, count, scale
-        self.roots = []
-        self.inside = sign > 0
-        # grid points since the last edge, and g there
-        self.xs, self.gs = [mu], [sign * d - 2.0]
-
-    def g(self, mu: float) -> float:
-        return self.sign * discriminant(self.a, mu) - 2.0
-
-    def open(self) -> bool:
-        return len(self.roots) < self.count
-
-    def step(self, mu: float, mu_next: float, d: float) -> bool:
-        """Take the next grid point, where Delta = d; True if an edge was found."""
-        g_prev, g_next = self.gs[-1], self.sign * d - 2.0
-        if (g_prev > 0 >= g_next) if self.inside else (g_prev <= 0 < g_next):
-            self.roots.append((brentq(self.g, mu, mu_next, xtol=current().root), 1))
-            self.inside = not self.inside
+        # edge-pair spacing, and edges 2k - 1 and 2k, at a = 0
+        scale, e0 = (2 * k + 1) * (math.pi / T) ** 2, (k * math.pi / T) ** 2
+        lo, hi = e0 - sup - scale / 128, e0 - inf + scale / 128
+        # widen until E(lo) <= i < E(hi), unless rounding leaves no bracket
+        for _ in range(64 if hi > lo else 0):
+            w = 2.0 ** math.ceil(math.log2(hi - lo))
+            lo = math.floor(lo / w) * w
+            hi = lo + 2 * w
+            if probe(lo) not in range(i + 1):
+                lo -= w
+            elif (probe(hi) or 0) <= i:
+                hi += w
+            else:
+                break
         else:
-            self.xs.append(mu_next)
-            self.gs.append(g_next)
-            if self.inside or not self._tangency():
-                return False
-        self.xs, self.gs = [mu_next], [g_next]
-        return True
-
-    def _tangency(self) -> bool:
-        """An interior local maximum of a non-positive stretch: two close
-        simple edges, a double edge, or neither."""
-        gs = self.gs
-        if not (len(gs) >= 3 and gs[-2] > gs[-3] and gs[-2] >= gs[-1]
-                and gs[-2] > -1.0):
-            return False
-        g, lo, hi, cfg = self.g, self.xs[-3], self.xs[-1], current()
+            raise RootSearchFailure(f"could not bracket band edge {i}")
+        pair = (2 * k - 1, 2 * k + 1)  # in gap k's closure: unparted by E
+        while counts[hi] - counts[lo] > 1 and not (
+                (counts[lo], counts[hi]) == pair and hi - lo <= scale / 16):
+            m = next((m for m in (lo + f * (hi - lo) for f in (0.5, 0.25, 0.75))
+                      if lo < m < hi and probe(m) is not None), None)
+            if m is None:  # what is left lies within rounding of one point
+                break
+            lo, hi = (m, hi) if counts[m] <= i else (lo, m)
+        if (counts[lo], counts[hi]) != pair:
+            if g(lo) * g(hi) > 0:
+                raise RootSearchFailure(f"could not part edges in [{lo}, {hi}]")
+            return brentq(g, lo, hi, xtol=cfg.root), 1
+        # a same-kind pair in a bracket with g < 0 at both ends: g peaks
+        # above 0 between two edges and at 0 on a double one
         res = minimize_scalar(lambda m: -g(m), bounds=(lo, hi),
                               method="bounded", options={"xatol": cfg.root / 10})
         gmax, mmax = -res.fun, res.x
         if gmax > 1e-12:
-            self.roots.append((brentq(g, lo, mmax, xtol=cfg.root), 1))
-            self.roots.append((brentq(g, mmax, hi, xtol=cfg.root), 1))
-            return True
+            ends = (lo, mmax) if i == 2 * k - 1 else (mmax, hi)
+            return brentq(g, *ends, xtol=cfg.root), 1
         if gmax > -cfg.boundary:
-            mmax = _polish_tangency(g, mmax, self.scale(mmax))
-            self.roots += [(mmax, 2), (mmax, 2)]
-            return True
-        return False
+            return _polish_tangency(g, mmax, scale), 2
+        raise RootSearchFailure(f"no band edge pair in [{lo}, {hi}]")
 
-
-def _scan(a: cf.PeriodicCoefficient, n_periodic: int, n_antiperiodic: int):
-    """The first n_periodic periodic and n_antiperiodic antiperiodic
-    eigenvalues, as EigEntry lists, from one upward scan of Delta(mu).
-
-    The grid starts at _mu_lo and steps by gap_scale / 64; each kind refines
-    its own brackets and stops once it holds its count.
-    """
-    T, abar = a.period, cf.mean(a)
-
-    def scale(mu):
-        return _gap_scale(mu, T, abar)
-
-    mu = _mu_lo(a)
-    d = discriminant(a, mu)
-    guard = 0
-    while d <= 2.0:
-        # lam0 lies below the start: step down until Delta > 2
-        mu -= scale(mu)
-        d = discriminant(a, mu)
-        guard += 1
-        if guard > 200:
-            raise RootSearchFailure("could not bracket the lowest eigenvalue")
-    kinds = [_Edges(a, 1.0, n_periodic, scale, mu, d),
-             _Edges(a, -1.0, n_antiperiodic, scale, mu, d)]
-    idle = 0
-    while any(k.open() for k in kinds):
-        mu_next = mu + scale(mu) / 64
-        d = discriminant(a, mu_next)
-        found = [k.step(mu, mu_next, d) for k in kinds if k.open()]
-        idle = 0 if any(found) else idle + 1
-        if idle > 100000:
-            raise RootSearchFailure("eigenvalue scan exhausted")
-        mu = mu_next
-    periodic, anti = (k.roots[:k.count] for k in kinds)
-    return ([EigEntry(i, v, m) for i, (v, m) in enumerate(periodic)],
-            [EigEntry(i + 1, v, m) for i, (v, m) in enumerate(anti)])
+    return SpectrumSlice(
+        [EigEntry(j, *edge(2 * j + j % 2)) for j in range(n_periodic or 0)],
+        [EigEntry(j, *edge(2 * j - 2 + j % 2))
+         for j in range(1, (n_antiperiodic or 0) + 1)])
 
 
 def periodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` periodic eigenvalues (roots of Delta = 2), with multiplicity."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return SpectrumSlice(periodic=_scan(a, count, 0)[0])
+    return _eigenvalues(a, count, None)
 
 
 def antiperiodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` antiperiodic eigenvalues (roots of Delta = -2), indexed from 1."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return SpectrumSlice(antiperiodic=_scan(a, 0, count)[1])
+    return _eigenvalues(a, None, count)
 
 
 def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
              n_antiperiodic: int) -> SpectrumSlice:
-    """Both kinds from one scan; see periodic_eigenvalues and
+    """Both kinds from one search; see periodic_eigenvalues and
     antiperiodic_eigenvalues."""
-    if min(n_periodic, n_antiperiodic) < 1:
-        raise ValueError("count must be >= 1")
-    return SpectrumSlice(*_scan(a, n_periodic, n_antiperiodic))
+    return _eigenvalues(a, n_periodic, n_antiperiodic)
 
 
 def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
@@ -349,46 +360,34 @@ def band(d: float) -> str:
 
 def classify(a: cf.PeriodicCoefficient, mu: float,
              spec: SpectrumSlice | None = None) -> StabilityVerdict:
-    """Stability verdict at mu from the discriminant, with boundary resolution.
+    """Stability verdict at mu from one edge count, with boundary resolution.
 
-    Stable and Unstable come from band(Delta); within tolerance of a band
-    edge the verdict depends on whether the nearest eigenvalue pair
-    coincides.  The zone index is filled in when a spectrum is available.
+    Stable and Unstable come from band(Delta), a Stable mu lying in zone
+    (E - 1) / 2; within tolerance of a band edge the verdict depends on
+    whether the nearest eigenvalue pair coincides, from `spec` or else from
+    eigenvalues of that kind computed past the E edges below mu.
     """
-    d = discriminant(a, mu)
+    E, d = edge_count(a, mu)
     kind, tol = band(d), current().boundary
-    if kind == "Stable":
-        zone = None
-        if spec is not None:
-            below = int(np.sum(spec.periodic_values() < mu - tol)) + \
-                int(np.sum(spec.antiperiodic_values() < mu - tol))
-            zone = below // 2
-        return StabilityVerdict("Stable", zone, None, d)
-    if kind == "Unstable":
-        return StabilityVerdict("Unstable", None, None, d)
-    # band edge: locate the nearest eigenvalue pair
+    if kind != "Boundary":
+        return StabilityVerdict(kind, (E - 1) // 2 if kind == "Stable" else None,
+                                None, d)
+    # band edge: the nearest pair, from a search past edges E - 1 and E
     if spec is None:
-        if d > 0:
-            spec = periodic_eigenvalues(a, 9)
-        else:
-            spec = antiperiodic_eigenvalues(a, 8)
-    vals = spec.periodic_values() if d > 0 else spec.antiperiodic_values()
+        search = periodic_eigenvalues if d > 0 else antiperiodic_eigenvalues
+        spec = search(a, E // 2 + 3)
     entries = spec.periodic if d > 0 else spec.antiperiodic
-    if len(vals) == 0:
+    if not entries:
         return StabilityVerdict("BoundaryUnstable", None, None, d)
-    k = int(np.argmin(np.abs(vals - mu)))
-    if d > 0 and entries[k].index == 0:
-        # mu = lam0: in the (-inf, lam0] instability range
-        return StabilityVerdict("BoundaryUnstable", None, (entries[k],), d)
-    # pair partner: indices (2j-1, 2j) for periodic, (2j-1, 2j) from 1 for anti
-    idx = entries[k].index
-    partner_idx = idx + 1 if idx % 2 == 1 else idx - 1
+    near = min(entries, key=lambda e: abs(e.value - mu))
+    # pair partners: indices (2j-1, 2j) of either kind; lam0 has none
+    partner_idx = near.index + 1 if near.index % 2 == 1 else near.index - 1
     partner = next((e for e in entries if e.index == partner_idx), None)
     if partner is None:
-        return StabilityVerdict("BoundaryUnstable", None, (entries[k],), d)
-    if abs(partner.value - entries[k].value) <= tol:
-        return StabilityVerdict("BoundaryStable", None, (entries[k], partner), d)
-    return StabilityVerdict("BoundaryUnstable", None, (entries[k], partner), d)
+        return StabilityVerdict("BoundaryUnstable", None, (near,), d)
+    kind = "BoundaryStable" if abs(partner.value - near.value) <= tol \
+        else "BoundaryUnstable"
+    return StabilityVerdict(kind, None, (near, partner), d)
 
 
 # -- eigenfunctions -----------------------------------------------------------

@@ -15,6 +15,8 @@ class Settings:
     #: tolerance on |Delta| - 2 below which mu counts as a band edge
     boundary: float = 1e-7
     ode: float = 1e-12  #: local ODE tolerance for non-constant pieces
+    #: right-hand-side evaluation budget for one monodromy pass
+    ode_budget: int = 250_000
     residual: float = 1e-8  #: periodicity residual accepted for a shooting solution
     cluster: float = 1e-6  #: initial-data distance merging two converged solutions
     sandwich_grid: int = 256  #: envelope verification grid: this many x by as many u

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,8 @@ def test_tolerance_overrides_last_one_call(tmp_path, capsys):
     assert json.loads(out)["manifest"]["tolerances"] == {
         "quad": 1e-10, "root": 1e-10, "boundary": 1e-7, "ode": 1e-12,
         "residual": 1e-8, "cluster": 1e-6, "sandwich_grid": 256,
-        "quad_budget": 1_000_000, "dominance_samples": 16384, "x0_grid": 1024,
+        "quad_budget": 1_000_000, "ode_budget": 250_000,
+        "dominance_samples": 16384, "x0_grid": 1024,
         "removable_eps": 1e-9, "l1_slack": 1e-12, "sandwich_slack": 1e-10,
         "x_tol": 1e-10, "endpoint_tol": 1e-8}
     # nor when the command fails
@@ -362,6 +364,28 @@ def test_nonlinear_resonant_exit(tmp_path, capsys):
     f = problem_file(tmp_path, {"f": "u + sin(x)", "period": T})
     code, _ = run(capsys, "nonlinear", "solve", f, "--starts", "4")
     assert code == cli.EXIT_SEARCH
+
+
+def test_ode_budget_exit(tmp_path, capsys):
+    """A pass whose integration would take minutes stops at the right-hand-
+    side budget: DOP853's step falls like 1/sqrt(q), here q ~ 1e10."""
+    f = coeff_file(tmp_path, cf.from_expression("1e10*x", math.pi))
+    start = time.perf_counter()
+    code = cli.main(["chart", f, "--mu-from", "0", "--mu-to", "1",
+                     "--points", "1"])
+    assert time.perf_counter() - start < 30
+    assert code == cli.EXIT_SEARCH
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("c", [1e15, -1e200])
+def test_eigs_below_rounding_exit(tmp_path, capsys, c):
+    """Edges of a = c lie closer together than rounding at -c can tell:
+    a search failure, not a traceback."""
+    f = coeff_file(tmp_path, cf.constant(c, T))
+    assert cli.main(["eigs", f, "--count", "2"]) == cli.EXIT_SEARCH
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

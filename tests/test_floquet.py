@@ -6,6 +6,7 @@ import pytest
 from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
+from hillstab import witness as wt
 from hillstab.errors import NotAnEigenvalue
 
 T = 2 * math.pi
@@ -74,18 +75,24 @@ def test_eigenvalues_split_for_generic_coefficient():
     assert pv[1] < pv[2] - 1e-6
 
 
-def test_spectrum_is_one_scan(monkeypatch):
-    # both kinds come from one scan of Delta: the same entries as the two
-    # single-kind searches, for fewer discriminant evaluations
-    a = cf.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
+def passes(monkeypatch):
+    """The mu of every monodromy pass, edge counts and discriminants alike."""
     calls = []
-    discriminant = fq.discriminant
+    propagators = fq._propagators
 
-    def counted(a, mu):
+    def counted(a, mu, dense):
         calls.append(mu)
-        return discriminant(a, mu)
+        return propagators(a, mu, dense)
 
-    monkeypatch.setattr(fq, "discriminant", counted)
+    monkeypatch.setattr(fq, "_propagators", counted)
+    return calls
+
+
+def test_spectrum_is_one_scan(monkeypatch):
+    # both kinds come from one search: the same entries as the two
+    # single-kind searches, whatever else is asked for, for fewer passes
+    a = cf.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
+    calls = passes(monkeypatch)
     s = fq.spectrum(a, 5, 4)
     n_spectrum = len(calls)
     p = fq.periodic_eigenvalues(a, 5)
@@ -93,6 +100,108 @@ def test_spectrum_is_one_scan(monkeypatch):
     assert s.periodic == p.periodic
     assert s.antiperiodic == ap.antiperiodic
     assert n_spectrum < len(calls) - n_spectrum
+
+
+def chain(s):
+    """The band edges of a spectrum in increasing order, with multiplicity."""
+    return np.sort(np.concatenate([s.periodic_values(),
+                                   s.antiperiodic_values()]))
+
+
+def expected_counts(edges, mus):
+    return [int(np.sum(edges < mu)) for mu in mus]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, -1.7, 16.5])
+@pytest.mark.parametrize("period", [T, math.pi])
+def test_edge_count_constant(c, period):
+    # a = c: the edges are (k pi / T)^2 - c, k = 0, 1, 1, 2, 2, ...; every
+    # one but the first is double
+    a = cf.constant(c, period)
+    edges = (np.ceil(np.arange(15) / 2) * math.pi / period) ** 2 - c
+    mus = np.concatenate([np.linspace(edges[0] - 3, edges[-1], 57),
+                          edges + 1e-6, edges[:-1] - 1e-6])
+    mus = mus[np.min(np.abs(mus[:, None] - edges), axis=1) >= 1e-6 * 0.99]
+    got = [fq.edge_count(a, mu) for mu in mus]
+    assert [E for E, _ in got] == expected_counts(edges, mus)
+    assert all(d == fq.discriminant(a, mu) for (_, d), mu in zip(got, mus))
+
+
+def random_steps(count):
+    rng = np.random.default_rng(1101)
+    for _ in range(count):
+        b = np.sort(rng.uniform(0.2, T - 0.2, size=rng.integers(1, 4)))
+        ends = [0.0, *b, T]
+        yield cf.step_function(T, [(s, e, rng.uniform(-3.0, 4.0))
+                                   for s, e in zip(ends, ends[1:])])
+
+
+@pytest.mark.parametrize("a, counts", [
+    *((a, (5, 4)) for a in random_steps(6)),
+    (cf.from_expression("1.2+0.4*cos(2*x)", math.pi), (3, 2)),
+    (cf.from_expression("0.5+0.3*cos(x)-0.4*sin(2*x)", T), (3, 2)),
+])
+def test_edge_count_against_spectrum(a, counts):
+    # the spectrum holds every edge up to its highest: test points below it,
+    # 1e-6 from each edge and spread between them
+    edges = chain(fq.spectrum(a, *counts))
+    rng = np.random.default_rng(7)
+    mus = np.concatenate([rng.uniform(edges[0] - 2, edges[-1], 20),
+                          edges + 1e-6, edges - 1e-6])
+    mus = mus[(np.min(np.abs(mus[:, None] - edges), axis=1) >= 1e-6 * 0.99)
+              & (mus < edges[-1])]
+    assert [fq.edge_count(a, mu)[0] for mu in mus] == \
+        expected_counts(edges, mus)
+
+
+def test_edge_count_recounts_long_steps(monkeypatch):
+    # a pass whose steps could each hold two zeros is counted again on a
+    # grid at half the Sturm spacing: keep only the end of each step list
+    a = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 2.0, "expr": "1.5"},
+        {"from": 2.0, "to": T, "expr": "0.5+0.3*cos(x)"}]})
+    mus = [-1.0, 0.37, 3.3, 12.9, 40.1]
+    want = [fq.edge_count(a, mu) for mu in mus]
+    solve_ivp, dense = fq.solve_ivp, []
+
+    def coarse(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        dense.append(kwargs["dense_output"])
+        if not kwargs["dense_output"]:
+            sol.t, sol.y = sol.t[[0, -1]], sol.y[:, [0, -1]]
+        return sol
+
+    monkeypatch.setattr(fq, "solve_ivp", coarse)
+    assert [fq.edge_count(a, mu) for mu in mus] == want
+    assert any(dense)
+
+
+def test_witness_spectrum_pinned(monkeypatch):
+    # the a_eps witness: a simple lam0 and two double edges, at the values a
+    # walk up from -||a||_inf - 1 found in 397 discriminant evaluations
+    a = wt.make_a_eps(1, T, 0.35)
+    calls = passes(monkeypatch)
+    s = fq.spectrum(a, 3, 2)
+    assert len(calls) <= 120
+    assert [e.multiplicity for e in s.periodic] == [1, 2, 2]
+    assert [e.multiplicity for e in s.antiperiodic] == [2, 2]
+    np.testing.assert_allclose(
+        s.periodic_values(), [-2.805778343, -1.878800706, -1.878800706],
+        rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        s.antiperiodic_values(), [-2.570689511, -2.570689511], rtol=0,
+        atol=1e-9)
+
+
+def test_band_narrower_than_rounding():
+    # a deep well: band 0 is narrower than one ulp at lam0, so no count can
+    # part lam0 from alam1, and each is refined where it is
+    a = cf.step_function(T, [(0.0, 1.0, 60.0), (1.0, T, -3.0)])
+    s = fq.spectrum(a, 2, 1)
+    assert s.periodic[0].value == pytest.approx(-53.747069047529, abs=1e-9)
+    assert s.antiperiodic[0].value == pytest.approx(s.periodic[0].value,
+                                                    abs=1e-13)
+    assert fq.check_interlacing(s)[0]
 
 
 def test_interlacing_random_steps():
@@ -119,6 +228,25 @@ def test_classify_verdicts():
     assert v.kind == "BoundaryUnstable"  # mu = lambda_0
     v = fq.classify(a, 1.0, s)
     assert v.kind == "BoundaryStable"  # coincident pair: coexistence
+
+
+def test_classify_band_edge_without_spectrum():
+    # at a band edge above the eighth of its kind the witness pair is the
+    # one at mu, found from the count of edges below mu
+    a = cf.constant(0.0, T)
+    v = fq.classify(a, 25.0)
+    assert v.kind == "BoundaryStable"
+    assert [(e.index, e.value) for e in v.witness] == \
+        [(9, pytest.approx(25.0, abs=1e-8)), (10, pytest.approx(25.0, abs=1e-8))]
+    a = cf.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
+    lam = fq.periodic_eigenvalues(a, 13).periodic
+    v = fq.classify(a, lam[11].value)
+    assert v.kind == "BoundaryUnstable"
+    assert v.witness == (lam[11], lam[12])
+    # band 11 lies between edges 22 and 23
+    edges = chain(fq.spectrum(a, 13, 12))
+    v = fq.classify(a, 0.5 * (edges[22] + edges[23]))
+    assert (v.kind, v.zone_index) == ("Stable", 11)
 
 
 def test_classify_discriminant_reported():
