@@ -6,9 +6,11 @@ Every entry is (index, repr(value), multiplicity), from `spectrum`,
 number of monodromy passes (one `floquet._propagators` pass over the
 period, edge counts and discriminants alike) each `spectrum` call made.
 Three coefficients also get `certify_all(...).to_dict()`, every
-L-infinity diagnostic included.  Run it on two checkouts and diff the
-outputs to see whether a change moved any eigenvalue or certificate value
-by as little as one bit:
+L-infinity diagnostic included, and three nonlinear problems the
+periodic solutions `solve_periodic` finds, with the right-hand-side calls
+its integrations made.  Run it on two checkouts and diff the outputs to
+see whether a change moved any eigenvalue, certificate value or root by
+as little as one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
@@ -20,8 +22,10 @@ import math
 import random
 
 from hillstab import coeff as cf
+from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import lyapunov as ly
+from hillstab import nonlinear as nl
 from hillstab import witness as wt
 
 T = 2 * math.pi
@@ -53,6 +57,21 @@ CERTIFIED = {
     "tall/short step, T=pi": cf.step_function(
         math.pi, [(0.0, 0.22, 5.0), (0.22, math.pi, 0.026)]),
     "a_eps(1, 2pi, 0.35)": WITNESS["a_eps(1, 2pi, 0.35)"],
+}
+
+
+def problem(f, fu=None):
+    return nl.NonlinearProblem(
+        ex.parse(f, variables=("x", "u")), T,
+        fu=ex.parse(fu, variables=("x", "u")) if fu else None)
+
+
+# each with exactly one periodic solution
+NONLINEAR = {
+    "1.5u + 0.1sin(u) + cos(2x)": problem("1.5*u + 0.1*sin(u) + cos(2*x)",
+                                          "1.5 + 0.1*cos(u)"),
+    "2u - 2sin(x)": problem("2*u - 2*sin(x)"),
+    "1.1u": problem("1.1*u"),
 }
 
 
@@ -91,6 +110,26 @@ def main():
                 fq.antiperiodic_eigenvalues(a, q).antiperiodic)
     for name, a in CERTIFIED.items():
         out[f"{name}: certify_all"] = [c.to_dict() for c in ly.certify_all(a)]
+
+    rhs_calls = 0
+    solve_ivp = nl.solve_ivp
+
+    def counted_ivp(*args, **kwargs):
+        nonlocal rhs_calls
+        sol = solve_ivp(*args, **kwargs)
+        rhs_calls += sol.nfev
+        return sol
+
+    nl.solve_ivp = counted_ivp
+    for name, p in NONLINEAR.items():
+        rhs_calls = 0
+        r = nl.solve_periodic(p, starts=16)
+        out[f"{name}: solve_periodic(starts=16)"] = {
+            "solutions": [[repr(s.u0), repr(s.du0), repr(s.residual)]
+                          for s in r.solutions],
+            "unique": r.unique,
+            "n_converged_starts": r.n_converged_starts,
+            "rhs_calls": rhs_calls}
     print(json.dumps(out, indent=1))
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import coeff as cf
 from . import expr as ex
 from ._scipy import brentq, minimize_scalar, solve_ivp
-from .errors import IntegrationFailure, NotAnEigenvalue, RootSearchFailure
+from .errors import (IntegrationFailure, NonFiniteValue, NotAnEigenvalue,
+                     RootSearchFailure)
 from .settings import current
 
 
@@ -59,14 +60,19 @@ class StabilityVerdict:
 
 def _const_block(q: float, L: float) -> np.ndarray:
     """Exact transfer matrix of u'' + q u = 0 over an interval of length L:
-    the 2x2 map of (u, u') at its start to (u, u') at its end."""
+    the 2x2 map of (u, u') at its start to (u, u') at its end.  Raises
+    NonFiniteValue when its cosh(sqrt(-q) L) overflows a float."""
     if q > 0:
         w = math.sqrt(q)
         c, s = math.cos(w * L), math.sin(w * L)
         return np.array([[c, s / w], [-w * s, c]])
     if q < 0:
         w = math.sqrt(-q)
-        ch, sh = math.cosh(w * L), math.sinh(w * L)
+        try:
+            ch, sh = math.cosh(w * L), math.sinh(w * L)
+        except OverflowError:
+            raise NonFiniteValue(f"cosh(sqrt(-q) L) overflows on a constant "
+                                 f"piece: q = {q!r}, L = {L!r}") from None
         return np.array([[ch, sh / w], [w * sh, ch]])
     return np.array([[1.0, L], [0.0, 1.0]])
 

@@ -224,10 +224,10 @@ def _integrate(p: NonlinearProblem, y0):
     return sol
 
 
-def _shoot(p: NonlinearProblem, c: np.ndarray):
+def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
     """F(c) = (u(T), u'(T)) - c and its Jacobian Phi(T) - I, from one
-    integration of the state with its variational equation
-    Phi' = [[0, 1], [-f_u, 0]] Phi, Phi(0) = I."""
+    integration at rtol = atol = tol of the state with its variational
+    equation Phi' = [[0, 1], [-f_u, 0]] Phi, Phi(0) = I."""
     f = p.f.compiled()
     if p.fu is not None:
         fu = p.fu.compiled()
@@ -240,7 +240,7 @@ def _shoot(p: NonlinearProblem, c: np.ndarray):
         return [y[1], -f(x, y[0]), y[3], -q * y[2], y[5], -q * y[4]]
 
     sol = solve_ivp(rhs, (0.0, p.period), [c[0], c[1], 1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=current().ode, atol=current().ode)
+                    method="DOP853", rtol=tol, atol=tol)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     y = sol.y[:, -1]
@@ -253,10 +253,16 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
 
     Starts are drawn uniformly from the box |u(0)|, |u'(0)| <=
     10 (1 + max_x |f(x, 0)|); each Newton step takes F and its exact
-    Jacobian from one integration.  A start converges when |F| <
-    `residual` / 100; converged roots are deduplicated at `cluster` in
-    initial data.  Raises NonFiniteValue when f(x, 0) is not finite, and
-    NoConvergence when no start converges.
+    Jacobian from one integration.  That integration is only as accurate
+    as the next step needs (inexact Newton): a start's first runs at
+    sqrt(`ode`), and after a step from |F| = r the next runs at
+    min(sqrt(`ode`), max(`ode`, r**2)), but never looser than the one
+    before, so a start cannot cycle between the fixed points of a loose
+    and a tight integration.  A start converges when |F| < `residual` /
+    100 from an integration at `ode`; when a looser one meets the test
+    first, c is integrated once more at `ode`.  Converged roots are
+    deduplicated at `cluster` in initial data.  Raises NonFiniteValue when
+    f(x, 0) is not finite, and NoConvergence when no start converges.
     """
     rng, cfg = np.random.default_rng(seed), current()
     xs = np.linspace(0.0, p.period, 256, endpoint=False)
@@ -267,13 +273,20 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     n_conv = 0
     for _ in range(starts):
         c = rng.uniform(-scale, scale, size=2)
+        tol = math.sqrt(cfg.ode)
         for _ in range(max_steps):
-            F, J = _shoot(p, c)
-            if np.linalg.norm(F) < cfg.residual * 1e-2:
+            F, J = _shoot(p, c, tol)
+            r = np.linalg.norm(F)
+            if r < cfg.residual * 1e-2:
+                if tol != cfg.ode:
+                    tol = cfg.ode
+                    continue
                 n_conv += 1
-                if not any(np.linalg.norm(c - r) < cfg.cluster for r in roots):
+                if not any(np.linalg.norm(c - root) < cfg.cluster
+                           for root in roots):
                     roots.append(c.copy())
                 break
+            tol = min(tol, max(cfg.ode, r * r))
             try:
                 step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:

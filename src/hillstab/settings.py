@@ -14,7 +14,10 @@ class Settings:
     root: float = 1e-10  #: bisection tolerance for eigenvalue refinement
     #: tolerance on |Delta| - 2 below which mu counts as a band edge
     boundary: float = 1e-7
-    ode: float = 1e-12  #: local ODE tolerance for non-constant pieces
+    #: local ODE tolerance for non-constant pieces and for accepting a
+    #: shooting root; Newton steps far from a root integrate as loosely as
+    #: sqrt(ode)
+    ode: float = 1e-12
     #: right-hand-side evaluation budget for one monodromy pass
     ode_budget: int = 250_000
     residual: float = 1e-8  #: periodicity residual accepted for a shooting solution

@@ -117,6 +117,15 @@ def test_nonlinear_solve_infinite_start_scale(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_chart_hyperbolic_overflow_exit_1(tmp_path, capsys):
+    # the constant -1e6 over 2 pi: cosh(1000 * 2 pi) is no float
+    f = coeff_file(tmp_path, cf.constant(-1e6, T))
+    assert cli.main(["chart", f, "--mu-from", "0", "--mu-to", "1",
+                     "--points", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eigs_missing_file(capsys):
     code, _ = run(capsys, "eigs", "/nonexistent/x.json")
     assert code == cli.EXIT_PARSE

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import witness as wt
-from hillstab.errors import NotAnEigenvalue
+from hillstab.errors import NonFiniteValue, NotAnEigenvalue
 
 T = 2 * math.pi
 
@@ -32,6 +33,17 @@ def test_discriminant_constant_coefficient():
     q = mu + 0.7
     assert fq.discriminant(a, mu) == pytest.approx(
         2 * math.cosh(math.sqrt(-q) * T), abs=1e-9)
+
+
+def test_monodromy_hyperbolic_block_overflow():
+    # cosh(sqrt(-q) L) is a float up to acosh(max float) and no further
+    largest = math.acosh(sys.float_info.max)
+    assert np.all(np.isfinite(fq._const_block(-1.0, largest)))
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        fq._const_block(-1.0, math.nextafter(largest, math.inf))
+    # the constant -1e6 over 2 pi: sqrt(-q) T is about 6283
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        fq.monodromy(cf.constant(-1e6, T), 0.0)
 
 
 def test_discriminant_smooth_vs_step_consistency():

@@ -6,6 +6,7 @@ import pytest
 from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import nonlinear as nl
+from hillstab import settings
 from hillstab.errors import (DomainError, MissingEnvelopes, NoConvergence,
                              ParseError)
 
@@ -22,6 +23,12 @@ def canonical_problem():
         beta_env=cf.constant(1.6, T),
         u_box=(-20.0, 20.0),
     )
+
+
+def linear_exact_problem():
+    """u'' + 2 u = 2 sin(x): the one periodic solution is u = 2 sin(x)."""
+    return nl.NonlinearProblem(
+        ex.parse("2*u - 2*sin(x)", variables=("x", "u")), T)
 
 
 def test_periodicity_invariant_enforced():
@@ -154,9 +161,7 @@ def test_check_classical_band():
 
 
 def test_solve_linear_exact():
-    p = nl.NonlinearProblem(ex.parse("2*u - 2*sin(x)", variables=("x", "u")),
-                            T)
-    r = nl.solve_periodic(p)
+    r = nl.solve_periodic(linear_exact_problem())
     assert r.unique
     s = r.solutions[0]
     assert s.u0 == pytest.approx(0.0, abs=1e-7)
@@ -171,7 +176,7 @@ def test_variational_jacobian_matches_differences(with_fu):
     if not with_fu:
         p = nl.NonlinearProblem(p.f, p.period)
     c = np.array([0.7, -1.3])
-    F, J = nl._shoot(p, c)
+    F, J = nl._shoot(p, c, settings.current().ode)
 
     def F_dense(c):
         return nl._integrate(p, c).y[:, -1] - c
@@ -191,6 +196,83 @@ def test_solve_canonical_unique():
     assert r.unique
     assert r.n_converged_starts == 16
     assert r.solutions[0].residual < 1e-8
+
+
+def recorded_integrations(monkeypatch):
+    """Record (rtol, initial state, final state, right-hand-side calls) of
+    every integration the nonlinear module makes."""
+    calls = []
+    solve_ivp = nl.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        calls.append((kwargs["rtol"], np.array(y0, dtype=float),
+                      sol.y[:, -1], sol.nfev))
+        return sol
+
+    monkeypatch.setattr(nl, "solve_ivp", recording)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [canonical_problem, linear_exact_problem])
+@pytest.mark.parametrize("residual", [None, 1e-3])
+def test_roots_accepted_only_from_integrations_at_ode(monkeypatch, problem,
+                                                      residual):
+    # at residual 1e-3 integrations at sqrt(ode) meet the test too
+    calls = recorded_integrations(monkeypatch)
+    with settings.use(residual=residual):
+        r = nl.solve_periodic(problem(), starts=4)
+        cfg = settings.current()
+    # shooting integrations carry the variational equation: 6 states
+    shots = [(tol, y0[:2], np.linalg.norm(y[:2] - y0[:2]))
+             for tol, y0, y, _ in calls if len(y0) == 6]
+    assert shots[0][0] == math.sqrt(cfg.ode)
+    passed = [i for i, (_, _, F) in enumerate(shots)
+              if F < cfg.residual * 1e-2]
+    accepted = [i for i in passed if shots[i][0] == cfg.ode]
+    assert len(accepted) == r.n_converged_starts == 4
+    assert residual is None or len(passed) > len(accepted)
+    for i in passed:
+        if i not in accepted:
+            # a looser integration met the test: c is integrated again
+            assert shots[i + 1][0] == cfg.ode
+            assert np.array_equal(shots[i + 1][1], shots[i][1])
+    # each start's last integration is an accepted one at ode
+    for i in accepted:
+        assert i + 1 == len(shots) or shots[i + 1][0] == math.sqrt(cfg.ode)
+    for s in r.solutions:
+        assert any(np.array_equal(shots[i][1], [s.u0, s.du0])
+                   for i in accepted)
+
+
+def test_inexact_newton_saves_right_hand_side_calls(monkeypatch):
+    # with every Newton integration at ode the same solve made 19 135
+    # right-hand-side calls, the final dense integration included
+    calls = recorded_integrations(monkeypatch)
+    r = nl.solve_periodic(canonical_problem(), starts=4)
+    assert r.unique and r.n_converged_starts == 4
+    assert sum(nfev for *_, nfev in calls) <= 0.6 * 19135
+
+
+def test_solve_canonical_unique_at_looser_ode():
+    with settings.use(ode=1e-8):
+        r = nl.solve_periodic(canonical_problem(), starts=4)
+    assert r.unique and r.n_converged_starts == 4
+
+
+def test_solve_several_periodic_solutions():
+    # u'' + 0.5 u - 2 sin(u) + 0.2 cos(x) = 0 has isolated periodic
+    # solutions near the zeros of 0.5 u - 2 sin(u): u = 0, about +-2.4
+    p = nl.NonlinearProblem(
+        ex.parse("0.5*u - 2*sin(u) + 0.2*cos(x)", variables=("x", "u")), T,
+        fu=ex.parse("0.5 - 2*cos(u)", variables=("x", "u")))
+    r = nl.solve_periodic(p, starts=8)
+    cfg = settings.current()
+    assert not r.unique and len(r.solutions) >= 2
+    for i, s in enumerate(r.solutions):
+        assert s.residual < cfg.residual
+        for t in r.solutions[:i]:
+            assert math.hypot(s.u0 - t.u0, s.du0 - t.du0) >= cfg.cluster
 
 
 def test_solve_resonant_no_convergence():
