@@ -128,17 +128,27 @@ def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
     return np.array([c, ws, sw, c])
 
 
-def _product(pieces) -> np.ndarray:
-    """The transfer matrices B of one pass, multiplied in order."""
+def _finite(M: np.ndarray, mu: float) -> np.ndarray:
+    """M, the product of one pass, or NonFiniteValue when it overflowed: a
+    hyperbolic block, or the product of finite ones, past the floats."""
+    if not all(map(math.isfinite, M.flat)):
+        raise NonFiniteValue(f"the transfer matrix over one period overflows "
+                             f"at mu={mu!r}")
+    return M
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
+def _product(pieces, mu: float) -> np.ndarray:
+    """The transfer matrices B of one pass at mu, multiplied in order."""
     M = np.eye(2)
     for _, _, B, _ in pieces:
         M = B @ M
-    return M
+    return _finite(M, mu)
 
 
 def monodromy(a: cf.PeriodicCoefficient, mu: float) -> np.ndarray:
     """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period."""
-    return _product(_propagators(a, mu, dense=False))
+    return _product(_propagators(a, mu, dense=False), mu)
 
 
 def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
@@ -196,6 +206,7 @@ def _sign(u, du):
     return np.where(u != 0, np.sign(u), np.sign(du))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
     """edge_count(a, mu) given sup a, which bounds the Sturm spacing."""
     M, n = np.eye(2), 0
@@ -218,7 +229,7 @@ def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
         # e's sign is read from the block, as the next piece reads it
         sg = np.append(_sign(*(m[:2] * y[0] + m[2:] * y[1]))[:-1], end)
         n += int(np.count_nonzero(sg[1:] != sg[:-1]))
-    d = float(np.trace(M))
+    d = float(np.trace(_finite(M, mu)))
     k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
     return (2 * n + 1 if abs(d) < 2.0 else 2 * k), d
 
@@ -406,7 +417,7 @@ def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str):
     """
     sign = 1.0 if bc == "periodic" else -1.0
     pieces = list(_propagators(a, mu, dense=True))
-    M = _product(pieces)
+    M = _product(pieces, mu)
     A = M - sign * np.eye(2)
     _, svals, vt = np.linalg.svd(A)
     v = vt[-1]

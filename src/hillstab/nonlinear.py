@@ -247,6 +247,32 @@ def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
     return y[:2] - c, np.array([[y[2] - 1.0, y[4]], [y[3], y[5] - 1.0]])
 
 
+def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float,
+            max_steps: int):
+    """The root Newton reaches from c in at most max_steps steps, first
+    integrating at tol, or None when it stops on a singular Jacobian, a
+    non-finite step or one longer than 10 scale."""
+    cfg = current()
+    for _ in range(max_steps):
+        F, J = _shoot(p, c, tol)
+        r = np.linalg.norm(F)
+        if r < cfg.residual * 1e-2 and tol != cfg.ode:
+            tol = cfg.ode
+            F, J = _shoot(p, c, tol)
+            r = np.linalg.norm(F)
+        if r < cfg.residual * 1e-2:
+            return c
+        tol = min(tol, max(cfg.ode, r * r))
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10 * scale:
+            return None
+        c = c - step
+    return None
+
+
 def solve_periodic(p: NonlinearProblem, starts: int = 16,
                    seed: int = 0, max_steps: int = 50) -> ShootingResult:
     """Newton multistart on F(c) = (u(T) - u(0), u'(T) - u'(0)).
@@ -260,9 +286,13 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     before, so a start cannot cycle between the fixed points of a loose
     and a tight integration.  A start converges when |F| < `residual` /
     100 from an integration at `ode`; when a looser one meets the test
-    first, c is integrated once more at `ode`.  Converged roots are
-    deduplicated at `cluster` in initial data.  Raises NonFiniteValue when
-    f(x, 0) is not finite, and NoConvergence when no start converges.
+    first, c is integrated once more at `ode` within the same step.  A
+    start that does not converge so is run again from the same point with
+    every integration at `ode`, as loose early steps can send Newton away
+    from a root near where the Jacobian is ill-conditioned.  Converged
+    roots are deduplicated at `cluster` in initial data.  Raises
+    NonFiniteValue when f(x, 0) is not finite, and NoConvergence when no
+    start converges.
     """
     rng, cfg = np.random.default_rng(seed), current()
     xs = np.linspace(0.0, p.period, 256, endpoint=False)
@@ -272,28 +302,15 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     roots = []
     n_conv = 0
     for _ in range(starts):
-        c = rng.uniform(-scale, scale, size=2)
-        tol = math.sqrt(cfg.ode)
-        for _ in range(max_steps):
-            F, J = _shoot(p, c, tol)
-            r = np.linalg.norm(F)
-            if r < cfg.residual * 1e-2:
-                if tol != cfg.ode:
-                    tol = cfg.ode
-                    continue
-                n_conv += 1
-                if not any(np.linalg.norm(c - root) < cfg.cluster
-                           for root in roots):
-                    roots.append(c.copy())
-                break
-            tol = min(tol, max(cfg.ode, r * r))
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10 * scale:
-                break
-            c = c - step
+        c0 = rng.uniform(-scale, scale, size=2)
+        c = _newton(p, c0, math.sqrt(cfg.ode), scale, max_steps)
+        if c is None:
+            c = _newton(p, c0, cfg.ode, scale, max_steps)
+        if c is None:
+            continue
+        n_conv += 1
+        if not any(np.linalg.norm(c - root) < cfg.cluster for root in roots):
+            roots.append(c)
     if n_conv == 0:
         raise NoConvergence("no shooting start converged")
     sols = []

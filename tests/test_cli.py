@@ -117,12 +117,20 @@ def test_nonlinear_solve_infinite_start_scale(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_chart_hyperbolic_overflow_exit_1(tmp_path, capsys):
-    # the constant -1e6 over 2 pi: cosh(1000 * 2 pi) is no float
-    f = coeff_file(tmp_path, cf.constant(-1e6, T))
+@pytest.mark.parametrize("a", [
+    # cosh(1000 * 2 pi) is no float
+    cf.constant(-1e6, T),
+    # cosh(710) is a float, 1000 sinh(710) is not
+    cf.constant(-1e6, 0.71),
+    # each block is a float near e^400, their product is not
+    cf.step_function(0.8, [(0.0, 0.4, -1e6), (0.4, 0.8, -1.0001e6)]),
+])
+def test_chart_hyperbolic_overflow_exit_1(tmp_path, capsys, a):
+    f = coeff_file(tmp_path, a)
     assert cli.main(["chart", f, "--mu-from", "0", "--mu-to", "1",
-                     "--points", "1"]) == 1
-    err = capsys.readouterr().err
+                     "--points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "nan" not in out
     assert err.startswith("error:") and err.count("\n") == 1
 
 

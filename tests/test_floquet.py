@@ -41,9 +41,15 @@ def test_monodromy_hyperbolic_block_overflow():
     assert np.all(np.isfinite(fq._const_block(-1.0, largest)))
     with pytest.raises(NonFiniteValue, match="overflows"):
         fq._const_block(-1.0, math.nextafter(largest, math.inf))
-    # the constant -1e6 over 2 pi: sqrt(-q) T is about 6283
-    with pytest.raises(NonFiniteValue, match="overflows"):
-        fq.monodromy(cf.constant(-1e6, T), 0.0)
+    # the constant -1e6 over 2 pi: sqrt(-q) T is about 6283; over 0.71
+    # cosh(710) is a float and 1000 sinh(710) is not; the two steps are
+    # floats near e^400 whose product is not
+    for a in (cf.constant(-1e6, T), cf.constant(-1e6, 0.71),
+              cf.step_function(0.8, [(0.0, 0.4, -1e6), (0.4, 0.8, -1.0001e6)])):
+        with pytest.raises(NonFiniteValue, match="overflows"):
+            fq.monodromy(a, 0.0)
+        with pytest.raises(NonFiniteValue, match="overflows"):
+            fq.edge_count(a, 0.0)
 
 
 def test_discriminant_smooth_vs_step_consistency():
