@@ -8,9 +8,13 @@ period, edge counts and discriminants alike) each `spectrum` call made.
 Three coefficients also get `certify_all(...).to_dict()`, every
 L-infinity diagnostic included, and three nonlinear problems the
 periodic solutions `solve_periodic` finds, with the right-hand-side calls
-its integrations made.  Run it on two checkouts and diff the outputs to
-see whether a change moved any eigenvalue, certificate value or root by
-as little as one bit:
+its integrations made.  Last come the ground-truth verdicts on the three
+certified coefficients: the list `certify --verify` prints, and
+`classify` at each band edge computed for the coefficient above (or in
+`spectrum(3, 2)` where there is none), as (kind, index, verdict, zone,
+witness, repr(discriminant)).  Run it on two checkouts and diff the
+outputs to see whether a change moved any eigenvalue, certificate value,
+root or verdict by as little as one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
@@ -21,6 +25,7 @@ import json
 import math
 import random
 
+from hillstab import cli
 from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
@@ -89,7 +94,7 @@ def main():
         return propagators(*args, **kwargs)
 
     fq._propagators = counted
-    out = {}
+    out, spectra, certs = {}, {}, {}
     for name, a in {**STEPS, **SMOOTH, **WITNESS}.items():
         if name in WITNESS:
             counts = [(3, 2)]
@@ -100,6 +105,7 @@ def main():
         for p, q in counts:
             calls = 0
             s = fq.spectrum(a, p, q)
+            spectra.setdefault(name, s)
             out[f"{name}: spectrum({p}, {q})"] = {
                 "periodic": entries(s.periodic),
                 "antiperiodic": entries(s.antiperiodic),
@@ -109,7 +115,8 @@ def main():
             out[f"{name}: antiperiodic({q})"] = entries(
                 fq.antiperiodic_eigenvalues(a, q).antiperiodic)
     for name, a in CERTIFIED.items():
-        out[f"{name}: certify_all"] = [c.to_dict() for c in ly.certify_all(a)]
+        certs[name] = ly.certify_all(a)
+        out[f"{name}: certify_all"] = [c.to_dict() for c in certs[name]]
 
     rhs_calls = 0
     solve_ivp = nl.solve_ivp
@@ -130,6 +137,16 @@ def main():
             "unique": r.unique,
             "n_converged_starts": r.n_converged_starts,
             "rhs_calls": rhs_calls}
+
+    for name, a in CERTIFIED.items():
+        out[f"{name}: verification"] = cli._verification(a, certs[name])
+        s = spectra.get(name) or fq.spectrum(a, 3, 2)
+        out[f"{name}: classify at edges"] = [
+            [kind, e.index, v.kind, v.zone_index, entries(v.witness or ()),
+             repr(v.discriminant)]
+            for kind, es in (("periodic", s.periodic),
+                             ("antiperiodic", s.antiperiodic))
+            for e in es for v in [fq.classify(a, e.value)]]
     print(json.dumps(out, indent=1))
 
 

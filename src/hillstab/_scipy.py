@@ -3,8 +3,9 @@
 Importing scipy.integrate and scipy.optimize costs about 0.6 s of a 0.86 s
 ``import hillstab.cli`` and 80 MB of resident memory against 31 MB without
 them (2-vCPU VM, Python 3.11, scipy 1.17).  Most commands never call scipy:
-``witness``, ``constants``, ``certify`` without ``--verify``, ``chart`` on
-constant pieces and ``nonlinear check`` work from the coefficient alone.
+``witness``, ``constants``, ``certify``, ``certify --verify`` and ``chart``
+on constant pieces, and ``nonlinear check`` work from the coefficient
+alone.
 Only root finding (``brentq``, ``minimize_scalar``), ODE integration
 (``solve_ivp``) and the sampled quotient ``constants.j_functional``
 (``simpson``, which no command calls) need it, so each function below

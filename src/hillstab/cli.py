@@ -6,7 +6,7 @@ tolerances, tool version) so artifacts are reproducible.  Exit codes:
 0 success, 1 any other ``HillstabError`` (for example ``witness a-eps
 --eps 10``), 2 parse error or bad option value, 3 root-search or integration
 failure, 4 a ``--verify`` pass found a certificate contradicted by the
-ground truth.
+ground truth: the edge counts, how many band edges lie below mu = 0.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -114,34 +115,35 @@ def cmd_eigs(args) -> int:
     return 0
 
 
-def _conclusion_confirmed(a, cert, spec_cache) -> bool:
-    """Ground-truth check of one holds=true certificate's conclusion."""
-    tol = 1e-6
-    if cert.theorem_id == "CLASSICAL_16T":
-        return abs(fq.discriminant(a, 0.0) - 2.0) > 1e-9
-    n = cert.n_or_p
-    # one run certifies n = 1..3 or a single n: the cached spectrum reaches
-    # index 2n + 1 for the largest n of the L1_*_N theorems, and holds at
-    # least 8 eigenvalues of each kind
-    indexed = cert.theorem_id in ("L1_PERIODIC_N", "L1_ANTIPERIODIC_N")
-    count = 2 * max(3, n if indexed else 0) + 2
-    s = spec_cache.get("s")
-    if s is None or len(s.periodic) < count:
-        s = spec_cache["s"] = fq.spectrum(a, count, count)
-    lam, alam = s.periodic_values(), s.antiperiodic_values()
-    if cert.theorem_id == "L1_PERIODIC_N":
-        return lam[2 * n] < tol and lam[2 * n + 1] > -tol
-    if cert.theorem_id == "L1_ANTIPERIODIC_N":
-        # antiperiodic indexing starts at 1
-        return alam[2 * n - 1] < tol and alam[2 * n] > -tol
-    if cert.theorem_id in ("L1_ZONE_KP", "LINF_FIRST_ZONE"):
-        v = fq.classify(a, 0.0, s)
-        # LINF_FIRST_ZONE concludes lambda_0 < 0 < anti_lambda_1: zone 0
-        return v.kind == "Stable" and (cert.theorem_id == "L1_ZONE_KP"
-                                       or v.zone_index == 0)
-    if cert.theorem_id == "LINF_PERIODIC":
-        return lam[0] < tol and lam[1] > -tol
-    return True
+def _conclusion_confirmed(a, cert, count) -> bool:
+    """Ground-truth check of one holds=true certificate's conclusion, where
+    count(mu) is edge_count(a, mu): E(mu) band edges lie below mu."""
+    n, tid = cert.n_or_p or 0, cert.theorem_id
+    # chain edges i < 0 < j, with 1e-6 of slack in mu: lam_2n and lam_2n+1,
+    # alam_2n and alam_2n+1, lam_0 and lam_1
+    i_j = {"L1_PERIODIC_N": (4 * n, 4 * n + 3),
+           "L1_ANTIPERIODIC_N": (4 * n - 2, 4 * n + 1),
+           "LINF_PERIODIC": (0, 3)}.get(tid)
+    if i_j:
+        return count(1e-6)[0] > i_j[0] and count(-1e-6)[0] <= i_j[1]
+    E, d = count(0.0)
+    if tid == "CLASSICAL_16T":
+        return abs(d - 2.0) > 1e-9
+    # L1_ZONE_KP: 0 in a stability zone; LINF_FIRST_ZONE: in zone 0
+    return fq.band(d) == "Stable" and (tid == "L1_ZONE_KP" or E == 1)
+
+
+def _verification(a, certs) -> list[dict]:
+    """The --verify list: one check per holds=true certificate, then, if
+    there is one, where mu = 0 lies, from at most three edge counts."""
+    count = functools.cache(functools.partial(fq.edge_count, a))
+    checks = [{"theorem_id": c.theorem_id, "n_or_p": c.n_or_p,
+               "confirmed": _conclusion_confirmed(a, c, count)}
+              for c in certs if c.holds]
+    if checks:
+        E, d = count(0.0)
+        checks.append({"mu": 0.0, "edges_below": E, "discriminant": d})
+    return checks
 
 
 def cmd_certify(args) -> int:
@@ -153,25 +155,11 @@ def cmd_certify(args) -> int:
         "manifest": _manifest(args, "certify", [args.coeff_file]),
         "certificates": [c.to_dict() for c in certs],
     }
-    contradiction = False
     if args.verify:
-        spec_cache = {}
-        checks = []
-        for c in certs:
-            if not c.holds:
-                continue
-            ok = _conclusion_confirmed(a, c, spec_cache)
-            checks.append({"theorem_id": c.theorem_id, "n_or_p": c.n_or_p,
-                           "confirmed": ok})
-            contradiction = contradiction or not ok
-        if "s" in spec_cache:
-            checks.append({"periodic_eigenvalues":
-                           spec_cache["s"].periodic_values()})
-            checks.append({"antiperiodic_eigenvalues":
-                           spec_cache["s"].antiperiodic_values()})
-        doc["verification"] = checks
+        doc["verification"] = _verification(a, certs)
     _emit(doc, args)
-    return EXIT_SOUNDNESS if contradiction else 0
+    return 0 if all(c.get("confirmed", True)
+                    for c in doc.get("verification", [])) else EXIT_SOUNDNESS
 
 
 def cmd_constants(args) -> int:
@@ -302,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), default=None)
     p.add_argument("--theorem", choices=ly.THEOREM_IDS, default=None)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check holds=true certificates against the "
-                        "computed spectrum; exit 4 on contradiction")
+                   help="cross-check holds=true certificates against "
+                        "edge counts at mu = 0; exit 4 on contradiction")
     p.add_argument("--output")
     p.set_defaults(func=cmd_certify)
 

@@ -212,13 +212,18 @@ def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
     M, n = np.eye(2), 0
     half = 0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300))
     for s, e, B, columns in _propagators(a, mu, dense):
-        y, M = M[:, 1], B @ M
+        y, M = M[:, 1], _finite(B @ M, mu)
         end = _sign(*M[:, 1])
         if np.isscalar(columns):
-            # the phase sqrt(q) (x - s) passes `turns` multiples of pi: the
-            # piece holds turns or turns + 1 zeros, the sign change says which
-            turns = math.floor(math.sqrt(max(columns, 0.0)) * (e - s) / math.pi)
-            n += turns + (int(_sign(*y) != end) - turns) % 2
+            # q <= 0 allows at most one zero, the sign change; for q > 0 the
+            # scaled Pruefer phase atan2(sqrt(q) u, u') passes x multiples of
+            # pi: of the counts of the sign change's parity, the nearest
+            flip = int(_sign(*y) != end)
+            if columns > 0:
+                w = math.sqrt(columns)
+                x = (math.atan2(w * y[0], y[1]) % math.pi + w * (e - s)) / math.pi
+                flip += 2 * round((x - 0.5 - flip) / 2)
+            n += flip
             continue
         # points half a Sturm spacing apart have at most one zero between
         # them: the steps, or if one is longer a dense grid that fine
@@ -229,7 +234,7 @@ def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
         # e's sign is read from the block, as the next piece reads it
         sg = np.append(_sign(*(m[:2] * y[0] + m[2:] * y[1]))[:-1], end)
         n += int(np.count_nonzero(sg[1:] != sg[:-1]))
-    d = float(np.trace(_finite(M, mu)))
+    d = float(np.trace(M))
     k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
     return (2 * n + 1 if abs(d) < 2.0 else 2 * k), d
 
@@ -257,15 +262,12 @@ def _polish_tangency(g, m: float, scale: float) -> float:
     return m
 
 
-def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
-                 n_antiperiodic: int | None) -> SpectrumSlice:
-    """The first n_periodic lam_j (edge 2j + j % 2 of the chain lam0 < alam1
-    <= alam2 < lam1 <= ...) and n_antiperiodic alam_j (edge 2j - 2 + j % 2).
-    Edge i starts from Weyl's bracket e_i(0) - [sup a, inf a], e_i(0) =
-    (ceil(i / 2) pi / T)^2, so it comes out the same whatever else is asked
-    for; brackets snap to a dyadic grid, so nearby edges share probes."""
-    if any(n is not None and n < 1 for n in (n_periodic, n_antiperiodic)):
-        raise ValueError("count must be >= 1")
+def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
+    """(value, multiplicity) of each chain edge in positions, the chain being
+    lam0 < alam1 <= alam2 < lam1 <= ...  Edge i starts from Weyl's bracket
+    e_i(0) - [sup a, inf a], e_i(0) = (ceil(i / 2) pi / T)^2, so it comes out
+    the same whatever else is asked for; brackets snap to a dyadic grid, so
+    nearby edges share probes."""
     cfg, T, counts, deltas = current(), a.period, {}, {}
     vals = cf.sample(a, (0.0, T), 256)[1]
     inf, sup = float(np.min(vals)), float(np.max(vals))
@@ -324,10 +326,20 @@ def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
             return _polish_tangency(g, mmax, scale), 2
         raise RootSearchFailure(f"no band edge pair in [{lo}, {hi}]")
 
-    return SpectrumSlice(
-        [EigEntry(j, *edge(2 * j + j % 2)) for j in range(n_periodic or 0)],
-        [EigEntry(j, *edge(2 * j - 2 + j % 2))
-         for j in range(1, (n_antiperiodic or 0) + 1)])
+    return [edge(i) for i in positions]
+
+
+def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
+                 n_antiperiodic: int | None) -> SpectrumSlice:
+    """The first n_periodic lam_j (edge 2j + j % 2 of the chain) and
+    n_antiperiodic alam_j (edge 2j - 2 + j % 2)."""
+    if any(n is not None and n < 1 for n in (n_periodic, n_antiperiodic)):
+        raise ValueError("count must be >= 1")
+    p, ap = range(n_periodic or 0), range(1, (n_antiperiodic or 0) + 1)
+    found = _edges(a, [2 * j + j % 2 for j in p] +
+                   [2 * j - 2 + j % 2 for j in ap])
+    return SpectrumSlice([EigEntry(j, *v) for j, v in zip(p, found)],
+                         [EigEntry(j, *v) for j, v in zip(ap, found[len(p):])])
 
 
 def periodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
@@ -375,35 +387,33 @@ def band(d: float) -> str:
     return "Boundary"
 
 
-def classify(a: cf.PeriodicCoefficient, mu: float,
-             spec: SpectrumSlice | None = None) -> StabilityVerdict:
+def classify(a: cf.PeriodicCoefficient, mu: float) -> StabilityVerdict:
     """Stability verdict at mu from one edge count, with boundary resolution.
 
     Stable and Unstable come from band(Delta), a Stable mu lying in zone
-    (E - 1) / 2; within tolerance of a band edge the verdict depends on
-    whether the nearest eigenvalue pair coincides, from `spec` or else from
-    eigenvalues of that kind computed past the E edges below mu.
+    (E - 1) / 2.  Within tolerance of a band edge mu lies at an edge of gap
+    k, the edges 2k - 1 and 2k of the chain, where Delta has the sign
+    (-1)^k: k = E / 2 for even E, and for odd E whichever of (E -+ 1) / 2
+    has that parity.  The verdict depends on whether that pair coincides;
+    the witness is the pair, nearest to mu first, or lam0 alone for k = 0.
     """
     E, d = edge_count(a, mu)
-    kind, tol = band(d), current().boundary
+    kind = band(d)
     if kind != "Boundary":
         return StabilityVerdict(kind, (E - 1) // 2 if kind == "Stable" else None,
                                 None, d)
-    # band edge: the nearest pair, from a search past edges E - 1 and E
-    if spec is None:
-        search = periodic_eigenvalues if d > 0 else antiperiodic_eigenvalues
-        spec = search(a, E // 2 + 3)
-    entries = spec.periodic if d > 0 else spec.antiperiodic
-    if not entries:
-        return StabilityVerdict("BoundaryUnstable", None, None, d)
-    near = min(entries, key=lambda e: abs(e.value - mu))
-    # pair partners: indices (2j-1, 2j) of either kind; lam0 has none
-    partner_idx = near.index + 1 if near.index % 2 == 1 else near.index - 1
-    partner = next((e for e in entries if e.index == partner_idx), None)
-    if partner is None:
-        return StabilityVerdict("BoundaryUnstable", None, (near,), d)
-    kind = "BoundaryStable" if abs(partner.value - near.value) <= tol \
-        else "BoundaryUnstable"
+    k = E // 2
+    if E % 2 and (k % 2 == 1) != (d < 0):
+        k += 1
+    if k == 0:
+        return StabilityVerdict("BoundaryUnstable", None,
+                                (EigEntry(0, *_edges(a, [0])[0]),), d)
+    # lam_{k-1}, lam_k for even k; alam_k, alam_{k+1} for odd k
+    pair = [EigEntry(k - 1 + k % 2 + i, *v)
+            for i, v in enumerate(_edges(a, [2 * k - 1, 2 * k]))]
+    near, partner = sorted(pair, key=lambda e: abs(e.value - mu))
+    kind = "BoundaryStable" if abs(partner.value - near.value) \
+        <= current().boundary else "BoundaryUnstable"
     return StabilityVerdict(kind, None, (near, partner), d)
 
 

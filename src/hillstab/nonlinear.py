@@ -250,16 +250,18 @@ def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
 def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float,
             max_steps: int):
     """The root Newton reaches from c in at most max_steps steps, first
-    integrating at tol, or None when it stops on a singular Jacobian, a
-    non-finite step or one longer than 10 scale."""
+    integrating at tol, or None when it stops on a failed integration, a
+    singular Jacobian, a non-finite step or one longer than 10 scale."""
     cfg = current()
     for _ in range(max_steps):
-        F, J = _shoot(p, c, tol)
-        r = np.linalg.norm(F)
-        if r < cfg.residual * 1e-2 and tol != cfg.ode:
-            tol = cfg.ode
+        try:
             F, J = _shoot(p, c, tol)
-            r = np.linalg.norm(F)
+            if np.linalg.norm(F) < cfg.residual * 1e-2 and tol != cfg.ode:
+                tol = cfg.ode
+                F, J = _shoot(p, c, tol)
+        except IntegrationFailure:
+            return None
+        r = np.linalg.norm(F)
         if r < cfg.residual * 1e-2:
             return c
         tol = min(tol, max(cfg.ode, r * r))
@@ -287,12 +289,12 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     and a tight integration.  A start converges when |F| < `residual` /
     100 from an integration at `ode`; when a looser one meets the test
     first, c is integrated once more at `ode` within the same step.  A
-    start that does not converge so is run again from the same point with
-    every integration at `ode`, as loose early steps can send Newton away
-    from a root near where the Jacobian is ill-conditioned.  Converged
-    roots are deduplicated at `cluster` in initial data.  Raises
-    NonFiniteValue when f(x, 0) is not finite, and NoConvergence when no
-    start converges.
+    start that does not converge so, a failed integration included, is run
+    again from the same point with every integration at `ode`, as loose
+    early steps can send Newton away from a root near where the Jacobian is
+    ill-conditioned.  Converged roots are deduplicated at `cluster` in
+    initial data.  Raises NonFiniteValue when f(x, 0) is not finite, and
+    NoConvergence when no start converges.
     """
     rng, cfg = np.random.default_rng(seed), current()
     xs = np.linspace(0.0, p.period, 256, endpoint=False)

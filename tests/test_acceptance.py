@@ -214,7 +214,7 @@ def test_criterion_09_zone_criterion():
             a = cf.constant(c, T)
             cert = ly.certify_zone_kp(a)
             assert cert.holds
-            v = fq.classify(a, 0.0, fq.spectrum(a, 4, 4))
+            v = fq.classify(a, 0.0)
             assert v.kind == "Stable"
         # zone-bound identity at the double eigenvalues (periodic case
         # needs p = 2n + 1, antiperiodic p = 2n)
@@ -235,7 +235,7 @@ def test_criterion_10_linf_criteria():
         a2 = cf.step_function(PI, [(0.0, 0.22, 5.0), (0.22, PI, 0.026)])
         cert = ly.certify_linf_first_zone(a2)
         assert cert.holds
-        v = fq.classify(a2, 0.0, fq.spectrum(a2, 2, 2))
+        v = fq.classify(a2, 0.0)
         assert v.kind == "Stable"
 
 

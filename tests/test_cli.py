@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 import hillstab
 from hillstab import cli
 from hillstab import coeff as cf
+from hillstab import floquet as fq
 from hillstab import lyapunov as ly
+from hillstab import witness as wt
 
 T = 2 * math.pi
 
@@ -188,20 +191,18 @@ def test_certify_verify_beyond_n3(tmp_path, capsys):
                    "confirmed": True}]
 
 
-def test_verification_lists_both_spectra(tmp_path, capsys):
+def test_verification_lists_where_zero_lies(tmp_path, capsys):
     # a = 16.5, T = 2 pi: lam = k^2 - 16.5 and alam = (k + 1/2)^2 - 16.5,
-    # each twice; --n 4 sizes one spectrum of 10 eigenvalues of each kind
-    f = coeff_file(tmp_path, cf.constant(16.5, T))
+    # each twice but lam_0, so lam_0..lam_8 and alam_1..alam_8 lie below 0:
+    # 17 edges
+    a = cf.constant(16.5, T)
+    f = coeff_file(tmp_path, a)
     code, out = run(capsys, "certify", f, "--n", "4", "--verify")
     assert code == 0
-    checks = json.loads(out)["verification"]
-    lam = next(v["periodic_eigenvalues"] for v in checks
-               if "periodic_eigenvalues" in v)
-    alam = next(v["antiperiodic_eigenvalues"] for v in checks
-                if "antiperiodic_eigenvalues" in v)
-    k = np.arange(10)
-    assert lam == pytest.approx(((k + 1) // 2) ** 2 - 16.5, abs=1e-6)
-    assert alam == pytest.approx((k // 2 + 0.5) ** 2 - 16.5, abs=1e-6)
+    where = [v for v in json.loads(out)["verification"] if "mu" in v]
+    E, d = fq.edge_count(a, 0.0)
+    assert where == [{"mu": 0.0, "edges_below": 17, "discriminant": d}]
+    assert E == 17
 
 
 def test_library_error_exit_1(capsys):
@@ -215,7 +216,86 @@ def test_first_zone_verification_needs_zone_0():
     a = cf.constant(2.0, math.pi)
     forged = ly.Certificate("LINF_FIRST_ZONE", None, {}, True,
                             "lambda_0(a) < 0 < anti_lambda_1(a)")
-    assert not cli._conclusion_confirmed(a, forged, {})
+    assert not cli._conclusion_confirmed(
+        a, forged, functools.partial(fq.edge_count, a))
+
+
+def test_periodic_verification_needs_index_n():
+    # a = 2, T = pi: lam_0 = -2 < 0 < lam_1 = 2, so 0 lies between lam_0
+    # and lam_1, not between lam_2 and lam_3 as L1_PERIODIC_N n = 1 claims
+    a = cf.constant(2.0, math.pi)
+    count = functools.partial(fq.edge_count, a)
+    forged = ly.Certificate("L1_PERIODIC_N", 1, {}, True,
+                            "lambda_2(a) < 0 < lambda_3(a)")
+    assert not cli._conclusion_confirmed(a, forged, count)
+    assert cli._conclusion_confirmed(
+        a, ly.Certificate("LINF_PERIODIC", None, {}, True, ""), count)
+
+
+def chain(s):
+    """The band edges of a spectrum in increasing order, with multiplicity."""
+    return np.sort(np.concatenate([s.periodic_values(),
+                                   s.antiperiodic_values()]))
+
+
+def spectrum_rule(a, cert, s) -> bool:
+    """A certificate's conclusion read from the eigenvalue arrays of s with
+    1e-6 of slack at mu = 0: lam_2n < 0 < lam_2n+1, alam_2n < 0 < alam_2n+1
+    (alam from index 1), lam_0 < 0 < lam_1, or 0 in a zone, zone 0 lying
+    between lam_0 and alam_1."""
+    lam, alam, tol = s.periodic_values(), s.antiperiodic_values(), 1e-6
+    n, d = cert.n_or_p, fq.discriminant(a, 0.0)
+    return {"L1_PERIODIC_N": lambda: lam[2 * n] < tol and lam[2 * n + 1] > -tol,
+            "L1_ANTIPERIODIC_N": lambda: alam[2 * n - 1] < tol
+            and alam[2 * n] > -tol,
+            "LINF_PERIODIC": lambda: lam[0] < tol and lam[1] > -tol,
+            "CLASSICAL_16T": lambda: abs(d - 2.0) > 1e-9,
+            "L1_ZONE_KP": lambda: fq.band(d) == "Stable",
+            "LINF_FIRST_ZONE": lambda: fq.band(d) == "Stable"
+            and lam[0] < 0 < alam[0]}[cert.theorem_id]()
+
+
+def audit_cases():
+    # seeded three-plateau shapes g, raised by c so that 0 lies midway
+    # between edges j - 1 and j of g + c for j = 0..12, in every band and
+    # gap that the L1 conclusions for n = 1, 2 bound, or 5e-7 inside the
+    # slack from the edges 2, 4 (below 0) and 5, 7 (above) they bound at n = 1
+    rng = np.random.default_rng(1313)
+    for period, name in ((T, "2pi"), (math.pi, "pi")):
+        b = np.sort(rng.uniform(0.1, period - 0.1, size=2))
+        g = list(zip([0.0, *b], [*b, period], rng.uniform(-2.0, 2.0, size=3)))
+        edges = chain(fq.spectrum(cf.step_function(period, g), 7, 6))
+        shifts = {f"{j}": c for j, c in enumerate(
+            [edges[0] - 1.0, *(edges[1:] + edges[:-1]) / 2])}
+        shifts.update({f"edge{j}": edges[j] - side * 5e-7
+                       for j, side in ((2, 1), (4, 1), (5, -1), (7, -1))})
+        for label, c in shifts.items():
+            yield pytest.param(
+                cf.step_function(period, [(s, e, v + c) for s, e, v in g]),
+                [1, 2], id=f"step-{name}-{label}")
+    yield pytest.param(cf.from_expression("1.2+0.4*cos(2*x)", math.pi), [1],
+                       id="mathieu-pi")
+    yield pytest.param(cf.from_expression("0.5+0.3*cos(x)-0.4*sin(2*x)", T),
+                       [1], id="trig-2pi")
+    # 0 is the antiperiodic edge alam_1 = alam_2: Delta(0) = -2
+    yield pytest.param(wt.make_two_step(1.0, wt.anti_resonant_x0(1.0)[0]).a,
+                       [1], id="two-step-resonant")
+    # 0 lies within 1e-12 of the edge lam_3
+    yield pytest.param(wt.make_a_eps(1, T, 0.05), [1], id="a-eps")
+
+
+@pytest.mark.parametrize("a, n_list", audit_cases())
+def test_verification_agrees_with_spectrum(a, n_list):
+    # every conclusion, held or not, read from edge counts and from a
+    # spectrum that reaches lam_2n+1 and alam_2n+1 for the largest n
+    certs = ly.certify_all(a, n_list=n_list)
+    s = fq.spectrum(a, 2 * max(n_list) + 2, 2 * max(n_list) + 1)
+    count = functools.cache(functools.partial(fq.edge_count, a))
+    got = {(c.theorem_id, c.n_or_p): cli._conclusion_confirmed(a, c, count)
+           for c in certs}
+    want = {(c.theorem_id, c.n_or_p): bool(spectrum_rule(a, c, s))
+            for c in certs}
+    assert got == want, a.to_json()
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,6 +522,7 @@ main("witness", "a-eps", "--n", "1", "--eps", "0.05", "--output", witness)
 main("constants")
 main("certify", witness, "--n", "1")
 main("chart", step, "--mu-from", "-1", "--mu-to", "5", "--points", "101")
+main("certify", step, "--verify")
 main("nonlinear", "check", problem, "--n", "1")
 assert "scipy" not in sys.modules, "scipy imported before first use"
 main("eigs", smooth, "--count", "2")

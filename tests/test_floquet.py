@@ -43,9 +43,13 @@ def test_monodromy_hyperbolic_block_overflow():
         fq._const_block(-1.0, math.nextafter(largest, math.inf))
     # the constant -1e6 over 2 pi: sqrt(-q) T is about 6283; over 0.71
     # cosh(710) is a float and 1000 sinh(710) is not; the two steps are
-    # floats near e^400 whose product is not
+    # floats near e^400 whose product is not, and oscillatory steps after
+    # them meet an overflowed state
+    steps = [(0.0, 0.4, -1e6), (0.4, 0.8, -1.0001e6)]
     for a in (cf.constant(-1e6, T), cf.constant(-1e6, 0.71),
-              cf.step_function(0.8, [(0.0, 0.4, -1e6), (0.4, 0.8, -1.0001e6)])):
+              cf.step_function(0.8, steps),
+              cf.step_function(1.4, steps + [(0.8, 1.0, 5.0), (1.0, 1.2, 7.0),
+                                             (1.2, 1.4, 3.0)])):
         with pytest.raises(NonFiniteValue, match="overflows"):
             fq.monodromy(a, 0.0)
         with pytest.raises(NonFiniteValue, match="overflows"):
@@ -145,6 +149,18 @@ def test_edge_count_constant(c, period):
     assert all(d == fq.discriminant(a, mu) for (_, d), mu in zip(got, mus))
 
 
+@pytest.mark.parametrize("c, period, count", [
+    (0.0, T, 40), (1.0, T, 29), (2.0, math.pi, 29), (16.5, T, 29)])
+def test_edge_count_at_double_edges(c, period, count):
+    # a = c: lam_0 = -c is edge 0, and the m-th double edge (m pi / T)^2 - c
+    # is edges 2m - 1 and 2m; at an edge E is a count from either side
+    a = cf.constant(c, period)
+    assert fq.edge_count(a, -c)[0] in (0, 1)
+    got = [fq.edge_count(a, (m * math.pi / period) ** 2 - c)[0]
+           for m in range(1, count + 1)]
+    assert all(abs(E - 2 * m) <= 1 for m, E in enumerate(got, 1)), got
+
+
 def random_steps(count):
     rng = np.random.default_rng(1101)
     for _ in range(count):
@@ -236,21 +252,20 @@ def test_interlacing_random_steps():
 
 def test_classify_verdicts():
     a = cf.constant(0.0, T)
-    s = fq.spectrum(a, 5, 4)
-    assert fq.classify(a, 0.5, s).kind == "Stable"
-    assert fq.classify(a, -0.5, s).kind == "Unstable"
-    assert fq.classify(a, 0.5, s).zone_index == 1
-    assert fq.classify(a, 1.5, s).zone_index == 2
-    assert fq.classify(a, 2.5, s).kind == "Stable"
-    v = fq.classify(a, 0.0, s)
+    assert fq.classify(a, 0.5).kind == "Stable"
+    assert fq.classify(a, -0.5).kind == "Unstable"
+    assert fq.classify(a, 0.5).zone_index == 1
+    assert fq.classify(a, 1.5).zone_index == 2
+    assert fq.classify(a, 2.5).kind == "Stable"
+    v = fq.classify(a, 0.0)
     assert v.kind == "BoundaryUnstable"  # mu = lambda_0
-    v = fq.classify(a, 1.0, s)
+    v = fq.classify(a, 1.0)
     assert v.kind == "BoundaryStable"  # coincident pair: coexistence
 
 
 def test_classify_band_edge_without_spectrum():
-    # at a band edge above the eighth of its kind the witness pair is the
-    # one at mu, found from the count of edges below mu
+    # at a band edge the witness pair is the one at mu, found from the
+    # count of edges below mu
     a = cf.constant(0.0, T)
     v = fq.classify(a, 25.0)
     assert v.kind == "BoundaryStable"
@@ -269,7 +284,7 @@ def test_classify_band_edge_without_spectrum():
 
 def test_classify_discriminant_reported():
     a = cf.constant(0.0, T)
-    v = fq.classify(a, 0.5, fq.spectrum(a, 3, 2))
+    v = fq.classify(a, 0.5)
     assert abs(v.discriminant) < 2
 
 

@@ -7,8 +7,8 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import nonlinear as nl
 from hillstab import settings
-from hillstab.errors import (DomainError, MissingEnvelopes, NoConvergence,
-                             ParseError)
+from hillstab.errors import (DomainError, IntegrationFailure, MissingEnvelopes,
+                             NoConvergence, ParseError)
 
 T = 2 * math.pi
 PI = math.pi
@@ -266,6 +266,26 @@ def test_solve_several_periodic_solutions():
         assert s.residual < cfg.residual
         for t in r.solutions[:i]:
             assert math.hypot(s.u0 - t.u0, s.du0 - t.du0) >= cfg.cluster
+
+
+def test_failed_integration_ends_only_its_start(monkeypatch):
+    # solutions of u'' + 2u - 0.05u^3 + 0.2cos(x) = 0 from large data blow
+    # up before T: those starts fail, the rest find the one solution
+    p = nl.NonlinearProblem(
+        ex.parse("2*u - 0.05*u^3 + 0.2*cos(x)", variables=("x", "u")), T)
+    shoot, failed = nl._shoot, []
+
+    def counted(*args):
+        try:
+            return shoot(*args)
+        except IntegrationFailure:
+            failed.append(args[1])
+            raise
+
+    monkeypatch.setattr(nl, "_shoot", counted)
+    r = nl.solve_periodic(p, starts=16, seed=0)
+    assert failed
+    assert r.n_converged_starts == 2 and r.unique
 
 
 def test_solve_resonant_no_convergence():
