@@ -4,11 +4,14 @@ coefficients as JSON.
 Every entry is (index, repr(value), multiplicity), from `spectrum`,
 `periodic_eigenvalues` and `antiperiodic_eigenvalues`, together with the
 number of monodromy passes (one `floquet._propagators` pass over the
-period, edge counts and discriminants alike) each `spectrum` call made.
-Three coefficients also get `certify_all(...).to_dict()`, every
-L-infinity diagnostic included, and three nonlinear problems the
-periodic solutions `solve_periodic` finds, with the right-hand-side calls
-its integrations made.  Last come the ground-truth verdicts on the three
+period, edge counts, discriminants and slope passes alike) each `spectrum`
+call made and the right-hand-side calls of their integrations: the search
+integrates most passes at sqrt(`ode`), which takes fewer calls than one
+at `ode`, so the two counts together show the work.  Three coefficients
+also get `certify_all(...).to_dict()`, every L-infinity diagnostic
+included, and three nonlinear problems the periodic solutions
+`solve_periodic` finds, with the right-hand-side calls its integrations
+made.  Last come the ground-truth verdicts on the three
 certified coefficients: the list `certify --verify` prints, and
 `classify` at each band edge computed for the coefficient above (or in
 `spectrum(3, 2)` where there is none), as (kind, index, verdict, zone,
@@ -85,15 +88,22 @@ def entries(es):
 
 
 def main():
-    calls = 0
-    propagators = fq._propagators
+    calls = rhs_calls = 0
+    propagators, solve_ivp = fq._propagators, nl.solve_ivp
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return propagators(*args, **kwargs)
 
-    fq._propagators = counted
+    def counted_ivp(*args, **kwargs):
+        nonlocal rhs_calls
+        sol = solve_ivp(*args, **kwargs)
+        rhs_calls += sol.nfev
+        return sol
+
+    fq._propagators, fq.solve_ivp, nl.solve_ivp = \
+        counted, counted_ivp, counted_ivp
     out, spectra, certs = {}, {}, {}
     for name, a in {**STEPS, **SMOOTH, **WITNESS}.items():
         if name in WITNESS:
@@ -103,13 +113,14 @@ def main():
         else:
             counts = [(7, 7), (5, 4), (3, 6), (6, 2)]
         for p, q in counts:
-            calls = 0
+            calls = rhs_calls = 0
             s = fq.spectrum(a, p, q)
             spectra.setdefault(name, s)
             out[f"{name}: spectrum({p}, {q})"] = {
                 "periodic": entries(s.periodic),
                 "antiperiodic": entries(s.antiperiodic),
-                "monodromy_passes": calls}
+                "monodromy_passes": calls,
+                "rhs_calls": rhs_calls}
             out[f"{name}: periodic({p})"] = entries(
                 fq.periodic_eigenvalues(a, p).periodic)
             out[f"{name}: antiperiodic({q})"] = entries(
@@ -118,16 +129,6 @@ def main():
         certs[name] = ly.certify_all(a)
         out[f"{name}: certify_all"] = [c.to_dict() for c in certs[name]]
 
-    rhs_calls = 0
-    solve_ivp = nl.solve_ivp
-
-    def counted_ivp(*args, **kwargs):
-        nonlocal rhs_calls
-        sol = solve_ivp(*args, **kwargs)
-        rhs_calls += sol.nfev
-        return sol
-
-    nl.solve_ivp = counted_ivp
     for name, p in NONLINEAR.items():
         rhs_calls = 0
         r = nl.solve_periodic(p, starts=16)

@@ -2,12 +2,18 @@
 
 One propagator gives each piece's 2x2 transfer matrix (an exact
 trigonometric/hyperbolic block, or one integration of the fundamental
-matrix) to monodromies, trajectories, eigenfunctions and edge counts.
+matrix) to monodromies, trajectories, eigenfunctions and edge counts, and
+on request its mu-derivative (closed form, or the variational equation in
+the same integration), so that one pass gives Delta and Delta'.
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
 a pass's zero count gives E(mu), the number of edges below mu: each edge is
-bracketed by Weyl's bounds, isolated by bisection on E and refined on Delta;
-a same-kind pair E cannot part is split or found double at max +-Delta - 2.
+bracketed by Weyl's bounds, isolated by bisection on E from passes at
+sqrt(`ode`) (again at `ode` where that pass's error could move E), and
+refined by Newton's method on Delta with Delta' from the same pass, each
+pass only as accurate as the next step needs; a same-kind pair E cannot
+part is split or found double at the root of Delta' between them.  A root
+is taken only from a pass at `ode`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import coeff as cf
 from . import expr as ex
-from ._scipy import brentq, minimize_scalar, solve_ivp
+from ._scipy import solve_ivp
 from .errors import (IntegrationFailure, NonFiniteValue, NotAnEigenvalue,
                      RootSearchFailure)
 from .settings import current
@@ -77,43 +84,85 @@ def _const_block(q: float, L: float) -> np.ndarray:
     return np.array([[1.0, L], [0.0, 1.0]])
 
 
-def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool):
+def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
+                 tol: float | None = None, slope: bool = False):
     """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
 
     B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
-    else the fundamental matrix from one integration, the same bit for bit
-    with or without dense output.  With dense, columns(xs) gives the transfer
-    matrices from s to the points xs column by column, shape (4, n); without,
-    it is q = mu + a on a constant piece and else the accepted steps
-    (t, columns(t)).  More than `ode_budget` right-hand-side calls in a pass
-    raise IntegrationFailure.
+    else the fundamental matrix from one integration at rtol = atol = tol
+    (`ode` when None), the same bit for bit with or without dense output.
+    With dense, columns(xs) gives the transfer matrices from s to the points
+    xs column by column, shape (4, n); without, it is q = mu + a on a
+    constant piece and else the accepted steps (t, columns(t)).  With slope
+    (not dense), columns is dB/dmu instead: _const_slope on a constant piece,
+    else from the variational equation Phi_mu' = A Phi_mu - [[0, 0], [1, 0]]
+    Phi integrated with Phi.  More than `ode_budget` right-hand-side calls in
+    a pass raise IntegrationFailure.
     """
-    budget, evals = current().ode_budget, itertools.count(1)
+    cfg = current()
+    budget, evals = cfg.ode_budget, itertools.count(1)
+    tol = cfg.ode if tol is None else tol
     for s, e, piece in a.pieces:
         cval = ex.constant_value(piece)
         if cval is not None:
             q = mu + cval
             B = _const_block(q, e - s)
-            columns = functools.partial(_const_columns, q, s) if dense else q
+            if slope:
+                columns = _const_slope(q, e - s, B)
+            else:
+                columns = functools.partial(_const_columns, q, s) if dense else q
+            yield s, e, B, columns
+            continue
+
+        if slope:
+            def rhs(x, y, f=piece.compiled()):
+                if next(evals) > budget:
+                    raise _exhausted(budget, mu)
+                q = mu + f(x)
+                return [y[1], -q * y[0], y[3], -q * y[2],
+                        y[5], -q * y[4] - y[0], y[7], -q * y[6] - y[2]]
         else:
             def rhs(x, y, f=piece.compiled()):
                 if next(evals) > budget:
-                    raise IntegrationFailure(f"ODE budget of {budget} "
-                                             f"evaluations exhausted at mu={mu}")
+                    raise _exhausted(budget, mu)
                 q = mu + f(x)
                 return [y[1], -q * y[0], y[3], -q * y[2]]
 
-            tol = current().ode
-            sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                            rtol=tol, atol=tol, dense_output=dense,
-                            max_step=max((e - s) / 16, 1e-12))
-            if not sol.success:
-                raise IntegrationFailure(
-                    f"ODE solver failed on [{s}, {e}]: {sol.message}")
-            y = sol.y[:, -1]
-            B = np.array([[y[0], y[2]], [y[1], y[3]]])
+        sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0] + [0.0] * 4 * slope,
+                        method="DOP853", rtol=tol, atol=tol,
+                        dense_output=dense, max_step=max((e - s) / 16, 1e-12))
+        if not sol.success:
+            raise IntegrationFailure(
+                f"ODE solver failed on [{s}, {e}]: {sol.message}")
+        y = sol.y[:, -1]
+        B = np.array([[y[0], y[2]], [y[1], y[3]]])
+        if slope:
+            columns = np.array([[y[4], y[6]], [y[5], y[7]]])
+        else:
             columns = sol.sol if dense else (sol.t, sol.y)
         yield s, e, B, columns
+
+
+def _exhausted(budget: int, mu: float) -> IntegrationFailure:
+    return IntegrationFailure(f"ODE budget of {budget} evaluations "
+                              f"exhausted at mu={mu}")
+
+
+def _const_slope(q: float, L: float, B: np.ndarray) -> np.ndarray:
+    """d/dq of B = _const_block(q, L).  With c = B11 and s = B12 =
+    sin(sqrt(q) L) / sqrt(q), an entire function of q, it is
+    [[-L s/2, s'], [-(s + L c)/2, -L s/2]] with s' = (L c - s) / (2q), or
+    where |q| L^2 < 1/2 its series -sum_k k (-q)^(k-1) L^(2k+1) / (2k+1)!,
+    as L c - s cancels there."""
+    c, s = B[0, 0], B[0, 1]
+    if abs(q) * L * L < 0.5:
+        term, ds = -L ** 3 / 6, 0.0
+        for k in range(1, 10):
+            ds += term
+            term *= -q * L * L * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
+    else:
+        ds = (L * c - s) / (2 * q)
+    return np.array([[-L * s / 2, ds], [-(s + L * c) / 2, -L * s / 2]])
 
 
 def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
@@ -144,6 +193,17 @@ def _product(pieces, mu: float) -> np.ndarray:
     for _, _, B, _ in pieces:
         M = B @ M
     return _finite(M, mu)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
+def _slope(a: cf.PeriodicCoefficient, mu: float, tol: float):
+    """(Delta, dDelta/dmu) at mu from one pass integrating at tol: the trace
+    of M = B_n ... B_1 and of its derivative, the sum over pieces of
+    B_n ... dB_j ... B_1."""
+    M, dM = np.eye(2), np.zeros((2, 2))
+    for _, _, B, dB in _propagators(a, mu, False, tol, slope=True):
+        M, dM = B @ M, dB @ M + B @ dM
+    return float(np.trace(_finite(M, mu))), float(np.trace(_finite(dM, mu)))
 
 
 def monodromy(a: cf.PeriodicCoefficient, mu: float) -> np.ndarray:
@@ -207,11 +267,13 @@ def _sign(u, du):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
-def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
-    """edge_count(a, mu) given sup a, which bounds the Sturm spacing."""
+def _edge_count(a, mu: float, sup: float, tol: float | None = None,
+                dense=False) -> tuple[int, np.ndarray]:
+    """(E, M): edge_count(a, mu) given sup a, which bounds the Sturm
+    spacing, from a pass integrating at tol, with its monodromy matrix."""
     M, n = np.eye(2), 0
     half = 0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300))
-    for s, e, B, columns in _propagators(a, mu, dense):
+    for s, e, B, columns in _propagators(a, mu, dense, tol):
         y, M = M[:, 1], _finite(B @ M, mu)
         end = _sign(*M[:, 1])
         if np.isscalar(columns):
@@ -228,7 +290,7 @@ def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
         # points half a Sturm spacing apart have at most one zero between
         # them: the steps, or if one is longer a dense grid that fine
         if not dense and np.max(np.diff(columns[0])) > half:
-            return _edge_count(a, mu, sup, dense=True)
+            return _edge_count(a, mu, sup, tol, dense=True)
         m = columns(np.linspace(s, e, math.ceil((e - s) / half) + 1)) \
             if dense else columns[1]
         # e's sign is read from the block, as the next piece reads it
@@ -236,7 +298,7 @@ def _edge_count(a, mu: float, sup: float, dense=False) -> tuple[int, float]:
         n += int(np.count_nonzero(sg[1:] != sg[:-1]))
     d = float(np.trace(M))
     k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
-    return (2 * n + 1 if abs(d) < 2.0 else 2 * k), d
+    return (2 * n + 1 if abs(d) < 2.0 else 2 * k), M
 
 
 def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
@@ -246,20 +308,79 @@ def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
     k-th in the closure of gap k (edges 2k - 1 to 2k), where Delta has the
     sign (-1)^k: E = 2N + 1 in a band, and in a gap E = 2k with k the one of
     N, N + 1 of that parity.  E may be off by one within rounding of an edge."""
-    return _edge_count(a, mu, float(np.max(cf.sample(a, (0.0, a.period), 256)[1])))
+    sup = float(np.max(cf.sample(a, (0.0, a.period), 256)[1]))
+    E, M = _edge_count(a, mu, sup)
+    return E, float(np.trace(M))
 
 
-def _polish_tangency(g, m: float, scale: float) -> float:
-    """Refine a tangential double root by locating the zero of g'."""
-    h = 1e-6 * max(1.0, scale)
+#: a pass looser than `ode` is trusted to within _LOOSE tol max(1, |value|)
+#: per half-wave of the solution: 30 times the most that Delta, Delta' and
+#: u(T) were measured off by at sqrt(`ode`) over mu in [-3, 120] on smooth
+#: coefficients of period pi and 2 pi
+_LOOSE = 32.0
 
-    def dg(mu):
-        return (g(mu + h) - g(mu - h)) / (2 * h)
 
-    lo, hi = m - 20 * h, m + 20 * h
-    if dg(lo) * dg(hi) < 0:
-        return brentq(dg, lo, hi, xtol=current().root)
-    return m
+def _error(a, mu: float, sup: float, tol: float, size: float) -> float:
+    """What a pass at tol may be off by in a value of the given size, sup
+    being sup a: 0 at `ode`, which the search takes as exact, and else
+    _LOOSE tol max(1, size) (1 + T sqrt(mu + sup) / pi)."""
+    if tol <= current().ode:
+        return 0.0
+    waves = 1.0 + a.period * math.sqrt(max(mu + sup, 0.0)) / math.pi
+    return _LOOSE * tol * max(1.0, size) * waves
+
+
+def _probe(a, mu: float, sup: float, tol: float) -> tuple[int, float]:
+    """(E, Delta) as edge_count gives them, from a pass at tol unless its
+    ||Delta| - 2| or u(T), of the solution whose zeros E counts, is within
+    the pass's error: only those can move E, the first across a band edge
+    and the second across T.  Then the pass is made again at `ode`."""
+    E, M = _edge_count(a, mu, sup, tol)
+    if tol > current().ode and min(abs(abs(np.trace(M)) - 2.0), abs(M[0, 1])) \
+            <= _error(a, mu, sup, tol, np.max(np.abs(M))):
+        E, M = _edge_count(a, mu, sup)
+    return E, float(np.trace(M))
+
+
+def _refine(f, lo: float, hi: float, x: float, df: float | None,
+            rising: bool, tol: float):
+    """(root, x, slope): a root of f in [lo, hi], which f crosses upward
+    when rising and else downward, by Newton's method from x kept in the
+    bracket.  f(x, tol) gives f(x) from a pass at tol, its derivative (or
+    None: then the secant through the pass before, or df for the first) and
+    the pass's error.  The first pass runs at tol, and after one with
+    |f| = r the next at max(`ode`, r**2), never looser (inexact Newton).
+    Only a pass whose |f| exceeds its error moves an end of the bracket; a
+    step that would leave the bracket, or not halve the one before last,
+    bisects it.  The root is taken from a pass at `ode` when its Newton step
+    or the bracket is within `root` plus rounding of x, and x and slope are
+    that pass's point and derivative."""
+    cfg = current()
+    step = step_old = hi - lo
+    prev = None
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(200):
+        v, dv, err = f(x, tol)
+        if dv is None:
+            dv = df if prev is None or prev[0] == x else \
+                (v - prev[1]) / (x - prev[0])
+        if abs(v) > err:
+            lo, hi = (lo, x) if (v > 0) == rising else (x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = float(np.divide(v, dv))
+        xtol = cfg.root + 4 * sys.float_info.epsilon * abs(x)
+        if tol == cfg.ode and (abs(newton) <= xtol or hi - lo <= xtol):
+            root = x - newton if abs(newton) <= xtol else 0.5 * (lo + hi)
+            return min(max(root, lo), hi), x, dv
+        if lo < x - newton < hi and abs(2 * newton) <= abs(step_old):
+            step_old, step, x_next = step, newton, x - newton
+        else:
+            step_old, step, x_next = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
+        tol = cfg.ode if abs(step) <= xtol or hi - lo <= xtol else \
+            min(tol, max(cfg.ode, v * v))
+        prev, df, x = (x, v), dv, x_next
+    raise RootSearchFailure(f"no root found in [{lo}, {hi}]")
 
 
 def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
@@ -267,24 +388,37 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
     lam0 < alam1 <= alam2 < lam1 <= ...  Edge i starts from Weyl's bracket
     e_i(0) - [sup a, inf a], e_i(0) = (ceil(i / 2) pi / T)^2, so it comes out
     the same whatever else is asked for; brackets snap to a dyadic grid, so
-    nearby edges share probes."""
-    cfg, T, counts, deltas = current(), a.period, {}, {}
+    nearby edges share probes.  Probes integrate at sqrt(`ode`) (see
+    _probe), and Newton on g = +-Delta - 2 with Delta' from the same pass
+    refines an edge (see _refine); a same-kind pair E cannot part is split
+    or found double at the root of Delta' between them."""
+    cfg, T, counts, deltas, slopes = current(), a.period, {}, {}, {}
     vals = cf.sample(a, (0.0, T), 256)[1]
     inf, sup = float(np.min(vals)), float(np.max(vals))
+    smooth = any(ex.constant_value(p) is None for _, _, p in a.pieces)
+    loose = math.sqrt(cfg.ode) if smooth else cfg.ode
 
     def probe(mu):  # None near an edge: E may be off by one, a double unparted
         if mu not in counts:
-            counts[mu], deltas[mu] = _edge_count(a, mu, sup)
+            counts[mu], deltas[mu] = _probe(a, mu, sup, loose)
         return None if band(deltas[mu]) == "Boundary" else counts[mu]
+
+    def slope(mu, tol):
+        if (mu, tol) not in slopes:
+            slopes[mu, tol] = _slope(a, mu, tol)
+        return slopes[mu, tol]
 
     def edge(i):
         k = (i + 1) // 2  # gap k lies between edges 2k - 1 and 2k
         sign = -1.0 if k % 2 else 1.0
 
-        def g(mu):
-            if mu not in deltas:
-                deltas[mu] = discriminant(a, mu)
-            return sign * deltas[mu] - 2.0
+        def g(mu, tol):
+            d, dd = slope(mu, tol)
+            return sign * d - 2.0, sign * dd, _error(a, mu, sup, tol, abs(d))
+
+        def dg(mu, tol):
+            d, dd = slope(mu, tol)
+            return sign * dd, None, _error(a, mu, sup, tol, abs(dd))
 
         # edge-pair spacing, and edges 2k - 1 and 2k, at a = 0
         scale, e0 = (2 * k + 1) * (math.pi / T) ** 2, (k * math.pi / T) ** 2
@@ -310,20 +444,31 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
             if m is None:  # what is left lies within rounding of one point
                 break
             lo, hi = (m, hi) if counts[m] <= i else (lo, m)
+        glo, ghi = sign * deltas[lo] - 2.0, sign * deltas[hi] - 2.0
         if (counts[lo], counts[hi]) != pair:
-            if g(lo) * g(hi) > 0:
+            if glo * ghi > 0:
                 raise RootSearchFailure(f"could not part edges in [{lo}, {hi}]")
-            return brentq(g, lo, hi, xtol=cfg.root), 1
-        # a same-kind pair in a bracket with g < 0 at both ends: g peaks
-        # above 0 between two edges and at 0 on a double one
-        res = minimize_scalar(lambda m: -g(m), bounds=(lo, hi),
-                              method="bounded", options={"xatol": cfg.root / 10})
-        gmax, mmax = -res.fun, res.x
+            x = lo - glo * (hi - lo) / (ghi - glo)  # regula falsi
+            return _refine(g, lo, hi, x, None, ghi > 0, loose)[0], 1
+        # a same-kind pair in a bracket with g < 0 at both ends: g' falls
+        # through 0 once, where g peaks above 0 between two edges and at 0
+        # on a double one; start where g = -c (mu - m)^2 through both ends
+        # would peak
+        wl, wh = math.sqrt(-glo), math.sqrt(-ghi)
+        m, x, curv = _refine(dg, lo, hi, lo + (hi - lo) * wl / (wl + wh),
+                             -2 * ((wl + wh) / (hi - lo)) ** 2, False, loose)
+        # g at m on the parabola through g and g' at x, the last pass
+        gmax = g(x, cfg.ode)[0] + 0.5 * (m - x) * dg(x, cfg.ode)[0]
         if gmax > 1e-12:
-            ends = (lo, mmax) if i == 2 * k - 1 else (mmax, hi)
-            return brentq(g, *ends, xtol=cfg.root), 1
+            # each edge from g = gmax + curv (mu - m)^2 / 2, first at the
+            # accuracy that g near the edge (of order gmax) needs
+            r = math.sqrt(2 * gmax / -curv) if curv < 0 else 0.0
+            tol = min(loose, max(cfg.ode, gmax * gmax))
+            if i == 2 * k - 1:
+                return _refine(g, lo, m, m - r, None, True, tol)[0], 1
+            return _refine(g, m, hi, m + r, None, False, tol)[0], 1
         if gmax > -cfg.boundary:
-            return _polish_tangency(g, mmax, scale), 2
+            return m, 2
         raise RootSearchFailure(f"no band edge pair in [{lo}, {hi}]")
 
     return [edge(i) for i in positions]

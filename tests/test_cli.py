@@ -497,7 +497,7 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_scipy_imported_only_on_first_use(tmp_path):
-    """Commands that neither find roots nor integrate an ODE run without
+    """Commands that neither refine zeros nor integrate an ODE run without
     importing scipy; the first one that does imports it then."""
     step = coeff_file(tmp_path, cf.step_function(
         T, [(0.0, 1.0, 0.3), (1.0, T, 0.9)]), "step.json")
@@ -523,6 +523,7 @@ main("constants")
 main("certify", witness, "--n", "1")
 main("chart", step, "--mu-from", "-1", "--mu-to", "5", "--points", "101")
 main("certify", step, "--verify")
+main("eigs", step, "--count", "3", "--bc", "both")
 main("nonlinear", "check", problem, "--n", "1")
 assert "scipy" not in sys.modules, "scipy imported before first use"
 main("eigs", smooth, "--count", "2")

@@ -9,6 +9,7 @@ from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import witness as wt
 from hillstab.errors import NonFiniteValue, NotAnEigenvalue
+from hillstab.settings import current
 
 T = 2 * math.pi
 
@@ -102,9 +103,9 @@ def passes(monkeypatch):
     calls = []
     propagators = fq._propagators
 
-    def counted(a, mu, dense):
+    def counted(a, mu, *args, **kwargs):
         calls.append(mu)
-        return propagators(a, mu, dense)
+        return propagators(a, mu, *args, **kwargs)
 
     monkeypatch.setattr(fq, "_propagators", counted)
     return calls
@@ -122,6 +123,125 @@ def test_spectrum_is_one_scan(monkeypatch):
     assert s.periodic == p.periodic
     assert s.antiperiodic == ap.antiperiodic
     assert n_spectrum < len(calls) - n_spectrum
+
+
+MATHIEU = cf.from_expression("1.2+0.4*cos(2*x)", math.pi)
+SMOOTH = [
+    MATHIEU,
+    cf.from_expression("0.5+0.3*cos(x)", T),
+    cf.from_expression("1.2+0.4*cos(2*x)+0.15*cos(4*x+2.5)", math.pi),
+    cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 2.0, "expr": "1.5"},
+        {"from": 2.0, "to": T, "expr": "0.5+0.3*cos(x)"}]}),
+]
+SMOOTH_IDS = ["mathieu", "0.5+0.3cos(x)", "trig", "step and cos"]
+
+
+def central_difference(a, mu, h=1e-5):
+    return (fq.discriminant(a, mu + h) - fq.discriminant(a, mu - h)) / (2 * h)
+
+
+@pytest.mark.parametrize("a, mus", [
+    # q = mu + a < 0 on one piece or all three
+    (cf.step_function(T, [(0.0, 2.0, 1.3), (2.0, 5.0, -0.7), (5.0, T, 2.2)]),
+     [-3.0, -1.5, 0.3, 4.0, 11.7]),
+    (MATHIEU, [-2.0, -0.5, 1.0, 3.0, 10.0]),
+    # |q| T^2 on both sides of 1/2, where the block's slope becomes a series
+    (cf.constant(0.3, T), [q / T ** 2 - 0.3 for q in
+                           (-0.6, -0.4, -1e-3, 0.0, 1e-3, 0.4, 0.6, 3.0)]),
+], ids=["steps", "mathieu", "constant"])
+def test_slope_against_central_difference(a, mus):
+    for mu in mus:
+        d, dd = fq._slope(a, mu, current().ode)
+        assert dd == pytest.approx(central_difference(a, mu), rel=1e-6,
+                                   abs=1e-6)
+        if all(ex.constant_value(p) is not None for _, _, p in a.pieces):
+            assert d == fq.discriminant(a, mu)  # the same block product
+        else:
+            assert d == pytest.approx(fq.discriminant(a, mu), abs=1e-9)
+
+
+def test_constant_slope_continuous_at_series_switch():
+    L = 2.0
+    for q in (0.5 / L ** 2, -0.5 / L ** 2):
+        below, above = (fq._const_slope(x, L, fq._const_block(x, L))
+                        for x in (q * (1 - 1e-14), q * (1 + 1e-14)))
+        assert np.max(np.abs(below - above)) <= 1e-13 * np.max(np.abs(below))
+
+
+@pytest.mark.parametrize("a", SMOOTH, ids=SMOOTH_IDS)
+def test_loose_probe_counts_as_edge_count(a):
+    # a probe at sqrt(ode) gives the count a pass at ode gives, on a grid
+    # and 1e-5 from each edge, where it must integrate again at ode
+    sup = float(np.max(cf.sample(a, (0.0, a.period), 256)[1]))
+    edges = chain(fq.spectrum(a, 3, 2))
+    for mu in np.concatenate([np.linspace(-2.0, 60.0, 32),
+                              edges - 1e-5, edges + 1e-5]):
+        E, d = fq._probe(a, mu, sup, math.sqrt(current().ode))
+        E_ode, d_ode = fq.edge_count(a, mu)
+        assert (E, abs(d) < 2) == (E_ode, abs(d_ode) < 2), mu
+
+
+def hill_eigenvalues(period, fourier, anti, modes=41):
+    """Oracle: eigenvalues of -u'' - a u = mu u on the modes e^(i n w x),
+    w = 2 pi / T, n integer (periodic) or half-integer (antiperiodic), for
+    a = sum_j fourier[j] e^(i j w x) with real fourier[j] = fourier[-j]."""
+    n = np.arange(modes) - modes // 2 + 0.5 * anti
+    j = np.rint(n[:, None] - n[None, :]).astype(int)
+    H = np.diag((2 * math.pi / period * n) ** 2) - np.vectorize(
+        lambda k: fourier.get(abs(k), 0.0))(j)
+    return np.linalg.eigvalsh(H)
+
+
+@pytest.mark.parametrize("a, fourier, counts, pair", [
+    # lam3/lam4, 2.8e-5 apart
+    (SMOOTH[1], {0: 0.5, 1: 0.15}, (5, 4), ("periodic", 3)),
+    # alam3/alam4, 2.5e-4 apart
+    (MATHIEU, {0: 1.2, 1: 0.2}, (3, 4), ("antiperiodic", 2)),
+], ids=["0.5+0.3cos(x)", "mathieu"])
+def test_narrow_gaps_against_hill_matrix(a, fourier, counts, pair):
+    # every edge within 1e-8 of a Hill matrix; the narrow pair stays split,
+    # as no loose pass may pick a side of a bracket inside its own error
+    s = fq.spectrum(a, *counts)
+    for kind, es in (("periodic", s.periodic),
+                     ("antiperiodic", s.antiperiodic)):
+        oracle = hill_eigenvalues(a.period, fourier, kind == "antiperiodic")
+        np.testing.assert_allclose([e.value for e in es], oracle[:len(es)],
+                                   rtol=0, atol=1e-8)
+        assert all(e.multiplicity == 1 for e in es)
+    es = getattr(s, pair[0])[pair[1]:pair[1] + 2]
+    assert es[1].value - es[0].value > 1e-5
+
+
+@pytest.mark.parametrize("c", [1e6, 1e9, 1e12])
+def test_large_constant_double_edges(c):
+    # a = c, T = 2 pi: lam0 = -c, then double edges at (m/2)^2 - c; the
+    # tangency is the root of Delta' whatever the rounding of mu
+    s = fq.spectrum(cf.constant(c, T), 3, 2)
+    tol = max(1e-9, 4 * math.ulp(c))
+    assert [(e.value, e.multiplicity) for e in s.periodic] == [
+        (pytest.approx(-c, abs=tol), 1), (pytest.approx(1 - c, abs=tol), 2),
+        (pytest.approx(1 - c, abs=tol), 2)]
+    assert [(e.value, e.multiplicity) for e in s.antiperiodic] == [
+        (pytest.approx(0.25 - c, abs=tol), 2)] * 2
+
+
+def test_smooth_spectrum_rhs_calls(monkeypatch):
+    # spectrum(2, 2) on the Mathieu coefficient: the search made 49 passes
+    # and 18 482 right-hand-side calls before probes ran at sqrt(ode) and
+    # Newton took Delta' from its own passes
+    calls, rhs = passes(monkeypatch), []
+    solve_ivp = fq.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        rhs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(fq, "solve_ivp", counted)
+    fq.spectrum(MATHIEU, 2, 2)
+    assert len(calls) < 49
+    assert sum(rhs) < 18_482
 
 
 def chain(s):
