@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -369,7 +368,7 @@ def _refine(f, lo: float, hi: float, x: float, df: float | None,
             lo, hi = (lo, x) if (v > 0) == rising else (x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = float(np.divide(v, dv))
-        xtol = cfg.root + 4 * sys.float_info.epsilon * abs(x)
+        xtol = cfg.root + 4 * np.finfo(float).eps * abs(x)
         if tol == cfg.ode and (abs(newton) <= xtol or hi - lo <= xtol):
             root = x - newton if abs(newton) <= xtol else 0.5 * (lo + hi)
             return min(max(root, lo), hi), x, dv
