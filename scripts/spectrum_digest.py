@@ -15,9 +15,13 @@ made.  Last come the ground-truth verdicts on the three
 certified coefficients: the list `certify --verify` prints, and
 `classify` at each band edge computed for the coefficient above (or in
 `spectrum(3, 2)` where there is none), as (kind, index, verdict, zone,
-witness, repr(discriminant)).  Run it on two checkouts and diff the
-outputs to see whether a change moved any eigenvalue, certificate value,
-root or verdict by as little as one bit:
+witness, repr(discriminant)).  After them come the certificates `nonlinear
+check --n 1` computes for acceptance criterion 11's enveloped problem and
+for its copy of period pi, where `NL_LINF_PERIODIC` applies too, and last
+the zero structure of a_eps(1, 2pi, 0.35)'s periodic eigenfunction.  Run it
+on two checkouts and diff the outputs to see whether a change moved any
+eigenvalue, certificate value, root, zero or verdict by as little as one
+bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
@@ -35,6 +39,7 @@ from hillstab import floquet as fq
 from hillstab import lyapunov as ly
 from hillstab import nonlinear as nl
 from hillstab import witness as wt
+from hillstab import zeros as zr
 
 T = 2 * math.pi
 SMOOTH = {
@@ -81,6 +86,19 @@ NONLINEAR = {
     "2u - 2sin(x)": problem("2*u - 2*sin(x)"),
     "1.1u": problem("1.1*u"),
 }
+
+
+def enveloped(period):
+    """Acceptance criterion 11's problem, with envelopes and u box."""
+    return nl.NonlinearProblem(
+        ex.parse("1.5*u + 0.1*sin(u) + cos(2*x)", variables=("x", "u")),
+        period, fu=ex.parse("1.5 + 0.1*cos(u)", variables=("x", "u")),
+        alpha_env=cf.constant(1.4, period), beta_env=cf.constant(1.6, period),
+        u_box=(-20.0, 20.0))
+
+
+ENVELOPED = {"criterion 11": enveloped(T), "criterion 11, T=pi":
+             enveloped(math.pi)}
 
 
 def entries(es):
@@ -148,7 +166,15 @@ def main():
             for kind, es in (("periodic", s.periodic),
                              ("antiperiodic", s.antiperiodic))
             for e in es for v in [fq.classify(a, e.value)]]
-    print(json.dumps(out, indent=1))
+
+    for name, p in ENVELOPED.items():
+        checks = [nl.check_l1_hypotheses(p, 1), nl.check_classical_band(p)]
+        if p.period == math.pi:
+            checks.insert(1, nl.check_linf_hypotheses(p))
+        out[f"{name}: nonlinear check --n 1"] = [c.to_dict() for c in checks]
+    out["a_eps(1, 2pi, 0.35): zeros periodic"] = zr.extract_zero_structure(
+        WITNESS["a_eps(1, 2pi, 0.35)"], "periodic").to_dict()
+    print(json.dumps(out, indent=1, default=cli._json_default))
 
 
 if __name__ == "__main__":

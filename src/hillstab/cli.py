@@ -96,12 +96,8 @@ def _emit_csv(header: list, rows: list, args):
 
 def cmd_eigs(args) -> int:
     a = _load_coefficient(args)
-    if args.bc == "periodic":
-        s = fq.periodic_eigenvalues(a, args.count)
-    elif args.bc == "antiperiodic":
-        s = fq.antiperiodic_eigenvalues(a, args.count)
-    else:
-        s = fq.spectrum(a, args.count, args.count)
+    s = fq.spectrum(a, None if args.bc == "antiperiodic" else args.count,
+                    None if args.bc == "periodic" else args.count)
     interlace_ok = True
     if s.periodic and s.antiperiodic:
         interlace_ok, _ = fq.check_interlacing(s)
@@ -119,13 +115,15 @@ def _conclusion_confirmed(a, cert, count) -> bool:
     """Ground-truth check of one holds=true certificate's conclusion, where
     count(mu) is edge_count(a, mu): E(mu) band edges lie below mu."""
     n, tid = cert.n_or_p or 0, cert.theorem_id
-    # chain edges i < 0 < j, with 1e-6 of slack in mu: lam_2n and lam_2n+1,
-    # alam_2n and alam_2n+1, lam_0 and lam_1
-    i_j = {"L1_PERIODIC_N": (4 * n, 4 * n + 3),
-           "L1_ANTIPERIODIC_N": (4 * n - 2, 4 * n + 1),
-           "LINF_PERIODIC": (0, 3)}.get(tid)
-    if i_j:
-        return count(1e-6)[0] > i_j[0] and count(-1e-6)[0] <= i_j[1]
+    # edges j and j + 1 of a kind bracket 0, with 1e-6 of slack in mu:
+    # lam_2n and lam_2n+1, alam_2n and alam_2n+1, lam_0 and lam_1
+    kind_j = {"L1_PERIODIC_N": ("periodic", 2 * n),
+              "L1_ANTIPERIODIC_N": ("antiperiodic", 2 * n),
+              "LINF_PERIODIC": ("periodic", 0)}.get(tid)
+    if kind_j:
+        kind, j = kind_j
+        return count(1e-6)[0] > fq.chain_position(kind, j) and \
+            count(-1e-6)[0] <= fq.chain_position(kind, j + 1)
     E, d = count(0.0)
     if tid == "CLASSICAL_16T":
         return abs(d - 2.0) > 1e-9

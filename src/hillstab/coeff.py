@@ -53,11 +53,16 @@ class PeriodicCoefficient:
             raise ParseError("piece bounds and removable points must be finite")
         tol = 1e-9 * max(1.0, T)
         prev = 0.0
-        for s, e, _ in self.pieces:
+        for s, e, p in self.pieces:
             if abs(s - prev) > tol:
                 raise ParseError(f"pieces do not partition [0,T): gap/overlap at {s}")
             if e <= s:
                 raise ParseError("empty piece interval")
+            with np.errstate(over="ignore"):
+                c = ex.constant_value(p)
+            if c is not None and not math.isfinite(c):
+                raise NonFiniteValue(
+                    f"coefficient is not finite on [{s}, {e}): {p} = {c}")
             prev = e
         if abs(prev - T) > tol:
             raise ParseError("pieces do not cover [0,T)")
@@ -277,11 +282,10 @@ def mean(a: PeriodicCoefficient) -> float:
     return integral(a, (0.0, a.period)) / a.period
 
 
-def linf_norm(a: PeriodicCoefficient, interval: tuple[float, float],
-              samples_per_piece: int = 4096) -> float:
+def linf_norm(a: PeriodicCoefficient, interval: tuple[float, float]) -> float:
     """Essential supremum of |a| on the interval: the largest |a| over the
     per-cell samples of `sample`."""
-    _, vals = sample(a, interval, samples_per_piece)
+    _, vals = sample(a, interval)
     return float(np.max(np.abs(vals)))
 
 

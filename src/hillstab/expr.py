@@ -32,9 +32,6 @@ class Expression:
     def subs(self, var: str, repl: "Expression") -> "Expression":
         raise NotImplementedError
 
-    def __call__(self, **env):
-        return self.eval(**env)
-
     def compiled(self):
         """This tree as a scalar Python function ``f(x, u=None)`` returning
         a float equal bit for bit to ``float(self.eval(x=x, u=u))``.
@@ -267,16 +264,16 @@ def constant_value(e: Expression) -> float | None:
         return None
 
 
-def shift_var(e: Expression, offset: float, var: str = "x") -> Expression:
-    """Substitute var -> var + offset."""
+def shift_var(e: Expression, offset: float) -> Expression:
+    """Substitute x -> x + offset."""
     if offset == 0.0:
         return e
-    return e.subs(var, Add(Var(var), Const(offset)))
+    return e.subs("x", Add(Var("x"), Const(offset)))
 
 
-def reflect_var(e: Expression, center2: float, var: str = "x") -> Expression:
-    """Substitute var -> center2 - var."""
-    return e.subs(var, Sub(Const(center2), Var(var)))
+def reflect_var(e: Expression, center2: float) -> Expression:
+    """Substitute x -> center2 - x."""
+    return e.subs("x", Sub(Const(center2), Var("x")))
 
 
 # -- printing -----------------------------------------------------------------

@@ -2,18 +2,18 @@
 
 One propagator gives each piece's 2x2 transfer matrix (an exact
 trigonometric/hyperbolic block, or one integration of the fundamental
-matrix) to monodromies, trajectories, eigenfunctions and edge counts, and
-on request its mu-derivative (closed form, or the variational equation in
-the same integration), so that one pass gives Delta and Delta'.
+matrix) to monodromies, trajectories, eigenfunctions and edge counts; on
+request that integration also carries the variational equation in mu, so
+that one pass gives Delta and Delta' (closed form on a constant piece).
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
-a pass's zero count gives E(mu), the number of edges below mu: each edge is
-bracketed by Weyl's bounds, isolated by bisection on E from passes at
-sqrt(`ode`) (again at `ode` where that pass's error could move E), and
-refined by Newton's method on Delta with Delta' from the same pass, each
-pass only as accurate as the next step needs; a same-kind pair E cannot
-part is split or found double at the root of Delta' between them.  A root
-is taken only from a pass at `ode`.
+a pass's zero count gives E(mu), the number of edges below mu, each step of
+the pass holding at most one zero: each edge is bracketed by Weyl's bounds,
+isolated by bisection on E from passes at sqrt(`ode`) (again at `ode` where
+that pass's error could move E), and refined by Newton's method on Delta
+with Delta' from the same pass, each pass only as accurate as the next step
+needs; a same-kind pair E cannot part is split or found double at the root
+of Delta' between them.  A root is taken only from a pass at `ode`.
 """
 
 from __future__ import annotations
@@ -84,19 +84,20 @@ def _const_block(q: float, L: float) -> np.ndarray:
 
 
 def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
-                 tol: float | None = None, slope: bool = False):
+                 tol: float | None = None, slope: bool = False,
+                 max_step: float = math.inf):
     """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
 
     B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
     else the fundamental matrix from one integration at rtol = atol = tol
-    (`ode` when None), the same bit for bit with or without dense output.
-    With dense, columns(xs) gives the transfer matrices from s to the points
-    xs column by column, shape (4, n); without, it is q = mu + a on a
-    constant piece and else the accepted steps (t, columns(t)).  With slope
-    (not dense), columns is dB/dmu instead: _const_slope on a constant piece,
-    else from the variational equation Phi_mu' = A Phi_mu - [[0, 0], [1, 0]]
-    Phi integrated with Phi.  More than `ode_budget` right-hand-side calls in
-    a pass raise IntegrationFailure.
+    (`ode` when None) with steps of at most max_step and a sixteenth of the
+    piece, the same bit for bit with or without dense output.  columns is
+    q = mu + a on a constant piece; on an ODE piece it is the accepted steps
+    (t, y), rows 0-3 of y the columns of the transfer matrix from s to each
+    t, or with dense the interpolant giving y at any points.  With slope, y
+    also carries dB/dmu in rows 4-7, from the variational equation Phi_mu' =
+    A Phi_mu - [[0, 0], [1, 0]] Phi.  More than `ode_budget` right-hand-side
+    calls in a pass raise IntegrationFailure.
     """
     cfg = current()
     budget, evals = cfg.ode_budget, itertools.count(1)
@@ -104,13 +105,7 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
     for s, e, piece in a.pieces:
         cval = ex.constant_value(piece)
         if cval is not None:
-            q = mu + cval
-            B = _const_block(q, e - s)
-            if slope:
-                columns = _const_slope(q, e - s, B)
-            else:
-                columns = functools.partial(_const_columns, q, s) if dense else q
-            yield s, e, B, columns
+            yield s, e, _const_block(mu + cval, e - s), mu + cval
             continue
 
         if slope:
@@ -129,17 +124,14 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
 
         sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0] + [0.0] * 4 * slope,
                         method="DOP853", rtol=tol, atol=tol,
-                        dense_output=dense, max_step=max((e - s) / 16, 1e-12))
+                        dense_output=dense,
+                        max_step=min(max((e - s) / 16, 1e-12), max_step))
         if not sol.success:
             raise IntegrationFailure(
                 f"ODE solver failed on [{s}, {e}]: {sol.message}")
         y = sol.y[:, -1]
-        B = np.array([[y[0], y[2]], [y[1], y[3]]])
-        if slope:
-            columns = np.array([[y[4], y[6]], [y[5], y[7]]])
-        else:
-            columns = sol.sol if dense else (sol.t, sol.y)
-        yield s, e, B, columns
+        yield s, e, np.array([[y[0], y[2]], [y[1], y[3]]]), \
+            sol.sol if dense else (sol.t, sol.y)
 
 
 def _exhausted(budget: int, mu: float) -> IntegrationFailure:
@@ -198,9 +190,12 @@ def _product(pieces, mu: float) -> np.ndarray:
 def _slope(a: cf.PeriodicCoefficient, mu: float, tol: float):
     """(Delta, dDelta/dmu) at mu from one pass integrating at tol: the trace
     of M = B_n ... B_1 and of its derivative, the sum over pieces of
-    B_n ... dB_j ... B_1."""
+    B_n ... dB_j ... B_1, dB_j/dmu being _const_slope on a constant piece
+    and Phi_mu at its end on an ODE piece."""
     M, dM = np.eye(2), np.zeros((2, 2))
-    for _, _, B, dB in _propagators(a, mu, False, tol, slope=True):
+    for s, e, B, columns in _propagators(a, mu, False, tol, slope=True):
+        dB = _const_slope(columns, e - s, B) if np.isscalar(columns) \
+            else columns[1][4:, -1].reshape(2, 2).T
         M, dM = B @ M, dB @ M + B @ dM
     return float(np.trace(_finite(M, mu))), float(np.trace(_finite(dM, mu)))
 
@@ -217,9 +212,10 @@ def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
 
 # -- dense trajectories -------------------------------------------------------
 
-def _states(columns, y0, xs: np.ndarray) -> np.ndarray:
-    """(u, u') at the points xs from the state y0 at the piece start."""
-    m = columns(xs)
+def _states(columns, s: float, y0, xs: np.ndarray) -> np.ndarray:
+    """(u, u') at the points xs from the state y0 at the piece start s,
+    columns being a dense _propagators pass's."""
+    m = _const_columns(columns, s, xs) if np.isscalar(columns) else columns(xs)
     return m[:2] * y0[0] + m[2:] * y0[1]
 
 
@@ -233,7 +229,8 @@ class Trajectory:
         self.segments = []
         y = np.asarray(y0, dtype=float)
         for s, e, B, columns in _pieces or _propagators(a, mu, dense=True):
-            self.segments.append((s, e, functools.partial(_states, columns, y)))
+            self.segments.append(
+                (s, e, functools.partial(_states, columns, s, y)))
             y = B @ y
 
     def state(self, x) -> np.ndarray:
@@ -266,13 +263,15 @@ def _sign(u, du):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
-def _edge_count(a, mu: float, sup: float, tol: float | None = None,
-                dense=False) -> tuple[int, np.ndarray]:
+def _edge_count(a, mu: float, sup: float,
+                tol: float | None = None) -> tuple[int, np.ndarray]:
     """(E, M): edge_count(a, mu) given sup a, which bounds the Sturm
-    spacing, from a pass integrating at tol, with its monodromy matrix."""
+    spacing, from one pass integrating at tol, with its monodromy matrix.
+    The pass's steps are at most half the shortest spacing of zeros,
+    pi / sqrt(mu + sup), so each holds at most one zero."""
     M, n = np.eye(2), 0
     half = 0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300))
-    for s, e, B, columns in _propagators(a, mu, dense, tol):
+    for s, e, B, columns in _propagators(a, mu, False, tol, max_step=half):
         y, M = M[:, 1], _finite(B @ M, mu)
         end = _sign(*M[:, 1])
         if np.isscalar(columns):
@@ -286,12 +285,7 @@ def _edge_count(a, mu: float, sup: float, tol: float | None = None,
                 flip += 2 * round((x - 0.5 - flip) / 2)
             n += flip
             continue
-        # points half a Sturm spacing apart have at most one zero between
-        # them: the steps, or if one is longer a dense grid that fine
-        if not dense and np.max(np.diff(columns[0])) > half:
-            return _edge_count(a, mu, sup, tol, dense=True)
-        m = columns(np.linspace(s, e, math.ceil((e - s) / half) + 1)) \
-            if dense else columns[1]
+        m = columns[1]
         # e's sign is read from the block, as the next piece reads it
         sg = np.append(_sign(*(m[:2] * y[0] + m[2:] * y[1]))[:-1], end)
         n += int(np.count_nonzero(sg[1:] != sg[:-1]))
@@ -473,15 +467,21 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
     return [edge(i) for i in positions]
 
 
+def chain_position(kind: str, j: int) -> int:
+    """Place of lam_j (kind "periodic", j from 0) or alam_j ("antiperiodic",
+    j from 1) on the chain of band edges lam0 < alam1 <= alam2 < lam1 <=
+    lam2 < alam3 <= ...: 2j + j % 2, or 2j - 2 + j % 2."""
+    return 2 * j + j % 2 - (2 if kind == "antiperiodic" else 0)
+
+
 def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
                  n_antiperiodic: int | None) -> SpectrumSlice:
-    """The first n_periodic lam_j (edge 2j + j % 2 of the chain) and
-    n_antiperiodic alam_j (edge 2j - 2 + j % 2)."""
+    """The first n_periodic lam_j and n_antiperiodic alam_j."""
     if any(n is not None and n < 1 for n in (n_periodic, n_antiperiodic)):
         raise ValueError("count must be >= 1")
     p, ap = range(n_periodic or 0), range(1, (n_antiperiodic or 0) + 1)
-    found = _edges(a, [2 * j + j % 2 for j in p] +
-                   [2 * j - 2 + j % 2 for j in ap])
+    found = _edges(a, [chain_position("periodic", j) for j in p] +
+                   [chain_position("antiperiodic", j) for j in ap])
     return SpectrumSlice([EigEntry(j, *v) for j, v in zip(p, found)],
                          [EigEntry(j, *v) for j, v in zip(ap, found[len(p):])])
 
@@ -496,10 +496,10 @@ def antiperiodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumS
     return _eigenvalues(a, None, count)
 
 
-def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
-             n_antiperiodic: int) -> SpectrumSlice:
-    """Both kinds from one search; see periodic_eigenvalues and
-    antiperiodic_eigenvalues."""
+def spectrum(a: cf.PeriodicCoefficient, n_periodic: int | None,
+             n_antiperiodic: int | None) -> SpectrumSlice:
+    """Both kinds from one search, None asking for none of a kind; see
+    periodic_eigenvalues and antiperiodic_eigenvalues."""
     return _eigenvalues(a, n_periodic, n_antiperiodic)
 
 
@@ -508,11 +508,9 @@ def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
 
     Returns (ok, first_violation_description).
     """
-    # place in the chain: lam_i at 2i + i%2, alam_j (j from 1) at 2j - 2 + j%2
-    chain = sorted([(2 * i + i % 2, "lam", i, v)
-                    for i, v in enumerate(s.periodic_values())] +
-                   [(2 * j + (j + 1) % 2, "anti", j, v)
-                    for j, v in enumerate(s.antiperiodic_values())])
+    chain = sorted((chain_position(kind, e.index), kind, e.index, e.value)
+                   for kind in ("periodic", "antiperiodic")
+                   for e in getattr(s, kind))
     for (_, k0, i0, v0), (_, k1, i1, v1) in zip(chain, chain[1:]):
         if k0 == k1:
             if v1 < v0 - slack:

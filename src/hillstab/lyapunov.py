@@ -136,8 +136,8 @@ def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
         "L1_ZONE_KP", p if holds else None,
         {"ess_inf": ess, "l1_norm": norm, "margin": margin},
         holds,
-        "mu = 0 lies in a stability zone (the periodic/antiperiodic "
-        "eigenvalues bracketing 0 are reported by the spectrum check)",
+        "mu = 0 lies in a stability zone (--verify reports the band edges "
+        "below 0, edges_below, and the discriminant there)",
         diags,
     )
 

@@ -37,6 +37,13 @@ def _central_difference(f, x, u):
     return (f(x, u + h) - f(x, u - h)) / (2 * h)
 
 
+def _finite(values, name: str, where: str):
+    """values, or NonFiniteValue when one of them is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue(f"{name} is not finite on {where}")
+    return values
+
+
 @dataclass(frozen=True)
 class NonlinearProblem:
     f: ex.Expression
@@ -46,6 +53,7 @@ class NonlinearProblem:
     beta_env: cf.PeriodicCoefficient | None = None
     u_box: tuple[float, float] | None = None
 
+    @np.errstate(over="ignore", invalid="ignore")  # _finite reports them
     def __post_init__(self):
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ParseError("period must be a positive finite real")
@@ -60,11 +68,11 @@ class NonlinearProblem:
                                  f"problem's period {self.period}")
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
-        f0 = self.f_eval(xs, us)
+        f0 = _finite(self.f_eval(xs, us), "f", "samples")
         if np.max(np.abs(self.f_eval(xs + self.period, us) - f0)) > 1e-10:
             raise DomainError("f is not T-periodic in x on samples")
         if self.fu is not None:
-            fu = self.fu.eval(x=xs, u=us)
+            fu = _finite(self.fu.eval(x=xs, u=us), "fu", "samples")
             fd = _central_difference(self.f_eval, xs, us)
             # The difference of two values of size |f| is off by a few ulps
             # of |f|, divided by the width 2h of the difference.
@@ -123,26 +131,25 @@ class ShootingResult:
     n_converged_starts: int
 
 
-def _fu_grid(p: NonlinearProblem, u_box) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports them
+def _fu_grid(p: NonlinearProblem) -> tuple[np.ndarray, np.ndarray]:
     """`sandwich_grid` points x of [0, T) and f_u at them by as many u values
-    of u_box, or of the problem's box without one; u along the first axis."""
-    box = u_box if u_box is not None else p.u_box
-    if box is None:
+    of the problem's u_box, u along the first axis."""
+    if p.u_box is None:
         raise DomainError("no u_box supplied")
     xs = np.linspace(0.0, p.period, current().sandwich_grid, endpoint=False)
-    us = np.linspace(float(box[0]), float(box[1]), current().sandwich_grid)
-    return xs, p.fu_eval(xs, us[:, None])
+    us = np.linspace(p.u_box[0], p.u_box[1], current().sandwich_grid)
+    return xs, _finite(p.fu_eval(xs, us[:, None]), "f_u", "the sandwich grid")
 
 
-def _envelope_hypotheses(p: NonlinearProblem, lam: float,
-                         u_box) -> tuple[bool, dict]:
+def _envelope_hypotheses(p: NonlinearProblem, lam: float) -> tuple[bool, dict]:
     """lam strictly below alpha, and alpha(x) <= f_u(x,u) <= beta(x) on the
     grid up to `sandwich_slack`: the hypotheses both envelope certificates
     share, as (whether they hold, their values)."""
     if p.alpha_env is None or p.beta_env is None:
         raise MissingEnvelopes("alpha_env and beta_env are required")
     dom = cf.dominates(p.alpha_env, lam)
-    xs, fu = _fu_grid(p, u_box)
+    xs, fu = _fu_grid(p)
     worst = min(float(np.min(fu - p.alpha_env(xs))),
                 float(np.min(p.beta_env(xs) - fu)))
     return dom.strict_on_positive_measure and worst >= -current().sandwich_slack, {
@@ -151,12 +158,12 @@ def _envelope_hypotheses(p: NonlinearProblem, lam: float,
         "sandwich_worst_margin": worst}
 
 
-def check_l1_hypotheses(p: NonlinearProblem, n: int, u_box=None) -> ly.Certificate:
+def check_l1_hypotheses(p: NonlinearProblem, n: int) -> ly.Certificate:
     """lam_{2n-1} strictly below alpha <= f_u <= beta with ||beta||_L1 within
     the sharp constant: the periodic problem has a unique solution."""
     T = p.period
     lam = ly.lambda_const(n, T)
-    env_ok, env = _envelope_hypotheses(p, lam, u_box)
+    env_ok, env = _envelope_hypotheses(p, lam)
     bnorm = cf.l1_distance(p.beta_env, 0.0, (0.0, T))
     g = ly.gamma1(n, T)
     holds = env_ok and bnorm <= g + current().l1_slack
@@ -169,10 +176,10 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int, u_box=None) -> ly.Certifica
     )
 
 
-def check_linf_hypotheses(p: NonlinearProblem, u_box=None) -> ly.Certificate:
+def check_linf_hypotheses(p: NonlinearProblem) -> ly.Certificate:
     """0 strictly below alpha <= f_u <= beta with beta passing the split-point
     Linf bound (period pi)."""
-    env_ok, hyp = _envelope_hypotheses(p, 0.0, u_box)
+    env_ok, hyp = _envelope_hypotheses(p, 0.0)
     if abs(p.period - math.pi) > 1e-12:
         raise DomainError("this certificate is stated for period pi")
     inner = ly.certify_linf_periodic(p.beta_env)
@@ -185,11 +192,11 @@ def check_linf_hypotheses(p: NonlinearProblem, u_box=None) -> ly.Certificate:
     )
 
 
-def check_classical_band(p: NonlinearProblem, u_box=None) -> ly.Certificate:
+def check_classical_band(p: NonlinearProblem) -> ly.Certificate:
     """f_u's sampled range strictly inside a gap ((2n)^2 pi^2/T^2,
     (2(n+1))^2 pi^2/T^2) for some n >= 0."""
     T = p.period
-    _, fu = _fu_grid(p, u_box)
+    _, fu = _fu_grid(p)
     fmin, fmax = float(np.min(fu)), float(np.max(fu))
     band = None
     n = 0
@@ -247,13 +254,12 @@ def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
     return y[:2] - c, np.array([[y[2] - 1.0, y[4]], [y[3], y[5] - 1.0]])
 
 
-def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float,
-            max_steps: int):
-    """The root Newton reaches from c in at most max_steps steps, first
+def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float):
+    """The root Newton reaches from c in at most 50 steps, first
     integrating at tol, or None when it stops on a failed integration, a
     singular Jacobian, a non-finite step or one longer than 10 scale."""
     cfg = current()
-    for _ in range(max_steps):
+    for _ in range(50):
         try:
             F, J = _shoot(p, c, tol)
             if np.linalg.norm(F) < cfg.residual * 1e-2 and tol != cfg.ode:
@@ -276,7 +282,7 @@ def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float,
 
 
 def solve_periodic(p: NonlinearProblem, starts: int = 16,
-                   seed: int = 0, max_steps: int = 50) -> ShootingResult:
+                   seed: int = 0) -> ShootingResult:
     """Newton multistart on F(c) = (u(T) - u(0), u'(T) - u'(0)).
 
     Starts are drawn uniformly from the box |u(0)|, |u'(0)| <=
@@ -305,9 +311,9 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     n_conv = 0
     for _ in range(starts):
         c0 = rng.uniform(-scale, scale, size=2)
-        c = _newton(p, c0, math.sqrt(cfg.ode), scale, max_steps)
+        c = _newton(p, c0, math.sqrt(cfg.ode), scale)
         if c is None:
-            c = _newton(p, c0, cfg.ode, scale, max_steps)
+            c = _newton(p, c0, cfg.ode, scale)
         if c is None:
             continue
         n_conv += 1

@@ -11,7 +11,8 @@ import dataclasses
 class Settings:
     quad: float = 1e-10  #: absolute tolerance for quadrature
     quad_budget: int = 1_000_000  #: evaluation budget for one quadrature call
-    root: float = 1e-10  #: bisection tolerance for eigenvalue refinement
+    #: width in mu within which a band edge's Newton refinement stops
+    root: float = 1e-10
     #: tolerance on |Delta| - 2 below which mu counts as a band edge
     boundary: float = 1e-7
     #: local ODE tolerance for non-constant pieces and for accepting a

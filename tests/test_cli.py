@@ -120,6 +120,32 @@ def test_nonlinear_solve_infinite_start_scale(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("piece", ["1/0", "1e308*2", "0/0", "-1/0"])
+@pytest.mark.parametrize("argv", [
+    ["chart", "--mu-from", "0", "--mu-to", "1", "--points", "3"], ["zeros"]])
+def test_non_finite_constant_piece(tmp_path, capsys, piece, argv):
+    # a constant piece that is inf, -inf or NaN is rejected as the file loads
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"period": T, "pieces": [
+        {"from": 0.0, "to": 3.0, "expr": piece},
+        {"from": 3.0, "to": T, "expr": "1+0.1*cos(x)"}]}))
+    assert cli.main([argv[0], str(p), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: coefficient is not finite on [0.0, 3.0)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f", ["0/0*u", "u + 1/0"])
+def test_nonlinear_check_non_finite_f(tmp_path, capsys, f):
+    # f is NaN or inf on the samples: one error line, no NaN in a JSON output
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"f": f, "period": T, "u_box": [-1, 1]}))
+    assert cli.main(["nonlinear", "check", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: f is not finite on samples\n"
+
+
 @pytest.mark.parametrize("a", [
     # cosh(1000 * 2 pi) is no float
     cf.constant(-1e6, T),

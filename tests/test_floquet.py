@@ -111,7 +111,7 @@ def passes(monkeypatch):
     return calls
 
 
-def test_spectrum_is_one_scan(monkeypatch):
+def test_spectrum_is_one_search(monkeypatch):
     # both kinds come from one search: the same entries as the two
     # single-kind searches, whatever else is asked for, for fewer passes
     a = cf.step_function(T, [(0.0, 2.0, 0.0), (2.0, T, 2.0)])
@@ -308,31 +308,27 @@ def test_edge_count_against_spectrum(a, counts):
         expected_counts(edges, mus)
 
 
-def test_edge_count_recounts_long_steps(monkeypatch):
-    # a pass whose steps could each hold two zeros is counted again on a
-    # grid at half the Sturm spacing: keep only the end of each step list
-    a = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
-        {"from": 0.0, "to": 2.0, "expr": "1.5"},
-        {"from": 2.0, "to": T, "expr": "0.5+0.3*cos(x)"}]})
-    mus = [-1.0, 0.37, 3.3, 12.9, 40.1]
-    want = [fq.edge_count(a, mu) for mu in mus]
-    solve_ivp, dense = fq.solve_ivp, []
+@pytest.mark.parametrize("mu, E", [(100.3, 21), (400.7, 41), (900.1, 61)])
+def test_edge_count_steps_hold_one_zero(mu, E, monkeypatch):
+    # every step of the counting pass is at most half the shortest zero
+    # spacing pi / sqrt(mu + sup a), so no step holds two zeros
+    solve_ivp, steps = fq.solve_ivp, []
 
-    def coarse(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        dense.append(kwargs["dense_output"])
-        if not kwargs["dense_output"]:
-            sol.t, sol.y = sol.t[[0, -1]], sol.y[:, [0, -1]]
-        return sol
+    def recorded(*args, **kwargs):
+        steps.append(kwargs["max_step"])
+        return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(fq, "solve_ivp", coarse)
-    assert [fq.edge_count(a, mu) for mu in mus] == want
-    assert any(dense)
+    monkeypatch.setattr(fq, "solve_ivp", recorded)
+    assert fq.edge_count(MATHIEU, mu)[0] == E
+    assert len(steps) == 1
+    assert steps[0] <= 0.5 * math.pi / math.sqrt(mu + 1.6)
+    edges = np.concatenate([hill_eigenvalues(math.pi, {0: 1.2, 1: 0.2}, anti)
+                            for anti in (False, True)])
+    assert int(np.sum(edges < mu)) == E
 
 
 def test_witness_spectrum_pinned(monkeypatch):
-    # the a_eps witness: a simple lam0 and two double edges, at the values a
-    # walk up from -||a||_inf - 1 found in 397 discriminant evaluations
+    # the a_eps witness: a simple lam0 and two double edges
     a = wt.make_a_eps(1, T, 0.35)
     calls = passes(monkeypatch)
     s = fq.spectrum(a, 3, 2)
@@ -345,6 +341,14 @@ def test_witness_spectrum_pinned(monkeypatch):
     np.testing.assert_allclose(
         s.antiperiodic_values(), [-2.570689511, -2.570689511], rtol=0,
         atol=1e-9)
+
+
+def test_chain_position_one_to_one():
+    # lam_0..lam_5 and alam_1..alam_6 fill the first 12 places of the chain
+    places = [fq.chain_position("periodic", j) for j in range(6)] + \
+        [fq.chain_position("antiperiodic", j) for j in range(1, 7)]
+    assert sorted(places) == list(range(12))
+    assert places[:3] == [0, 3, 4] and places[6:9] == [1, 2, 5]
 
 
 def test_band_narrower_than_rounding():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hillstab import expr as ex
 from hillstab import nonlinear as nl
 from hillstab import settings
 from hillstab.errors import (DomainError, IntegrationFailure, MissingEnvelopes,
-                             NoConvergence, ParseError)
+                             NoConvergence, NonFiniteValue, ParseError)
 
 T = 2 * math.pi
 PI = math.pi
@@ -49,6 +50,19 @@ def test_true_fu_accepted_under_large_forcing(forcing):
     nl.NonlinearProblem(f, T, fu=ex.parse("2", variables=("x", "u")))
     with pytest.raises(DomainError):
         nl.NonlinearProblem(f, T, fu=ex.parse("3", variables=("x", "u")))
+
+
+def test_non_finite_f_and_fu_rejected():
+    parse = functools.partial(ex.parse, variables=("x", "u"))
+    # f or the given fu NaN or inf on the problem's samples
+    for f, fu in (("0/0*u", None), ("u + 1/0", None), ("u", "1 + 0/0*u")):
+        with pytest.raises(NonFiniteValue, match="on samples"):
+            nl.NonlinearProblem(parse(f), T, fu=fu and parse(fu))
+    # finite on the samples, |u| <= 3, and not on the sandwich grid: f
+    # overflows and its central difference is inf - inf
+    p = nl.NonlinearProblem(parse("1e300*u^3"), T, u_box=(-1e3, 1e3))
+    with pytest.raises(NonFiniteValue, match="sandwich grid"):
+        nl.check_classical_band(p)
 
 
 def test_from_json_roundtrip():
