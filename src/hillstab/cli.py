@@ -96,8 +96,12 @@ def _emit_csv(header: list, rows: list, args):
 
 def cmd_eigs(args) -> int:
     a = _load_coefficient(args)
-    s = fq.spectrum(a, None if args.bc == "antiperiodic" else args.count,
-                    None if args.bc == "periodic" else args.count)
+    if args.bc == "periodic":
+        s = fq.periodic_eigenvalues(a, args.count)
+    elif args.bc == "antiperiodic":
+        s = fq.antiperiodic_eigenvalues(a, args.count)
+    else:
+        s = fq.spectrum(a, args.count, args.count)
     interlace_ok = True
     if s.periodic and s.antiperiodic:
         interlace_ok, _ = fq.check_interlacing(s)

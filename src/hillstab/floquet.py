@@ -7,8 +7,8 @@ request that integration also carries the variational equation in mu, so
 that one pass gives Delta and Delta' (closed form on a constant piece).
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
-a pass's zero count gives E(mu), the number of edges below mu, each step of
-the pass holding at most one zero: each edge is bracketed by Weyl's bounds,
+a pass's zero count gives E(mu), the number of edges below mu, read at
+points at most one zero apart: each edge is bracketed by Weyl's bounds,
 isolated by bisection on E from passes at sqrt(`ode`) (again at `ode` where
 that pass's error could move E), and refined by Newton's method on Delta
 with Delta' from the same pass, each pass only as accurate as the next step
@@ -83,26 +83,36 @@ def _const_block(q: float, L: float) -> np.ndarray:
     return np.array([[1.0, L], [0.0, 1.0]])
 
 
+#: past _CAPPED capped steps on a piece (a tall narrow peak of a sets the
+#: cap for all of it) a counting pass reads the interpolant of DOP853's own
+#: steps instead, at three more right-hand-side calls per step
+_CAPPED = 1024
+
+
 def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
                  tol: float | None = None, slope: bool = False,
-                 max_step: float = math.inf):
+                 spacing=None):
     """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
 
     B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
     else the fundamental matrix from one integration at rtol = atol = tol
-    (`ode` when None) with steps of at most max_step and a sixteenth of the
-    piece, the same bit for bit with or without dense output.  columns is
-    q = mu + a on a constant piece; on an ODE piece it is the accepted steps
-    (t, y), rows 0-3 of y the columns of the transfer matrix from s to each
-    t, or with dense the interpolant giving y at any points.  With slope, y
-    also carries dB/dmu in rows 4-7, from the variational equation Phi_mu' =
-    A Phi_mu - [[0, 0], [1, 0]] Phi.  More than `ode_budget` right-hand-side
-    calls in a pass raise IntegrationFailure.
+    (`ode` when None) with steps of at most a sixteenth of the piece, the
+    same bit for bit with or without dense output.  columns is q = mu + a on
+    a constant piece; on an ODE piece it is the accepted steps (t, y), rows
+    0-3 of y the columns of the transfer matrix from s to each t, or with
+    dense the interpolant giving y at any points.  spacing, one length per
+    piece, keeps the t of an ODE piece at most that far apart: its steps
+    are capped at it, or past _CAPPED such steps y is read from the
+    interpolant at points that far apart.  With slope, y also carries
+    dB/dmu in rows 4-7, from the variational equation Phi_mu' = A Phi_mu -
+    [[0, 0], [1, 0]] Phi.  More than `ode_budget` right-hand-side calls in a
+    pass raise IntegrationFailure.
     """
     cfg = current()
     budget, evals = cfg.ode_budget, itertools.count(1)
     tol = cfg.ode if tol is None else tol
-    for s, e, piece in a.pieces:
+    spacing = spacing or itertools.repeat(math.inf)
+    for (s, e, piece), h in zip(a.pieces, spacing):
         cval = ex.constant_value(piece)
         if cval is not None:
             yield s, e, _const_block(mu + cval, e - s), mu + cval
@@ -122,16 +132,24 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
                 q = mu + f(x)
                 return [y[1], -q * y[0], y[3], -q * y[2]]
 
+        grid = (e - s) / h > _CAPPED
         sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0] + [0.0] * 4 * slope,
                         method="DOP853", rtol=tol, atol=tol,
-                        dense_output=dense,
-                        max_step=min(max((e - s) / 16, 1e-12), max_step))
+                        dense_output=dense or grid,
+                        max_step=min(max((e - s) / 16, 1e-12),
+                                     math.inf if grid else h))
         if not sol.success:
             raise IntegrationFailure(
                 f"ODE solver failed on [{s}, {e}]: {sol.message}")
         y = sol.y[:, -1]
-        yield s, e, np.array([[y[0], y[2]], [y[1], y[3]]]), \
-            sol.sol if dense else (sol.t, sol.y)
+        if dense:
+            columns = sol.sol
+        elif grid:
+            t = np.linspace(s, e, math.ceil((e - s) / h) + 1)
+            columns = t, sol.sol(t)
+        else:
+            columns = sol.t, sol.y
+        yield s, e, np.array([[y[0], y[2]], [y[1], y[3]]]), columns
 
 
 def _exhausted(budget: int, mu: float) -> IntegrationFailure:
@@ -263,15 +281,16 @@ def _sign(u, du):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
-def _edge_count(a, mu: float, sup: float,
+def _edge_count(a, mu: float, sups: list[float],
                 tol: float | None = None) -> tuple[int, np.ndarray]:
-    """(E, M): edge_count(a, mu) given sup a, which bounds the Sturm
-    spacing, from one pass integrating at tol, with its monodromy matrix.
-    The pass's steps are at most half the shortest spacing of zeros,
-    pi / sqrt(mu + sup), so each holds at most one zero."""
+    """(E, M): edge_count(a, mu) given sups, the sup of a on each piece,
+    which bounds the Sturm spacing there, from one pass integrating at tol,
+    with its monodromy matrix.  The pass reads an ODE piece at points at
+    most half its shortest spacing of zeros, pi / sqrt(mu + sup), apart, so
+    at most one zero lies between two of them."""
     M, n = np.eye(2), 0
-    half = 0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300))
-    for s, e, B, columns in _propagators(a, mu, False, tol, max_step=half):
+    half = [0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300)) for sup in sups]
+    for s, e, B, columns in _propagators(a, mu, False, tol, spacing=half):
         y, M = M[:, 1], _finite(B @ M, mu)
         end = _sign(*M[:, 1])
         if np.isscalar(columns):
@@ -301,9 +320,15 @@ def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
     k-th in the closure of gap k (edges 2k - 1 to 2k), where Delta has the
     sign (-1)^k: E = 2N + 1 in a band, and in a gap E = 2k with k the one of
     N, N + 1 of that parity.  E may be off by one within rounding of an edge."""
-    sup = float(np.max(cf.sample(a, (0.0, a.period), 256)[1]))
-    E, M = _edge_count(a, mu, sup)
+    E, M = _edge_count(a, mu, _bounds(a)[1])
     return E, float(np.trace(M))
+
+
+def _bounds(a: cf.PeriodicCoefficient) -> tuple[float, list[float]]:
+    """(inf a, [sup a on each piece]) over cf.sample's points."""
+    xs, vals = cf.sample(a, (0.0, a.period), 256)
+    return float(np.min(vals)), [float(np.max(vals[(s <= xs) & (xs <= e)]))
+                                 for s, e, _ in a.pieces]
 
 
 #: a pass looser than `ode` is trusted to within _LOOSE tol max(1, |value|)
@@ -323,15 +348,15 @@ def _error(a, mu: float, sup: float, tol: float, size: float) -> float:
     return _LOOSE * tol * max(1.0, size) * waves
 
 
-def _probe(a, mu: float, sup: float, tol: float) -> tuple[int, float]:
+def _probe(a, mu: float, sups: list[float], tol: float) -> tuple[int, float]:
     """(E, Delta) as edge_count gives them, from a pass at tol unless its
     ||Delta| - 2| or u(T), of the solution whose zeros E counts, is within
     the pass's error: only those can move E, the first across a band edge
     and the second across T.  Then the pass is made again at `ode`."""
-    E, M = _edge_count(a, mu, sup, tol)
+    E, M = _edge_count(a, mu, sups, tol)
     if tol > current().ode and min(abs(abs(np.trace(M)) - 2.0), abs(M[0, 1])) \
-            <= _error(a, mu, sup, tol, np.max(np.abs(M))):
-        E, M = _edge_count(a, mu, sup)
+            <= _error(a, mu, max(sups), tol, np.max(np.abs(M))):
+        E, M = _edge_count(a, mu, sups)
     return E, float(np.trace(M))
 
 
@@ -386,14 +411,14 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
     refines an edge (see _refine); a same-kind pair E cannot part is split
     or found double at the root of Delta' between them."""
     cfg, T, counts, deltas, slopes = current(), a.period, {}, {}, {}
-    vals = cf.sample(a, (0.0, T), 256)[1]
-    inf, sup = float(np.min(vals)), float(np.max(vals))
+    inf, sups = _bounds(a)
+    sup = max(sups)
     smooth = any(ex.constant_value(p) is None for _, _, p in a.pieces)
     loose = math.sqrt(cfg.ode) if smooth else cfg.ode
 
     def probe(mu):  # None near an edge: E may be off by one, a double unparted
         if mu not in counts:
-            counts[mu], deltas[mu] = _probe(a, mu, sup, loose)
+            counts[mu], deltas[mu] = _probe(a, mu, sups, loose)
         return None if band(deltas[mu]) == "Boundary" else counts[mu]
 
     def slope(mu, tol):
@@ -496,10 +521,10 @@ def antiperiodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumS
     return _eigenvalues(a, None, count)
 
 
-def spectrum(a: cf.PeriodicCoefficient, n_periodic: int | None,
-             n_antiperiodic: int | None) -> SpectrumSlice:
-    """Both kinds from one search, None asking for none of a kind; see
-    periodic_eigenvalues and antiperiodic_eigenvalues."""
+def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
+             n_antiperiodic: int) -> SpectrumSlice:
+    """Both kinds from one search; see periodic_eigenvalues and
+    antiperiodic_eigenvalues."""
     return _eigenvalues(a, n_periodic, n_antiperiodic)
 
 

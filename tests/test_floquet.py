@@ -173,11 +173,11 @@ def test_constant_slope_continuous_at_series_switch():
 def test_loose_probe_counts_as_edge_count(a):
     # a probe at sqrt(ode) gives the count a pass at ode gives, on a grid
     # and 1e-5 from each edge, where it must integrate again at ode
-    sup = float(np.max(cf.sample(a, (0.0, a.period), 256)[1]))
+    sups = fq._bounds(a)[1]
     edges = chain(fq.spectrum(a, 3, 2))
     for mu in np.concatenate([np.linspace(-2.0, 60.0, 32),
                               edges - 1e-5, edges + 1e-5]):
-        E, d = fq._probe(a, mu, sup, math.sqrt(current().ode))
+        E, d = fq._probe(a, mu, sups, math.sqrt(current().ode))
         E_ode, d_ode = fq.edge_count(a, mu)
         assert (E, abs(d) < 2) == (E_ode, abs(d_ode) < 2), mu
 
@@ -325,6 +325,52 @@ def test_edge_count_steps_hold_one_zero(mu, E, monkeypatch):
     edges = np.concatenate([hill_eigenvalues(math.pi, {0: 1.2, 1: 0.2}, anti)
                             for anti in (False, True)])
     assert int(np.sum(edges < mu)) == E
+
+
+def recorded_solves(monkeypatch):
+    """(kwargs, right-hand-side calls) of every solve_ivp call in floquet."""
+    solve_ivp, solves = fq.solve_ivp, []
+
+    def recorded(fun, *args, **kwargs):
+        calls = [0]
+
+        def counted(x, y):
+            calls[0] += 1
+            return fun(x, y)
+
+        solves.append((kwargs, calls))
+        return solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(fq, "solve_ivp", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("mu, E", [(0.3, 6370), (5.7, 6376), (50.2, 6392)])
+def test_edge_count_tall_constant_piece(mu, E, monkeypatch):
+    # a constant piece of 1e8 is counted in closed form: it leaves the step
+    # of the ODE piece beside it to that piece's own sup, 1.1
+    a = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 1.0, "expr": "1e8"},
+        {"from": 1.0, "to": T, "expr": "1+0.1*cos(x)"}]})
+    solves = recorded_solves(monkeypatch)
+    assert fq.edge_count(a, mu)[0] == E
+    [(kwargs, calls)] = solves
+    assert kwargs["max_step"] >= min((T - 1.0) / 16,
+                                     0.5 * math.pi / math.sqrt(mu + 1.1))
+    assert not kwargs["dense_output"] and calls[0] <= 3000
+
+
+@pytest.mark.parametrize("mu, E", [(0.3, 75), (5.7, 80), (50.2, 96)])
+def test_edge_count_tall_narrow_peak(mu, E, monkeypatch):
+    # a peak of 1e5 and width about 0.1 would cap the whole piece's steps at
+    # 0.005; past _CAPPED such steps the pass takes DOP853's own steps and
+    # reads the interpolant at points that far apart, in one integration
+    a = cf.from_expression("1+1e5*cos(0.5*x)^400", T)
+    solves = recorded_solves(monkeypatch)
+    assert fq.edge_count(a, mu)[0] == E
+    [(kwargs, calls)] = solves
+    assert kwargs["dense_output"] and kwargs["max_step"] == T / 16
+    assert calls[0] <= 15000
 
 
 def test_witness_spectrum_pinned(monkeypatch):
