@@ -17,8 +17,11 @@ certified coefficients: the list `certify --verify` prints, and
 `spectrum(3, 2)` where there is none), as (kind, index, verdict, zone,
 witness, repr(discriminant)).  After them come the certificates `nonlinear
 check --n 1` computes for acceptance criterion 11's enveloped problem and
-for its copy of period pi, where `NL_LINF_PERIODIC` applies too, and last
-the zero structure of a_eps(1, 2pi, 0.35)'s periodic eigenfunction.  Run it
+for its copy of period pi, where `NL_LINF_PERIODIC` applies too, then the
+zero structure of a_eps(1, 2pi, 0.35)'s periodic eigenfunction and of the
+antiresonant two-step potential's antiperiodic one, whose first zero lies
+inside the period, so that its zeros are read rotated, and last
+`subinterval_inequality` with n = 1 on each of these two.  Run it
 on two checkouts and diff the outputs to see whether a change moved any
 eigenvalue, certificate value, root, zero or verdict by as little as one
 bit:
@@ -99,6 +102,11 @@ def enveloped(period):
 
 ENVELOPED = {"criterion 11": enveloped(T), "criterion 11, T=pi":
              enveloped(math.pi)}
+ZEROS = [
+    ("a_eps(1, 2pi, 0.35)", WITNESS["a_eps(1, 2pi, 0.35)"], "periodic"),
+    ("two_step(pi/4, anti_resonant_x0(pi/4)[0])", wt.make_two_step(
+        math.pi / 4, wt.anti_resonant_x0(math.pi / 4)[0]).a, "antiperiodic"),
+]
 
 
 def entries(es):
@@ -172,8 +180,13 @@ def main():
         if p.period == math.pi:
             checks.insert(1, nl.check_linf_hypotheses(p))
         out[f"{name}: nonlinear check --n 1"] = [c.to_dict() for c in checks]
-    out["a_eps(1, 2pi, 0.35): zeros periodic"] = zr.extract_zero_structure(
-        WITNESS["a_eps(1, 2pi, 0.35)"], "periodic").to_dict()
+    zs = {name: (a, zr.extract_zero_structure(a, bc))
+          for name, a, bc in ZEROS}
+    for name, (a, z) in zs.items():
+        out[f"{name}: zeros {z.bc}"] = z.to_dict()
+    for name, (a, z) in zs.items():
+        out[f"{name}: subinterval_inequality(n=1)"] = \
+            zr.subinterval_inequality(a, z, 1)
     print(json.dumps(out, indent=1, default=cli._json_default))
 
 

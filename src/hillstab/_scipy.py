@@ -1,13 +1,12 @@
-"""The three scipy functions hillstab calls, each imported on its first call.
+"""The two scipy functions hillstab calls, each imported on its first call.
 
-Importing scipy.integrate and scipy.optimize costs about 0.6 s of a 0.86 s
-``import hillstab.cli`` and 80 MB of resident memory against 31 MB without
-them (2-vCPU VM, Python 3.11, scipy 1.17).  Most commands never call scipy:
-``witness``, ``constants``, ``certify``, ``certify --verify``, ``eigs`` and
-``chart`` on constant pieces, and ``nonlinear check`` work from the
-coefficient alone, and the band-edge search refines its roots itself, by
-Newton's method on the discriminant and its slope.
-Only the zero refinement of ``zeros`` (``brentq``), ODE integration
+Importing scipy.integrate costs about 0.5 s of a 0.8 s ``import
+hillstab.cli`` and 81 MB of resident memory against 32 MB without it
+(2-vCPU Xeon VM, Python 3.11, scipy 1.17).  Most commands never call
+scipy: ``witness``, ``constants``, ``certify``, ``certify --verify``,
+``eigs``, ``chart`` and ``zeros`` on constant pieces, and ``nonlinear
+check`` work from the coefficient alone, and band edges and zeros are
+refined by hillstab's own bracketed Newton method.  Only ODE integration
 (``solve_ivp``) and the sampled quotient ``constants.j_functional``
 (``simpson``, which no command calls) need it, so each function below
 imports its scipy counterpart when it is first called and forwards to it
@@ -15,11 +14,6 @@ unchanged.  Modules import these names
 instead of scipy's, so ``floquet.solve_ivp`` and ``nonlinear.solve_ivp``
 stay module attributes that callers may patch.
 """
-
-
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
 
 
 def solve_ivp(*args, **kwargs):

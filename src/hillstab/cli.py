@@ -196,7 +196,7 @@ def cmd_zeros(args) -> int:
             rep = zr.check_periodic_structure(z, args.n, a.period)
         else:
             rep = zr.check_antiperiodic_structure(z, args.n, a.period)
-        sub = zr.subinterval_inequality(a, z, args.n, a.period, args.bc)
+        sub = zr.subinterval_inequality(a, z, args.n)
         doc["checks"] = {"structure": rep.to_dict(),
                          "subinterval_chain_ok": sub["chain_ok"],
                          "cot_sum": sub["cot_sum"],
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol-quad", type=_finite(positive=True), default=None,
                     help="override the quadrature tolerance")
     ap.add_argument("--tol-root", type=_finite(positive=True), default=None,
-                    help="override the eigenvalue root tolerance")
+                    help="override the root tolerance: band edges and zeros")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

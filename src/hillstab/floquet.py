@@ -29,8 +29,8 @@ import numpy as np
 from . import coeff as cf
 from . import expr as ex
 from ._scipy import solve_ivp
-from .errors import (IntegrationFailure, NonFiniteValue, NotAnEigenvalue,
-                     RootSearchFailure)
+from .errors import (DomainError, IntegrationFailure, NonFiniteValue,
+                     NotAnEigenvalue, RootSearchFailure)
 from .settings import current
 
 
@@ -67,7 +67,11 @@ class StabilityVerdict:
 def _const_block(q: float, L: float) -> np.ndarray:
     """Exact transfer matrix of u'' + q u = 0 over an interval of length L:
     the 2x2 map of (u, u') at its start to (u, u') at its end.  Raises
-    NonFiniteValue when its cosh(sqrt(-q) L) overflows a float."""
+    NonFiniteValue when q is not finite or its cosh(sqrt(-q) L) overflows a
+    float."""
+    if not math.isfinite(q):
+        raise NonFiniteValue(f"mu + a is not finite on a constant piece: "
+                             f"q = {q!r}")
     if q > 0:
         w = math.sqrt(q)
         c, s = math.cos(w * L), math.sin(w * L)
@@ -87,6 +91,9 @@ def _const_block(q: float, L: float) -> np.ndarray:
 #: cap for all of it) a counting pass reads the interpolant of DOP853's own
 #: steps instead, at three more right-hand-side calls per step
 _CAPPED = 1024
+#: a failed integration whose last state is past _HUGE failed because the
+#: solution overflows the floats
+_HUGE = 1e300
 
 
 def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
@@ -138,10 +145,13 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
                         dense_output=dense or grid,
                         max_step=min(max((e - s) / 16, 1e-12),
                                      math.inf if grid else h))
+        y = sol.y[:, -1]
         if not sol.success:
+            if not np.all(np.abs(y) <= _HUGE):  # also when y is not finite
+                raise NonFiniteValue(f"the solution overflows on [{s}, {e}] "
+                                     f"at mu={mu!r}")
             raise IntegrationFailure(
                 f"ODE solver failed on [{s}, {e}]: {sol.message}")
-        y = sol.y[:, -1]
         if dense:
             columns = sol.sol
         elif grid:
@@ -589,9 +599,13 @@ def classify(a: cf.PeriodicCoefficient, mu: float) -> StabilityVerdict:
 def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str):
     """Nontrivial solution at an eigenvalue, as a dense Trajectory.
 
-    bc is "periodic" or "antiperiodic".  The initial data is the kernel
-    direction of (M -+ I), M read from the trajectory's own dense pass.
+    bc is "periodic" or "antiperiodic", else DomainError.  The initial data
+    is the kernel direction of (M -+ I), M read from the trajectory's own
+    dense pass.
     """
+    if bc not in ("periodic", "antiperiodic"):
+        raise DomainError(f"bc must be 'periodic' or 'antiperiodic', "
+                          f"not {bc!r}")
     sign = 1.0 if bc == "periodic" else -1.0
     pieces = list(_propagators(a, mu, dense=True))
     M = _product(pieces, mu)

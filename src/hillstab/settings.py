@@ -11,7 +11,8 @@ import dataclasses
 class Settings:
     quad: float = 1e-10  #: absolute tolerance for quadrature
     quad_budget: int = 1_000_000  #: evaluation budget for one quadrature call
-    #: width in mu within which a band edge's Newton refinement stops
+    #: width within which a bracketed Newton refinement stops: in mu for a
+    #: band edge, in x for a zero of a solution or of its derivative
     root: float = 1e-10
     #: tolerance on |Delta| - 2 below which mu counts as a band edge
     boundary: float = 1e-7
@@ -33,8 +34,7 @@ class Settings:
     #: so the bound itself is admissible)
     l1_slack: float = 1e-12
     sandwich_slack: float = 1e-10  #: envelope sandwich slack on the verification grid
-    x_tol: float = 1e-10  #: x-resolution of zero locations
-    endpoint_tol: float = 1e-8  #: endpoint zeros are asserted, not searched
+    endpoint_tol: float = 1e-8  #: relative miss of (anti)periodicity zeros accept
 
 
 _current = contextvars.ContextVar("settings", default=Settings())

@@ -2,11 +2,12 @@
 
 A nontrivial solution u of u'' + a(x) u = 0 with (anti)periodic boundary
 conditions is phase-normalized to start at its first zero r in [0, T].  As
-u(x + T) = +-u(x), the solution on [r, r + T] is read from the
-eigenfunction's one pass over [0, T], and its zeros and critical points are
-extracted from sign changes on a grid, read in one array call.  The spacing
-bounds, parity of the zero count, and the per-subinterval L1 inequalities
-can then be checked against the structure theorems.
+u(x + T) = +-u(x), its zeros and critical points on [r, r + T] are those of
+the eigenfunction's one pass over [0, T] rotated by r: each is found once,
+from the sign changes on a grid read in one array call, and refined to
+`root` by floquet's bracketed Newton method, the band edges' own.  The
+spacing bounds, parity of the zero count, and the per-subinterval L1
+inequalities can then be checked against the structure theorems.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import coeff as cf
 from . import constants as cn
 from . import floquet as fq
-from ._scipy import brentq
 from .errors import DegenerateSolution, DomainError, RootSearchFailure
 from .settings import current
 
@@ -62,35 +62,31 @@ class StructureReport:
         return {**vars(self), "all_ok": self.all_ok}
 
 
-def _sign_change_zeros(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Zeros of the scalar function f on [xs[0], xs[-1]]: sign changes of
-    its values vals on the grid xs, each refined by brentq."""
-    zeros, x_tol = [], current().x_tol
-    for i in range(len(xs) - 1):
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            zeros.append(lo)
-        elif a * b < 0:
-            zeros.append(float(brentq(f, lo, hi, xtol=x_tol)))
-    if vals[-1] == 0.0:
-        zeros.append(float(xs[-1]))
-    # merge duplicates from grid points landing on a zero
+def _zeros(f, xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros, slopes) of the function whose values on the grid xs are vals:
+    one zero in each step where the sign changes, or ends at 0, refined by
+    floquet's bracketed Newton from the chord's root.  f(x) gives the value
+    and the derivative at x, and a zero's slope is the derivative there."""
+    sg = np.sign(vals)
     out = []
-    for z in zeros:
-        if not out or z - out[-1] > 10 * x_tol:
-            out.append(z)
-    return out
+    for i in np.flatnonzero((sg[:-1] != sg[1:]) & (sg[:-1] != 0)):
+        lo, hi, v, w = xs[i], xs[i + 1], vals[i], vals[i + 1]
+        z, _, slope = fq._refine(lambda x, tol: (*f(x), 0.0), lo, hi,
+                                 lo - v * (hi - lo) / (w - v), None, v < 0,
+                                 current().ode)
+        out.append((z, slope))
+    return np.array(out).reshape(-1, 2).T
 
 
 def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
                            samples: int = 4096) -> ZeroStructure:
     """Phase-normalize the kernel solution at mu = 0 and list its zeros.
 
-    The eigenfunction is computed once, on [0, T], and r is its first zero
-    there.  As it is (anti)periodic, u(x + T) = +-u(x), so the same
-    solution on [r, r + T] is read from that one pass, and the zeros of u
-    and u' are taken on a grid of [r, r + T] and listed relative to r.
+    The eigenfunction is read once, on a grid of [0, T], and the zeros of u
+    and u' are found there, u'' = -a u giving the slope of u'.  As it is
+    (anti)periodic, u(x + T) = +-u(x), so the same solution on [r, r + T],
+    r its first zero, has those zeros rotated by r; they are listed
+    relative to r.
     """
     traj = fq.eigenfunction(a, 0.0, bc)
     T, cfg = a.period, current()
@@ -100,30 +96,25 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     y0, yT = vals[:, 0], vals[:, -1]
     if np.max(np.abs(yT - sign * y0)) > cfg.endpoint_tol * np.max(np.abs(y0)):
         raise DegenerateSolution(f"eigenfunction is not {bc}")
-    u0_zeros = _sign_change_zeros(traj.u, xs, vals[0])
-    if not u0_zeros:
+    # T is read as the image of 0, so a zero there is found once, not twice
+    vals[:, -1] = sign * y0
+
+    def du(x):
+        u, v = traj.state(x)
+        return v, -a(x) * u
+
+    uz, slopes = _zeros(traj.state, xs, vals[0])
+    dz, _ = _zeros(du, xs, vals[1])
+    if not uz.size:
         raise RootSearchFailure("eigenfunction has no zero in [0, T]")
-    r = u0_zeros[0]
-
-    def state(x):
-        """(u, u') at r + x, read as sign * (u, u') at r + x - T past T."""
-        y = np.asarray(x, dtype=float) + r
-        past = y > T
-        return np.where(past, sign, 1.0) * traj.state(np.where(past, y - T, y))
-
-    # x = 0 and x = T are zeros of u, asserted, so u' is away from 0 there
-    vals = state(xs)
-    uz = [0.0] + [z for z in _sign_change_zeros(lambda x: state(x)[0], xs,
-                                                vals[0])
-                  if cfg.endpoint_tol < z < T - cfg.endpoint_tol] + [T]
-    dz = [z for z in _sign_change_zeros(lambda x: state(x)[1], xs, vals[1])
-          if cfg.x_tol < z < T - cfg.x_tol]
-
-    du = np.abs(state(np.array(uz))[1])
-    if np.any(du < 1e-8 * abs(vals[1, 0])):
+    if np.any(np.abs(slopes) < 1e-8 * np.max(np.abs(vals[1]))):
         raise DegenerateSolution(
-            f"u and u' both vanish near x={uz[int(du.argmin())]}: "
+            f"u and u' both vanish near x={uz[np.abs(slopes).argmin()]}: "
             "numerical fault")
+    uz, dz = uz % T, dz % T  # a zero at T is the one at 0
+    r = float(uz.min())
+    uz = np.sort(uz - r).tolist() + [T]
+    dz = np.sort((dz - r) % T).tolist()
 
     m = len(uz) - 1
     if len(dz) != m:
@@ -165,21 +156,18 @@ def check_antiperiodic_structure(z: ZeroStructure, n: int, T: float) -> Structur
 
 
 def subinterval_inequality(a: cf.PeriodicCoefficient, z: ZeroStructure,
-                           n: int, T: float, side: str) -> dict:
+                           n: int) -> dict:
     """Per-subinterval L1 lower bounds between consecutive zeros of u and u'.
 
     On each [x_i, x_{i+1}] of the merged alternating sequence,
-    int (a - lam) >= sqrt(lam) cot(sqrt(lam) (x_{i+1} - x_i)); the margins
-    and the chained total are returned.  ``a`` is the coefficient the
-    structure was extracted from: the zeros are relative to z.shift, so
+    int (a - lam) >= sqrt(lam) cot(sqrt(lam) (x_{i+1} - x_i)), lam being
+    lambda_const or lambda_anti_const (n, T) as z.bc is; the margins and
+    the chained total are returned.  ``a`` is the coefficient the structure
+    was extracted from, of period T: the zeros are relative to z.shift, so
     each integral runs over [x_i + z.shift, x_{i+1} + z.shift].
     """
-    if side == "periodic":
-        lam = cn.lambda_const(n, T)
-    elif side == "antiperiodic":
-        lam = cn.lambda_anti_const(n, T)
-    else:
-        raise DomainError("side must be 'periodic' or 'antiperiodic'")
+    T = a.period
+    lam = (cn.lambda_const if z.bc == "periodic" else cn.lambda_anti_const)(n, T)
     r = math.sqrt(lam)
     pts = z.merged()
     margins = []

@@ -58,7 +58,7 @@ def test_tolerance_overrides_last_one_call(tmp_path, capsys):
         "quad_budget": 1_000_000, "ode_budget": 250_000,
         "dominance_samples": 16384, "x0_grid": 1024,
         "removable_eps": 1e-9, "l1_slack": 1e-12, "sandwich_slack": 1e-10,
-        "x_tol": 1e-10, "endpoint_tol": 1e-8}
+        "endpoint_tol": 1e-8}
     # nor when the command fails
     code, _ = run(capsys, "--tol-root", "1e-4", "eigs", "/nonexistent/x.json")
     assert code == cli.EXIT_PARSE
@@ -161,6 +161,32 @@ def test_chart_hyperbolic_overflow_exit_1(tmp_path, capsys, a):
     out, err = capsys.readouterr()
     assert "nan" not in out
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chart_infinite_mu_plus_a_exit_1(tmp_path, capsys):
+    # mu + a = 1e308 + 1e308 is inf on the constant piece
+    f = coeff_file(tmp_path, cf.constant(1e308, T))
+    assert cli.main(["chart", f, "--mu-from", "1e308", "--mu-to", "1.5e308",
+                     "--points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: mu + a is not finite on a constant piece: "
+                   "q = inf\n")
+
+
+@pytest.mark.parametrize("tall", ["1e6", "1e8"])
+def test_eigs_tall_constant_beside_ode_piece_exit_1(tmp_path, capsys, tall):
+    # where the search goes, the solution over the ODE piece overflows the
+    # floats (1e6), or the tall piece's cosh does (1e8): no monodromy exists
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"period": T, "pieces": [
+        {"from": 0.0, "to": 1.0, "expr": tall},
+        {"from": 1.0, "to": T, "expr": "1+0.1*cos(x)"}]}))
+    assert cli.main(["eigs", str(p), "--count", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+    assert err.count("\n") == 1
 
 
 def test_eigs_missing_file(capsys):
@@ -523,10 +549,11 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_scipy_imported_only_on_first_use(tmp_path):
-    """Commands that neither refine zeros nor integrate an ODE run without
-    importing scipy; the first one that does imports it then."""
+    """Commands that integrate no ODE run without importing scipy; the first
+    one that does imports it then."""
     step = coeff_file(tmp_path, cf.step_function(
         T, [(0.0, 1.0, 0.3), (1.0, T, 0.9)]), "step.json")
+    const = coeff_file(tmp_path, cf.constant(4.0, T), "const.json")
     smooth = coeff_file(tmp_path, cf.from_expression("0.5+0.3*cos(x)", T),
                         "smooth.json")
     problem = problem_file(tmp_path, {
@@ -538,7 +565,7 @@ def test_scipy_imported_only_on_first_use(tmp_path):
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from hillstab import cli
-step, smooth, problem, witness = sys.argv[2:]
+step, const, smooth, problem, witness = sys.argv[2:]
 
 def main(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -551,12 +578,13 @@ main("chart", step, "--mu-from", "-1", "--mu-to", "5", "--points", "101")
 main("certify", step, "--verify")
 main("eigs", step, "--count", "3", "--bc", "both")
 main("nonlinear", "check", problem, "--n", "1")
+main("zeros", const, "--bc", "periodic", "--n", "1")
 assert "scipy" not in sys.modules, "scipy imported before first use"
 main("eigs", smooth, "--count", "2")
 assert "scipy" in sys.modules
 """
     src = str(Path(hillstab.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", script, src, step, smooth,
-                           problem, witness],
+    done = subprocess.run([sys.executable, "-c", script, src, step, const,
+                           smooth, problem, witness],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -53,6 +53,31 @@ def test_periodic_structure_checks(q):
     assert rep.all_ok
 
 
+@pytest.mark.parametrize("n, eps, tol", [
+    (1, 0.35, 1e-12), (1, 0.01, 1e-12), (3, 0.17, 1e-12), (3, 1e-3, 1e-12),
+    # through layers 1e-3 wide the eigenfunction itself is off by 1.6e-12
+    (1, 1e-3, 4e-12)])
+def test_witness_structure_closed_form(n, eps, tol):
+    # u_eps vanishes at the odd multiples of q and u_eps' at the even ones
+    q = T / (4 * (n + 1))
+    z = zr.extract_zero_structure(wt.make_a_eps(n, T, eps), "periodic")
+    assert z.m == 2 * (n + 1)
+    assert z.shift == pytest.approx(q, abs=tol)
+    np.testing.assert_allclose(z.u_zeros, 2 * q * np.arange(z.m + 1),
+                               rtol=0, atol=tol)
+    np.testing.assert_allclose(z.du_zeros, q * (2 * np.arange(z.m) + 1),
+                               rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("bc", ["Periodic", "periodc", "both"])
+def test_bc_must_be_named_exactly(bc):
+    # "Periodic" once gave the antiperiodic structure, labelled "Periodic"
+    with pytest.raises(DomainError, match="bc must be"):
+        zr.extract_zero_structure(cf.constant(2.25, T), bc)
+    with pytest.raises(DomainError, match="bc must be"):
+        fq.eigenfunction(cf.constant(2.25, T), 0.0, bc)
+
+
 def test_witness_structure():
     a = wt.make_a_eps(1, T, 1e-3)
     z = zr.extract_zero_structure(a, "periodic")
@@ -112,7 +137,7 @@ def test_subinterval_inequality_constant():
     n = 1
     a = cf.constant(9.0, T)
     z = zr.extract_zero_structure(a, "periodic")
-    out = zr.subinterval_inequality(a, z, n, T, "periodic")
+    out = zr.subinterval_inequality(a, z, n)
     assert out["chain_ok"]
     for d in out["per_interval"]:
         assert d["margin"] >= -1e-7
@@ -125,7 +150,7 @@ def test_subinterval_inequality_witness_tight():
     n, T_ = 1, T
     a = wt.make_a_eps(n, T_, 1e-3)
     z = zr.extract_zero_structure(a, "periodic")
-    out = zr.subinterval_inequality(a, z, n, T_, "periodic")
+    out = zr.subinterval_inequality(a, z, n)
     margins = [d["margin"] for d in out["per_interval"]]
     assert all(m >= -1e-7 for m in margins)
     # tight family: margins collapse toward 0 with eps
@@ -140,7 +165,7 @@ def test_subinterval_inequality_integrates_from_the_shift():
     a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0]).a
     z = zr.extract_zero_structure(a, "antiperiodic")
     assert z.m == 1 and 0.5 < z.shift < a.period - 0.5
-    out = zr.subinterval_inequality(a, z, 1, a.period, "antiperiodic")
+    out = zr.subinterval_inequality(a, z, 1)
     left, right = (d["l1_distance"] for d in out["per_interval"])
     assert left == pytest.approx(right, abs=1e-8)
 
