@@ -111,7 +111,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
         raise DegenerateSolution(
             f"u and u' both vanish near x={uz[np.abs(slopes).argmin()]}: "
             "numerical fault")
-    uz, dz = uz % T, dz % T  # a zero at T is the one at 0
+    uz = uz % T  # a zero at T is the one at 0
     r = float(uz.min())
     uz = np.sort(uz - r).tolist() + [T]
     dz = np.sort((dz - r) % T).tolist()
