@@ -7,7 +7,12 @@ number of monodromy passes (one `floquet._propagators` pass over the
 period, edge counts, discriminants and slope passes alike) each `spectrum`
 call made and the right-hand-side calls of their integrations: the search
 integrates most passes at sqrt(`ode`), which takes fewer calls than one
-at `ode`, so the two counts together show the work.  Three coefficients
+at `ode`, so the two counts together show the work.  A pass integrates all
+its non-constant pieces in one call, so a right-hand-side call serves
+every one of them and counts once.  Two coefficients have several such
+pieces, a_eps(3, 2pi, 1e-3) and the Mathieu coefficient cut into three,
+and get `spectrum(3, 3)`, so that the digest covers passes that stack
+pieces as well as passes of one piece.  Three coefficients
 also get `certify_all(...).to_dict()`, every L-infinity diagnostic
 included, and three nonlinear problems the periodic solutions
 `solve_periodic` finds, with the right-hand-side calls its integrations
@@ -18,10 +23,11 @@ certified coefficients: the list `certify --verify` prints, and
 witness, repr(discriminant)).  After them come the certificates `nonlinear
 check --n 1` computes for acceptance criterion 11's enveloped problem and
 for its copy of period pi, where `NL_LINF_PERIODIC` applies too, then the
-zero structure of a_eps(1, 2pi, 0.35)'s periodic eigenfunction and of the
-antiresonant two-step potential's antiperiodic one, whose first zero lies
-inside the period, so that its zeros are read rotated, and last
-`subinterval_inequality` with n = 1 on each of these two.  Run it
+zero structure of the periodic eigenfunctions of a_eps(1, 2pi, 0.35) and
+a_eps(3, 2pi, 1e-3) and of the antiresonant two-step potential's
+antiperiodic one, whose first zero lies inside the period, so that its
+zeros are read rotated, and last `subinterval_inequality` on each of
+these three, at n = 1 and at n = 3 for a_eps(3, 2pi, 1e-3).  Run it
 on two checkouts and diff the outputs to see whether a change moved any
 eigenvalue, certificate value, root, zero or verdict by as little as one
 bit:
@@ -52,6 +58,13 @@ SMOOTH = {
 }
 # the one coefficient here whose pieces divide and take powers
 WITNESS = {"a_eps(1, 2pi, 0.35)": wt.make_a_eps(1, T, 0.35)}
+# several non-constant pieces, integrated in one call per pass
+STACKED = {
+    "a_eps(3, 2pi, 1e-3)": wt.make_a_eps(3, T, 1e-3),
+    "1.2+0.4cos(2x) in 3 pieces, T=pi": cf.PeriodicCoefficient(math.pi, tuple(
+        (s, e, ex.parse("1.2+0.4*cos(2*x)"))
+        for s, e in [(0.0, 0.5), (0.5, 2.0), (2.0, math.pi)])),
+}
 STEPS = {
     "const 0": cf.constant(0.0, T),
     "const 0.3": cf.constant(0.3, T),
@@ -103,9 +116,11 @@ def enveloped(period):
 ENVELOPED = {"criterion 11": enveloped(T), "criterion 11, T=pi":
              enveloped(math.pi)}
 ZEROS = [
-    ("a_eps(1, 2pi, 0.35)", WITNESS["a_eps(1, 2pi, 0.35)"], "periodic"),
+    ("a_eps(1, 2pi, 0.35)", WITNESS["a_eps(1, 2pi, 0.35)"], "periodic", 1),
     ("two_step(pi/4, anti_resonant_x0(pi/4)[0])", wt.make_two_step(
-        math.pi / 4, wt.anti_resonant_x0(math.pi / 4)[0]).a, "antiperiodic"),
+        math.pi / 4, wt.anti_resonant_x0(math.pi / 4)[0]).a, "antiperiodic",
+     1),
+    ("a_eps(3, 2pi, 1e-3)", STACKED["a_eps(3, 2pi, 1e-3)"], "periodic", 3),
 ]
 
 
@@ -131,8 +146,10 @@ def main():
     fq._propagators, fq.solve_ivp, nl.solve_ivp = \
         counted, counted_ivp, counted_ivp
     out, spectra, certs = {}, {}, {}
-    for name, a in {**STEPS, **SMOOTH, **WITNESS}.items():
-        if name in WITNESS:
+    for name, a in {**STEPS, **SMOOTH, **WITNESS, **STACKED}.items():
+        if name in STACKED:
+            counts = [(3, 3)]
+        elif name in WITNESS:
             counts = [(3, 2)]
         elif name in SMOOTH:
             counts = [(6, 6)]
@@ -180,13 +197,13 @@ def main():
         if p.period == math.pi:
             checks.insert(1, nl.check_linf_hypotheses(p))
         out[f"{name}: nonlinear check --n 1"] = [c.to_dict() for c in checks]
-    zs = {name: (a, zr.extract_zero_structure(a, bc))
-          for name, a, bc in ZEROS}
-    for name, (a, z) in zs.items():
+    zs = {name: (a, zr.extract_zero_structure(a, bc), n)
+          for name, a, bc, n in ZEROS}
+    for name, (a, z, _) in zs.items():
         out[f"{name}: zeros {z.bc}"] = z.to_dict()
-    for name, (a, z) in zs.items():
-        out[f"{name}: subinterval_inequality(n=1)"] = \
-            zr.subinterval_inequality(a, z, 1)
+    for name, (a, z, n) in zs.items():
+        out[f"{name}: subinterval_inequality(n={n})"] = \
+            zr.subinterval_inequality(a, z, n)
     print(json.dumps(out, indent=1, default=cli._json_default))
 
 

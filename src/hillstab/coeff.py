@@ -7,9 +7,11 @@ evaluates each piece's expression once on the points inside it.  The
 integration cells of an interval are cut at piece breakpoints and removable
 points and moved into [0, T] by whole periods; `sample` draws dense points
 inside each cell for the sup/inf functionals, and integrals use adaptive
-Simpson quadrature run breadth first over all cells at once, with each cell's
-ends evaluated in its own piece, so two-plateau potentials and
-boundary-layer witness families integrate to full accuracy.
+Simpson quadrature run breadth first over all cells at once, those of
+several intervals in one call with each cell at its own interval's
+tolerance, and with each cell's ends evaluated in its own piece, so
+two-plateau potentials and boundary-layer witness families integrate to
+full accuracy.
 """
 
 from __future__ import annotations
@@ -75,10 +77,12 @@ class PeriodicCoefficient:
         y[y >= self.period] = 0.0
         return y
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __call__(self, x):
         """T-periodic evaluation at a point or an array of points; removable
         points use the right-hand limit.  Each piece's expression is
-        evaluated once, on all the points that fall in it."""
+        evaluated once, on all the points that fall in it, and a value that
+        is not finite raises NonFiniteValue."""
         xs = np.asarray(x, dtype=float)
         y = self._reduce(xs)
         hit = np.zeros(y.shape, dtype=bool)
@@ -213,22 +217,31 @@ def sample(a: PeriodicCoefficient, interval: tuple[float, float],
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
-    """Adaptive Simpson over all cells [lo_i, hi_i] at once, breadth first.
+def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
+                      group: np.ndarray, groups: int) -> list[float]:
+    """Adaptive Simpson over all cells [lo_i, hi_i] at once, breadth first:
+    the integral of each of `groups` intervals, cell i belonging to interval
+    group_i and accepted at its own tolerance tol_i.
 
-    Each level halves every open interval with one call of f on all the new
-    nodes and halves tol.  An interval is accepted from depth 3 on when the
-    two halves differ from the whole by at most 15 tol, with the Richardson
-    term added; one still open past depth 60 fails, and a Simpson estimate
-    or total that is not finite raises NonFiniteValue.
+    Each level halves every open cell with one call of f on all the new
+    nodes and halves its tolerance.  A cell is accepted from depth 3 on when
+    the two halves differ from the whole by at most 15 tol, with the
+    Richardson term added to its interval's total, level by level, in the
+    order a call on that interval's cells alone would add it; one still open
+    past depth 60 fails, and a Simpson estimate or total that is not finite
+    raises NonFiniteValue.
     """
     # the right end is taken one ulp inside, so that it is in the cell's piece
     f_lo, f_mid, f_hi = np.split(
         f(np.concatenate([lo, (lo + hi) / 2, np.nextafter(hi, lo)])), 3)
     used = 3 * len(lo)
-    whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
-    total = 0.0
+    # the open cells, one column each: their ends, f at the ends and the
+    # middle, their Simpson estimate, tolerance and interval
+    cells = np.array([lo, hi, f_lo, f_mid, f_hi,
+                      (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi), tol, group])
+    total = [0.0] * groups
     for depth in itertools.count():
+        lo, hi, f_lo, f_mid, f_hi, whole, tol, group = cells
         used += 2 * len(lo)
         if used > current().quad_budget:
             raise QuadratureFailure("quadrature evaluation budget exhausted")
@@ -238,44 +251,62 @@ def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
         right = (hi - m) / 6 * (f_mid + 4 * f_rm + f_hi)
         diff = left + right - whole
         done = (depth > 2) & (np.abs(diff) <= 15 * tol)
-        total += float(np.sum((left + right + diff / 15)[done]))
-        if not (np.isfinite(left + right).all() and math.isfinite(total)):
+        accepted = (left + right + diff / 15)[done]
+        if groups == 1:  # one interval: no cells to sort out by interval
+            total[0] += float(np.sum(accepted))
+        else:
+            owner = group[done].astype(int)
+            for k in np.flatnonzero(np.bincount(owner, minlength=groups)):
+                total[k] += float(np.sum(accepted[owner == k]))
+        if not (np.isfinite(left + right).all()
+                and all(map(math.isfinite, total))):
             raise NonFiniteValue("integral is not finite")
         if done.all():
             return total
         if depth > 60:
             raise QuadratureFailure("quadrature did not converge (depth limit)")
+        # the open cells split into [lo, m] and [m, hi] at half the tolerance
         go = ~done
-        # the open intervals split into [lo, m] and [m, hi]
-        lo, hi = np.concatenate([lo[go], m[go]]), np.concatenate([m[go], hi[go]])
-        f_lo, f_mid, f_hi = (np.concatenate([f_lo[go], f_mid[go]]),
-                             np.concatenate([f_lm[go], f_rm[go]]),
-                             np.concatenate([f_mid[go], f_hi[go]]))
-        whole = np.concatenate([left[go], right[go]])
-        tol /= 2
+        cells = np.concatenate(
+            [np.array([lo, m, f_lo, f_lm, f_mid, left, tol / 2, group])[:, go],
+             np.array([m, hi, f_mid, f_rm, f_hi, right, tol / 2, group])[:, go]],
+            axis=1)
 
 
-def _integrate(a: PeriodicCoefficient, f, s: float, e: float) -> float:
-    if e < s:
-        raise ValueError("interval must satisfy s <= e")
-    if e == s:
-        return 0.0
-    # f is T-periodic: integrate it over the cells' places in [0, T]
-    lo, hi, _ = _integration_cells(a, s, e)
-    return _adaptive_simpson(f, lo, hi, current().quad / len(lo))
+def _integrate(a: PeriodicCoefficient, f, intervals) -> list[float]:
+    """The integrals of f, T-periodic, over each interval (s, e), from one
+    _adaptive_simpson call over all their cells, an interval's cells each
+    at `quad` / (their number)."""
+    cells = []
+    for k, (s, e) in enumerate(intervals):
+        if e < s:
+            raise ValueError("interval must satisfy s <= e")
+        if e > s:
+            # f is T-periodic: integrate it over the cells' places in [0, T]
+            lo, hi, _ = _integration_cells(a, s, e)
+            cells.append((lo, hi, np.full(len(lo), current().quad / len(lo)),
+                          np.full(len(lo), k)))
+    if not cells:
+        return [0.0] * len(intervals)
+    return _adaptive_simpson(f, *map(np.concatenate, zip(*cells)),
+                             len(intervals))
+
+
+def l1_distances(a: PeriodicCoefficient, c: float, intervals) -> list[float]:
+    """The integral of |a(x) - c| over each interval, absolute tolerance
+    1e-10 each, from one quadrature."""
+    return _integrate(a, lambda x: np.abs(a(x) - c), intervals)
 
 
 def l1_distance(a: PeriodicCoefficient, c: float,
                 interval: tuple[float, float]) -> float:
     """Integral of |a(x) - c| over the interval, absolute tolerance 1e-10."""
-    s, e = interval
-    return _integrate(a, lambda x: np.abs(a(x) - c), s, e)
+    return l1_distances(a, c, [interval])[0]
 
 
 def integral(a: PeriodicCoefficient, interval: tuple[float, float]) -> float:
     """Signed integral of a over the interval."""
-    s, e = interval
-    return _integrate(a, a, s, e)
+    return _integrate(a, a, [interval])[0]
 
 
 def mean(a: PeriodicCoefficient) -> float:

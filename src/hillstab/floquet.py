@@ -1,10 +1,12 @@
 """Ground-truth spectral engine for u'' + (mu + a(x)) u = 0.
 
-One propagator gives each piece's 2x2 transfer matrix (an exact
-trigonometric/hyperbolic block, or one integration of the fundamental
-matrix) to monodromies, trajectories, eigenfunctions and edge counts; on
-request that integration also carries the variational equation in mu, so
-that one pass gives Delta and Delta' (closed form on a constant piece).
+One propagator gives each piece's 2x2 transfer matrix to monodromies,
+trajectories, eigenfunctions and edge counts: an exact
+trigonometric/hyperbolic block on a constant piece, and on the other pieces
+the fundamental matrices from one integration per pass, all those pieces
+stacked as one system over a common parameter.  On request that
+integration also carries the variational equation in mu, so that one pass
+gives Delta and Delta' (closed form on a constant piece).
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
 a pass's zero count gives E(mu), the number of edges below mu, read at
@@ -102,64 +104,139 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
     """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
 
     B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
-    else the fundamental matrix from one integration at rtol = atol = tol
-    (`ode` when None) with steps of at most a sixteenth of the piece, the
-    same bit for bit with or without dense output.  columns is q = mu + a on
-    a constant piece; on an ODE piece it is the accepted steps (t, y), rows
-    0-3 of y the columns of the transfer matrix from s to each t, or with
-    dense the interpolant giving y at any points.  spacing, one length per
-    piece, keeps the t of an ODE piece at most that far apart: its steps
-    are capped at it, or past _CAPPED such steps y is read from the
-    interpolant at points that far apart.  With slope, y also carries
-    dB/dmu in rows 4-7, from the variational equation Phi_mu' = A Phi_mu -
-    [[0, 0], [1, 0]] Phi.  More than `ode_budget` right-hand-side calls in a
-    pass raise IntegrationFailure.
+    else the fundamental matrix from one integration that all the ODE pieces
+    share (see _integrate), the same bit for bit with or without dense
+    output.  columns is q = mu + a on a constant piece; on an ODE piece it
+    is y at the accepted steps, rows 0-3 the columns of the transfer matrix
+    from s to each step, or with dense the interpolant giving y at any
+    points of the piece.  spacing, one length per piece, keeps the steps of
+    an ODE piece at most that far apart: they are capped at it, or past
+    _CAPPED such steps y is read from the interpolant at points that far
+    apart.  With slope, y also carries dB/dmu in rows 4-7, from the
+    variational equation Phi_mu' = A Phi_mu - [[0, 0], [1, 0]] Phi.
     """
-    cfg = current()
-    budget, evals = cfg.ode_budget, itertools.count(1)
-    tol = cfg.ode if tol is None else tol
     spacing = spacing or itertools.repeat(math.inf)
+    solved = None
     for (s, e, piece), h in zip(a.pieces, spacing):
         cval = ex.constant_value(piece)
         if cval is not None:
             yield s, e, _const_block(mu + cval, e - s), mu + cval
             continue
+        if solved is None:  # at the first ODE piece, as a pass reaches it
+            solved = iter(_integrate(
+                [(lo, hi, p, w) for (lo, hi, p), w in zip(a.pieces, spacing)
+                 if ex.constant_value(p) is None], mu, dense, tol, slope))
+        yield (s, e, *next(solved))
 
-        if slope:
-            def rhs(x, y, f=piece.compiled()):
-                if next(evals) > budget:
-                    raise _exhausted(budget, mu)
-                q = mu + f(x)
-                return [y[1], -q * y[0], y[3], -q * y[2],
-                        y[5], -q * y[4] - y[0], y[7], -q * y[6] - y[2]]
-        else:
-            def rhs(x, y, f=piece.compiled()):
-                if next(evals) > budget:
-                    raise _exhausted(budget, mu)
-                q = mu + f(x)
-                return [y[1], -q * y[0], y[3], -q * y[2]]
 
-        grid = (e - s) / h > _CAPPED
-        sol = solve_ivp(rhs, (s, e), [1.0, 0.0, 0.0, 1.0] + [0.0] * 4 * slope,
-                        method="DOP853", rtol=tol, atol=tol,
-                        dense_output=dense or grid,
-                        max_step=min(max((e - s) / 16, 1e-12),
-                                     math.inf if grid else h))
-        y = sol.y[:, -1]
-        if not sol.success:
-            if not np.all(np.abs(y) <= _HUGE):  # also when y is not finite
-                raise NonFiniteValue(f"the solution overflows on [{s}, {e}] "
-                                     f"at mu={mu!r}")
-            raise IntegrationFailure(
-                f"ODE solver failed on [{s}, {e}]: {sol.message}")
-        if dense:
-            columns = sol.sol
-        elif grid:
-            t = np.linspace(s, e, math.ceil((e - s) / h) + 1)
-            columns = t, sol.sol(t)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
+    """[(B, columns)] for the ODE pieces (s, e, expression, spacing) in ode, as
+    _propagators yields them, from one DOP853 call on the stacked 4p system
+    (8p with slope) of its p pieces.  Its parameter t runs over the first
+    piece, and piece j is read at x = s_j + (t - s_0) L_j / L_0, L_j its
+    length, so that every piece is one interval of t.  The call integrates
+    at rtol = atol = tol / sqrt(p) (`ode` when tol is None), as the RMS
+    error norm runs over all 4p components, with steps of at most a
+    sixteenth of a piece and, for a spacing, at most min_j h_j L_0 / L_j.
+    Its right-hand side calls each piece's compiled a once; a non-finite
+    mu + a raises NonFiniteValue, and more than `ode_budget` calls in a
+    pass raise IntegrationFailure."""
+    cfg = current()
+    budget, evals = cfg.ode_budget, itertools.count(1)
+    tol = cfg.ode if tol is None else tol
+    width, p = 8 if slope else 4, len(ode)
+    s0, e0, _, _ = ode[0]
+    L0 = e0 - s0
+    ratio = [(e - s) / L0 for s, e, _, _ in ode]
+    fs = [(piece.compiled(), s, r) for (s, _, piece, _), r in zip(ode, ratio)]
+
+    def non_finite(q, x):
+        return NonFiniteValue(f"mu + a is not finite at x={float(x)!r}: "
+                              f"q = {float(q)!r}")
+
+    if p > 1:
+        r = np.array(ratio)
+
+        def rhs(t, y):
+            if next(evals) > budget:
+                raise _exhausted(budget, mu)
+            q = [mu + f(s + (t - s0) * k) for f, s, k in fs]
+            total = sum(q)
+            if total - total:  # nan: some q may not be finite
+                for v, (_, s, k) in zip(q, fs):
+                    if not math.isfinite(v):
+                        raise non_finite(v, s + (t - s0) * k)
+            # y holds component i of piece j at i p + j: rows 0, 2, 4, 6 of
+            # y.reshape(width, p) are values, rows 1, 3, 5, 7 derivatives
+            y = y.reshape(width, p)
+            dy = np.empty_like(y)
+            dy[0::2] = y[1::2]
+            dy[1::2] = np.negative(q) * y[0::2]
+            if slope:
+                dy[5::2] -= y[0:4:2]
+            return (dy * r).ravel()
+    elif slope:
+        def rhs(x, y, f=fs[0][0]):
+            if next(evals) > budget:
+                raise _exhausted(budget, mu)
+            q = mu + f(x)
+            if q - q:  # nan: q is not finite
+                raise non_finite(q, x)
+            return [y[1], -q * y[0], y[3], -q * y[2],
+                    y[5], -q * y[4] - y[0], y[7], -q * y[6] - y[2]]
+    else:
+        def rhs(x, y, f=fs[0][0]):
+            if next(evals) > budget:
+                raise _exhausted(budget, mu)
+            q = mu + f(x)
+            if q - q:  # nan: q is not finite
+                raise non_finite(q, x)
+            return [y[1], -q * y[0], y[3], -q * y[2]]
+
+    h = min(h / k for (_, _, _, h), k in zip(ode, ratio))
+    grid = L0 / h > _CAPPED
+    y0 = np.zeros((width, p))
+    y0[0] = y0[3] = 1.0
+    sol = solve_ivp(rhs, (s0, e0), y0.ravel().tolist(), method="DOP853",
+                    rtol=tol / math.sqrt(p), atol=tol / math.sqrt(p),
+                    dense_output=dense or grid,
+                    max_step=min(max(L0 / 16, 1e-12),
+                                 math.inf if grid else h))
+    end = sol.y[:, -1]
+    if not sol.success:
+        where = f"[{s0}, {e0}]" + (f" and {p - 1} more pieces" if p > 1 else "")
+        if not np.all(np.abs(end) <= _HUGE):  # also when y is not finite
+            raise NonFiniteValue(f"the solution overflows on {where} "
+                                 f"at mu={mu!r}")
+        raise IntegrationFailure(
+            f"ODE solver failed on {where}: {sol.message}")
+    if grid and not dense:
+        ys = sol.sol(np.linspace(s0, e0, math.ceil(L0 / h) + 1))
+    else:
+        ys = sol.y
+    ys, end = ys.reshape(width, p, -1), end.reshape(width, p)
+    out = []
+    for j, (s, _, _, _) in enumerate(ode):
+        if dense:  # t = x on the first piece, whose length t runs over
+            columns = functools.partial(_dense_columns, sol.sol, j, width, p,
+                                        None if j == 0 else (s0, s, ratio[j]))
         else:
-            columns = sol.t, sol.y
-        yield s, e, np.array([[y[0], y[2]], [y[1], y[3]]]), columns
+            columns = ys[:, j]
+        y = end[:, j]
+        out.append((np.array([[y[0], y[2]], [y[1], y[3]]]), columns))
+    return out
+
+
+def _dense_columns(interpolant, j: int, width: int, p: int, to_t,
+                   xs: np.ndarray) -> np.ndarray:
+    """y of piece j of a stacked dense pass at the points xs of that piece,
+    to_t = (s_0, s_j, L_j / L_0) mapping them to the parameter (None: xs
+    are on it)."""
+    if to_t is not None:
+        s0, s, ratio = to_t
+        xs = s0 + (xs - s) / ratio
+    return interpolant(xs).reshape(width, p, -1)[:, j]
 
 
 def _exhausted(budget: int, mu: float) -> IntegrationFailure:
@@ -223,7 +300,7 @@ def _slope(a: cf.PeriodicCoefficient, mu: float, tol: float):
     M, dM = np.eye(2), np.zeros((2, 2))
     for s, e, B, columns in _propagators(a, mu, False, tol, slope=True):
         dB = _const_slope(columns, e - s, B) if np.isscalar(columns) \
-            else columns[1][4:, -1].reshape(2, 2).T
+            else columns[4:, -1].reshape(2, 2).T
         M, dM = B @ M, dB @ M + B @ dM
     return float(np.trace(_finite(M, mu))), float(np.trace(_finite(dM, mu)))
 
@@ -314,9 +391,9 @@ def _edge_count(a, mu: float, sups: list[float],
                 flip += 2 * round((x - 0.5 - flip) / 2)
             n += flip
             continue
-        m = columns[1]
         # e's sign is read from the block, as the next piece reads it
-        sg = np.append(_sign(*(m[:2] * y[0] + m[2:] * y[1]))[:-1], end)
+        sg = np.append(_sign(*(columns[:2] * y[0] + columns[2:] * y[1]))[:-1],
+                       end)
         n += int(np.count_nonzero(sg[1:] != sg[:-1]))
     d = float(np.trace(M))
     k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
@@ -450,9 +527,16 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
 
         # edge-pair spacing, and edges 2k - 1 and 2k, at a = 0
         scale, e0 = (2 * k + 1) * (math.pi / T) ** 2, (k * math.pi / T) ** 2
-        lo, hi = e0 - sup - scale / 128, e0 - inf + scale / 128
-        # widen until E(lo) <= i < E(hi), unless rounding leaves no bracket
-        for _ in range(64 if hi > lo else 0):
+        # the rounding of mu at the edges: the bracket is padded past it,
+        # and edges fewer than 8 floats apart cannot be told apart
+        ulp = math.ulp(max(abs(e0 - sup), abs(e0 - inf)))
+        if 8 * ulp >= scale:
+            raise RootSearchFailure(f"band edge {i} lies within rounding "
+                                    f"of the next")
+        pad = max(scale / 128, 4 * ulp)
+        lo, hi = e0 - sup - pad, e0 - inf + pad
+        # widen until E(lo) <= i < E(hi)
+        for _ in range(64):
             w = 2.0 ** math.ceil(math.log2(hi - lo))
             lo = math.floor(lo / w) * w
             hi = lo + 2 * w

@@ -12,6 +12,7 @@ that can hold and records its diagnostic.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -65,8 +66,23 @@ class Certificate:
         }
 
 
+#: (a, {(f, args): f(a, *args)}) while certify_all runs on a, so that what
+#: several of its certificates read of a is computed once
+_shared = contextvars.ContextVar("shared", default=None)
+
+
+def _once(f, a: cf.PeriodicCoefficient, *args):
+    """f(a, *args), or while certify_all runs on a, the value it gave first."""
+    memo = _shared.get()
+    if memo is None or memo[0] is not a:
+        return f(a, *args)
+    if (f, args) not in memo[1]:
+        memo[1][f, args] = f(a, *args)
+    return memo[1][f, args]
+
+
 def _ess_inf(a: cf.PeriodicCoefficient) -> float:
-    return float(np.min(cf.sample(a, (0.0, a.period))[1]))
+    return float(np.min(_once(cf.sample, a, (0.0, a.period))[1]))
 
 
 def _certify_l1(a: cf.PeriodicCoefficient, n: int, theorem_id: str,
@@ -77,8 +93,8 @@ def _certify_l1(a: cf.PeriodicCoefficient, n: int, theorem_id: str,
         raise DomainError("n must be >= 1")
     T = a.period
     lam, g = lam_of(n, T), g_of(n, T)
-    dom = cf.dominates(a, lam)
-    norm = cf.l1_distance(a, 0.0, (0.0, T))
+    dom = _once(cf.dominates, a, lam)
+    norm = _once(cf.l1_distance, a, 0.0, (0.0, T))
     holds = dom.strict_on_positive_measure and norm <= g + current().l1_slack
     return Certificate(
         theorem_id, n,
@@ -117,7 +133,7 @@ def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
     """
     T = a.period
     ess = _ess_inf(a)
-    norm = cf.l1_distance(a, 0.0, (0.0, T))
+    norm = _once(cf.l1_distance, a, 0.0, (0.0, T))
 
     # p* is ceil(T sqrt(ess) / pi) - 1, or one off where the quotient rounds
     p = math.ceil(T * math.sqrt(max(ess, 0.0)) / math.pi) - 1
@@ -151,7 +167,7 @@ def _x0_scan(a: cf.PeriodicCoefficient) -> tuple[np.ndarray, np.ndarray]:
     """The `x0_grid` interior split points x0 of (0, pi) and m(x0) = max(x0^2
     sup_(0,x0)|a|, (pi - x0)^2 sup_(x0,pi)|a|), the sups read from running
     maxima of one sampling of |a| (0 on an empty side)."""
-    xs, vals = cf.sample(a, (0.0, a.period))
+    xs, vals = _once(cf.sample, a, (0.0, a.period))
     vals = np.abs(vals)
     prefix = np.concatenate(([0.0], np.maximum.accumulate(vals)))
     suffix = np.concatenate((np.maximum.accumulate(vals[::-1])[::-1], [0.0]))
@@ -168,7 +184,7 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
     the window (pi (1 - cos alpha)/2, pi (1 + cos alpha)/2).
     """
     _require_period_pi(a)
-    dom = cf.dominates(a, 0.0)
+    dom = _once(cf.dominates, a, 0.0)
     x0, m = _x0_scan(a)
     alpha = np.sqrt(m)
     alpha_ok = alpha < math.pi / 2
@@ -200,7 +216,7 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
 def certify_linf_periodic(a: cf.PeriodicCoefficient) -> Certificate:
     """Weaker max-bound < pi^2 at some split point: lambda_0(a) < 0 < lambda_1(a)."""
     _require_period_pi(a)
-    dom = cf.dominates(a, 0.0)
+    dom = _once(cf.dominates, a, 0.0)
     x0, m = _x0_scan(a)
     margin = math.pi ** 2 - m
     # strict: the boundary case is excluded
@@ -226,7 +242,7 @@ def classical_16T(a: cf.PeriodicCoefficient) -> Certificate:
     integral of the positive part at most 16/T rule out a nontrivial
     periodic kernel at mu = 0."""
     T = a.period
-    nonzero = cf.linf_norm(a, (0.0, T)) > 1e-14
+    nonzero = float(np.max(np.abs(_once(cf.sample, a, (0.0, T))[1]))) > 1e-14
     mean_int = cf.integral(a, (0.0, T))
     pos_int = cf.integral(a.positive_part(), (0.0, T))
     bound, slack = 16.0 / T, current().l1_slack
@@ -244,21 +260,27 @@ def classical_16T(a: cf.PeriodicCoefficient) -> Certificate:
 
 def certify_all(a: cf.PeriodicCoefficient, n_list=(1, 2, 3),
                 theorems=None) -> list[Certificate]:
-    """Run every applicable theorem; Linf theorems only when T = pi."""
-    wanted = set(theorems) if theorems else set(THEOREM_IDS)
-    out = []
-    for n in n_list:
-        if "L1_PERIODIC_N" in wanted:
-            out.append(certify_l1_periodic(a, n))
-        if "L1_ANTIPERIODIC_N" in wanted:
-            out.append(certify_l1_antiperiodic(a, n))
-    if "L1_ZONE_KP" in wanted:
-        out.append(certify_zone_kp(a))
-    if abs(a.period - math.pi) <= 1e-12:
-        if "LINF_FIRST_ZONE" in wanted:
-            out.append(certify_linf_first_zone(a))
-        if "LINF_PERIODIC" in wanted:
-            out.append(certify_linf_periodic(a))
-    if "CLASSICAL_16T" in wanted:
-        out.append(classical_16T(a))
-    return out
+    """Run every applicable theorem; Linf theorems only when T = pi.  What
+    several certificates read of a (||a||_L1, its samples, a dominance
+    check) is computed once."""
+    token = _shared.set((a, {}))
+    try:
+        wanted = set(theorems) if theorems else set(THEOREM_IDS)
+        out = []
+        for n in n_list:
+            if "L1_PERIODIC_N" in wanted:
+                out.append(certify_l1_periodic(a, n))
+            if "L1_ANTIPERIODIC_N" in wanted:
+                out.append(certify_l1_antiperiodic(a, n))
+        if "L1_ZONE_KP" in wanted:
+            out.append(certify_zone_kp(a))
+        if abs(a.period - math.pi) <= 1e-12:
+            if "LINF_FIRST_ZONE" in wanted:
+                out.append(certify_linf_first_zone(a))
+            if "LINF_PERIODIC" in wanted:
+                out.append(certify_linf_periodic(a))
+        if "CLASSICAL_16T" in wanted:
+            out.append(classical_16T(a))
+        return out
+    finally:
+        _shared.reset(token)

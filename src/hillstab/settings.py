@@ -20,7 +20,8 @@ class Settings:
     #: shooting root; Newton steps far from a root integrate as loosely as
     #: sqrt(ode)
     ode: float = 1e-12
-    #: right-hand-side evaluation budget for one monodromy pass
+    #: right-hand-side calls allowed in one monodromy pass; a call counts
+    #: once however many ODE pieces it serves (as it will however many mu)
     ode_budget: int = 250_000
     residual: float = 1e-8  #: periodicity residual accepted for a shooting solution
     cluster: float = 1e-6  #: initial-data distance merging two converged solutions

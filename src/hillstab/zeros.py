@@ -170,23 +170,22 @@ def subinterval_inequality(a: cf.PeriodicCoefficient, z: ZeroStructure,
     lam = (cn.lambda_const if z.bc == "periodic" else cn.lambda_anti_const)(n, T)
     r = math.sqrt(lam)
     pts = z.merged()
-    margins = []
-    cot_sum = 0.0
-    dist_sum = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    spans = list(zip(pts[:-1], pts[1:]))
+    cots = []
+    for lo, hi in spans:
         arg = r * (hi - lo)
         if not 0 < arg < math.pi:
             raise DomainError("spacing outside the cot bound's domain")
-        cot_term = r * math.cos(arg) / math.sin(arg)
-        dist = cf.l1_distance(a, lam, (lo + z.shift, hi + z.shift))
-        margins.append({"interval": (lo, hi), "l1_distance": dist,
-                        "cot_bound": cot_term, "margin": dist - cot_term})
-        cot_sum += cot_term
-        dist_sum += dist
-    total = cf.l1_distance(a, lam, (0.0, T))
-    return {"per_interval": margins, "cot_sum": cot_sum,
-            "distance_sum": dist_sum, "total_distance": total,
-            "chain_ok": cot_sum <= total + 1e-7}
+        cots.append(r * math.cos(arg) / math.sin(arg))
+    *dists, total = cf.l1_distances(
+        a, lam, [(lo + z.shift, hi + z.shift) for lo, hi in spans] + [(0.0, T)])
+    cot_sum = sum(cots)
+    return {"per_interval": [
+                {"interval": span, "l1_distance": dist, "cot_bound": cot,
+                 "margin": dist - cot}
+                for span, dist, cot in zip(spans, dists, cots)],
+            "cot_sum": cot_sum, "distance_sum": sum(dists),
+            "total_distance": total, "chain_ok": cot_sum <= total + 1e-7}
 
 
 def equal_spacing_bound(n: int, T: float, m: int) -> float:

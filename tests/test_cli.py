@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,27 @@ def test_non_finite_constant_piece(tmp_path, capsys, piece, argv):
     assert out == ""
     assert err.startswith("error: coefficient is not finite on [0.0, 3.0)")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("piece", [
+    [{"from": 0.0, "to": 3.0, "expr": "1e200*x*1e200"},
+     {"from": 3.0, "to": T, "expr": "1"}],
+    [{"from": 0.0, "to": T, "expr": "x^100000000000000000000"}]],
+    ids=["1e200*x*1e200", "x^1e20"])
+@pytest.mark.parametrize("argv", [
+    ["zeros"], ["certify"],
+    ["chart", "--mu-from", "0", "--mu-to", "1", "--points", "2"]])
+def test_non_finite_ode_piece_exit_1(tmp_path, capsys, piece, argv):
+    # a coefficient that overflows inside an ODE piece: one error line, and
+    # no warning from numpy or scipy before it
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"period": T, "pieces": piece}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([argv[0], str(p), *argv[1:]]) == 1
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("f", ["0/0*u", "u + 1/0"])

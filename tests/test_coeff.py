@@ -10,7 +10,7 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import settings as config
 from hillstab import witness as wt
-from hillstab.errors import NonFiniteValue, ParseError
+from hillstab.errors import NonFiniteValue, ParseError, QuadratureFailure
 
 T = 2 * math.pi
 
@@ -202,3 +202,62 @@ def test_quadrature_at_jumps_and_across_the_wrap():
 def test_constant_integral_property(c, width):
     a = cf.constant(c, T)
     assert cf.integral(a, (0.0, width)) == pytest.approx(c * width, abs=1e-9)
+
+
+def simpson_one_interval(f, lo, hi, tol):
+    """The breadth-first adaptive Simpson over the cells of one interval,
+    one scalar total and one tolerance: what _adaptive_simpson must give
+    for a single interval, bit for bit."""
+    f_lo, f_mid, f_hi = np.split(
+        f(np.concatenate([lo, (lo + hi) / 2, np.nextafter(hi, lo)])), 3)
+    whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
+    total, depth = 0.0, 0
+    while True:
+        m = (lo + hi) / 2
+        f_lm, f_rm = np.split(f(np.concatenate([(lo + m) / 2, (m + hi) / 2])), 2)
+        left = (m - lo) / 6 * (f_lo + 4 * f_lm + f_mid)
+        right = (hi - m) / 6 * (f_mid + 4 * f_rm + f_hi)
+        diff = left + right - whole
+        done = (depth > 2) & (np.abs(diff) <= 15 * tol)
+        total += float(np.sum((left + right + diff / 15)[done]))
+        if done.all():
+            return total
+        go = ~done
+        lo, hi = np.concatenate([lo[go], m[go]]), np.concatenate([m[go], hi[go]])
+        f_lo, f_mid, f_hi = (np.concatenate([f_lo[go], f_mid[go]]),
+                             np.concatenate([f_lm[go], f_rm[go]]),
+                             np.concatenate([f_mid[go], f_hi[go]]))
+        whole = np.concatenate([left[go], right[go]])
+        tol, depth = tol / 2, depth + 1
+
+
+@pytest.mark.parametrize("a", [
+    three_step([1.0, -2.0, 3.0]),
+    cf.from_expression("0.5+0.3*cos(x)", T),
+    wt.make_a_eps(1, T, 0.05),
+], ids=["steps", "smooth", "a_eps"])
+def test_grouped_quadrature(a):
+    # one call integrates several intervals, each cell at its own interval's
+    # tolerance: each total is the one a call on that interval alone gives,
+    # and that is the single-interval algorithm's, bit for bit
+    intervals = [(0.0, T), (0.3, 1.7), (-1.0, 0.2), (2.0, 2.0), (5.0, 9.0)]
+    grouped = cf.l1_distances(a, 0.4, intervals)
+    assert grouped == [cf.l1_distance(a, 0.4, iv) for iv in intervals]
+    assert grouped[3] == 0.0
+    for (s, e), value in zip(intervals, grouped):
+        if e > s:
+            lo, hi, _ = cf._integration_cells(a, s, e)
+            assert value == simpson_one_interval(
+                lambda x: np.abs(a(x) - 0.4), lo, hi,
+                config.current().quad / len(lo))
+    with pytest.raises(ValueError):
+        cf.l1_distances(a, 0.4, [(0.0, 1.0), (1.0, 0.5)])
+
+
+def test_grouped_quadrature_budget():
+    # the evaluation budget covers the whole call
+    a = cf.from_expression("0.5+0.3*cos(x)", T)
+    with config.use(quad_budget=2000):
+        cf.l1_distance(a, 0.0, (0.0, T))
+        with pytest.raises(QuadratureFailure, match="budget"):
+            cf.l1_distances(a, 0.0, [(0.0, T)] * 20)

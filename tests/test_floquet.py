@@ -8,8 +8,9 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import witness as wt
-from hillstab.errors import NonFiniteValue, NotAnEigenvalue
-from hillstab.settings import current
+from hillstab.errors import (IntegrationFailure, NonFiniteValue,
+                             NotAnEigenvalue, RootSearchFailure)
+from hillstab.settings import current, use
 
 T = 2 * math.pi
 
@@ -576,3 +577,92 @@ def test_nonconstant_expression_pieces():
     assert ok, msg
     # Mathieu-type: first periodic eigenvalue below -mean shift of 0
     assert s.periodic_values()[0] < -0.3
+
+
+def split(text, period, count):
+    """text on [0, period) as count pieces of unequal lengths, each with
+    its own copy of the expression."""
+    cuts = np.sort(np.random.default_rng(count).uniform(0.1, 0.9, count - 1))
+    ends = [0.0, *(cuts * period), period]
+    return cf.PeriodicCoefficient(period, tuple(
+        (s, e, ex.parse(text)) for s, e in zip(ends, ends[1:])))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("text, period, fourier, narrow", [
+    # alam3 is 2.5e-4 from alam4: an edge of so narrow a pair is only as
+    # accurate as Delta's error over Delta' (one piece per integration gave
+    # it within 3.7e-9 of the Hill matrix, cut or not)
+    ("1.2+0.4*cos(2*x)", math.pi, {0: 1.2, 1: 0.2}, ("antiperiodic", 3)),
+    ("0.5+0.3*cos(x)", T, {0: 0.5, 1: 0.15}, None),
+], ids=["mathieu", "0.5+0.3cos(x)"])
+def test_split_pieces_agree(text, period, fourier, narrow, count, monkeypatch):
+    # the ODE pieces of a pass share one integration: cut into pieces, the
+    # coefficient has the monodromy and the spectrum of the uncut one
+    a, whole = split(text, period, count), cf.from_expression(text, period)
+    calls = recorded_solves(monkeypatch)
+    for mu in (-0.5, 0.7, 3.1, 10.2):
+        np.testing.assert_allclose(fq.monodromy(a, mu), fq.monodromy(whole, mu),
+                                   rtol=0, atol=1e-10)
+    assert len(calls) == 8  # one integration per pass
+    s, w = fq.spectrum(a, 3, 3), fq.spectrum(whole, 3, 3)
+    for kind in ("periodic", "antiperiodic"):
+        got, want = getattr(s, kind), getattr(w, kind)
+        oracle = hill_eigenvalues(period, fourier, kind == "antiperiodic")
+        for e, u, o in zip(got, want, oracle):
+            assert e.multiplicity == u.multiplicity == 1
+            assert abs(e.value - u.value) <= (
+                1e-8 if (kind, e.index) == narrow else 1e-9)
+            assert e.value == pytest.approx(o, rel=0, abs=1e-8)
+
+
+def test_split_trajectory_and_count():
+    # a dense pass reads each piece on the shared parameter; a counting pass
+    # spaces every piece's points by its own length
+    a, whole = split("0.5+0.3*cos(x)", T, 4), cf.from_expression(
+        "0.5+0.3*cos(x)", T)
+    xs = np.linspace(0.0, T, 301)
+    np.testing.assert_allclose(fq.Trajectory(a, 0.7, (1.0, -0.5)).state(xs),
+                               fq.Trajectory(whole, 0.7, (1.0, -0.5)).state(xs),
+                               rtol=0, atol=1e-9)
+    for mu in (0.1, 2.3, 30.4, 400.7):
+        assert fq.edge_count(a, mu)[0] == fq.edge_count(whole, mu)[0]
+
+
+def test_budget_counts_calls_not_pieces(monkeypatch):
+    # one right-hand-side call serves every ODE piece of the pass
+    a = split("0.5+0.3*cos(x)", T, 5)
+    solves = recorded_solves(monkeypatch)
+    fq.monodromy(a, 0.7)
+    [(_, calls)] = solves
+    with use(ode_budget=calls[0]):
+        fq.monodromy(a, 0.7)
+    with use(ode_budget=calls[0] - 1), pytest.raises(IntegrationFailure,
+                                                     match="budget"):
+        fq.monodromy(a, 0.7)
+
+
+@pytest.mark.parametrize("c", [1e13, 1e14, -1e14])
+def test_large_constant_edges(c):
+    # the Weyl bracket is padded past the rounding of mu at -c
+    a = cf.constant(c, T)
+    s = fq.spectrum(a, 3, 3)
+    want = [0.0, 1.0, 1.0, 0.25, 0.25, 2.25]
+    got = [e.value + c for e in s.periodic + s.antiperiodic]
+    np.testing.assert_allclose(got, want, rtol=0, atol=2 * math.ulp(abs(c)))
+
+
+@pytest.mark.parametrize("c", [1e15, -1e15, 1e200])
+def test_edges_within_rounding(c):
+    # fewer than 8 floats lie between the first edges: a search failure
+    with pytest.raises(RootSearchFailure, match="within rounding"):
+        fq.spectrum(cf.constant(c, T), 2, 2)
+
+
+@pytest.mark.parametrize("text", ["1e200*x*1e200", "x^100000000000000000000"])
+def test_non_finite_ode_piece(text):
+    a = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 3.0, "expr": text},
+        {"from": 3.0, "to": T, "expr": "1+0.1*cos(x)"}]})
+    with pytest.raises(NonFiniteValue, match="mu \\+ a is not finite at x="):
+        fq.eigenfunction(a, 0.0, "periodic")

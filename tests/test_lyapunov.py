@@ -149,3 +149,29 @@ def test_certificate_serialization():
     d = c.to_dict()
     assert d["theorem_id"] == "L1_ZONE_KP"
     assert isinstance(d["diagnostics"], list)
+
+
+@pytest.mark.parametrize("quad", [None, 1e-6])
+def test_certify_all_computes_shared_values_once(monkeypatch, quad):
+    # ||a||_L1, the samples of a and its dominance over 0 are computed once
+    # per call, under the settings in effect, and every certificate is the
+    # one its own function gives
+    a = cf.from_expression("1.2+0.4*cos(2*x)", PI)
+    with config.use(quad=quad):
+        alone = [f(a, n) for n in (1, 2, 3) for f in (
+            ly.certify_l1_periodic, ly.certify_l1_antiperiodic)] + [
+            ly.certify_zone_kp(a), ly.certify_linf_first_zone(a),
+            ly.certify_linf_periodic(a), ly.classical_16T(a)]
+        calls = []
+        for name in ("l1_distance", "sample", "dominates"):
+            def counted(*args, _f=getattr(cf, name), _name=name):
+                calls.append((_name, args[1:]))
+                return _f(*args)
+            monkeypatch.setattr(cf, name, counted)
+        together = ly.certify_all(a)
+    # repr: the diagnostics hold NaN windows
+    assert [repr(c.to_dict()) for c in together] == \
+        [repr(c.to_dict()) for c in alone]
+    assert sorted(name for name, _ in calls) == [
+        "dominates"] * 7 + ["l1_distance", "sample"]
+    assert len(set(calls)) == len(calls)

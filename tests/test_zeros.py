@@ -88,23 +88,25 @@ def test_witness_structure():
     np.testing.assert_allclose(z.spacings, T / 8, atol=1e-2)
 
 
-def test_extract_integrates_each_piece_once(monkeypatch):
+def test_extract_integrates_once(monkeypatch):
     """The structure is read from the eigenfunction's own pass: one
-    integration per non-constant piece and none on a shifted copy."""
+    integration, of all the non-constant pieces at once, and none on a
+    shifted copy."""
     a = wt.make_a_eps(1, T, 1e-3)
     solve_ivp = fq.solve_ivp
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[1], len(args[2])))
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(fq, "solve_ivp", counted)
     z = zr.extract_zero_structure(a, "periodic")
     monkeypatch.undo()
     smooth = [(s, e) for s, e, p in a.pieces if ex.constant_value(p) is None]
-    assert 0 < len(smooth) < len(a.pieces)
-    assert calls == smooth
+    assert 1 < len(smooth) < len(a.pieces)
+    # over the first piece, with the 4 components of each piece
+    assert calls == [(smooth[0], 4 * len(smooth))]
     assert z.m == 4
 
 
