@@ -215,28 +215,27 @@ def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
         ys = sol.sol(np.linspace(s0, e0, math.ceil(L0 / h) + 1))
     else:
         ys = sol.y
-    ys, end = ys.reshape(width, p, -1), end.reshape(width, p)
     out = []
     for j, (s, _, _, _) in enumerate(ode):
         if dense:  # t = x on the first piece, whose length t runs over
-            columns = functools.partial(_dense_columns, sol.sol, j, width, p,
+            columns = functools.partial(_dense_columns, sol.sol, j, p,
                                         None if j == 0 else (s0, s, ratio[j]))
         else:
-            columns = ys[:, j]
-        y = end[:, j]
+            columns = ys[j::p]
+        y = end[j::p]
         out.append((np.array([[y[0], y[2]], [y[1], y[3]]]), columns))
     return out
 
 
-def _dense_columns(interpolant, j: int, width: int, p: int, to_t,
+def _dense_columns(interpolant, j: int, p: int, to_t,
                    xs: np.ndarray) -> np.ndarray:
-    """y of piece j of a stacked dense pass at the points xs of that piece,
-    to_t = (s_0, s_j, L_j / L_0) mapping them to the parameter (None: xs
-    are on it)."""
+    """y of piece j of a stacked dense pass of p pieces at the points xs of
+    that piece, to_t = (s_0, s_j, L_j / L_0) mapping them to the parameter
+    (None: xs are on it)."""
     if to_t is not None:
         s0, s, ratio = to_t
         xs = s0 + (xs - s) / ratio
-    return interpolant(xs).reshape(width, p, -1)[:, j]
+    return interpolant(xs)[j::p]
 
 
 def _exhausted(budget: int, mu: float) -> IntegrationFailure:
