@@ -22,7 +22,7 @@ print(f"alpha = pi/4: predicted resonant x0 = {lo:.6f} and {hi:.6f}\n")
 print("  x0      anti-det      Delta(0)+2")
 for x0 in np.linspace(0.3, math.pi - 0.3, 21):
     d = witness.anti_determinant(alpha, float(x0))
-    a = witness.make_two_step(alpha, float(x0)).a
+    a = witness.make_two_step(alpha, float(x0))
     gap = floquet.discriminant(a, 0.0) + 2.0
     mark = "  <-- resonance" if abs(d) < 0.02 else ""
     print(f"  {x0:.4f}  {d:+10.6f}  {gap:+12.8f}{mark}")

@@ -27,22 +27,27 @@ zero structure of the periodic eigenfunctions of a_eps(1, 2pi, 0.35) and
 a_eps(3, 2pi, 1e-3) and of the antiresonant two-step potential's
 antiperiodic one, whose first zero lies inside the period, so that its
 zeros are read rotated, and last `subinterval_inequality` on each of
-these three, at n = 1 and at n = 3 for a_eps(3, 2pi, 1e-3).  Run it
-on two checkouts and diff the outputs to see whether a change moved any
-eigenvalue, certificate value, root, zero or verdict by as little as one
-bit:
+these three, at n = 1 and at n = 3 for a_eps(3, 2pi, 1e-3).  The
+last sections print trees and constants as built: the pieces of
+a_eps(n, 2pi, 0.05) for n = 1..3 and of the two-step potential
+two_step(1, 1), as `to_dict` gives them, and `constants_table(3, 2pi)`.
+Run it on two checkouts and diff the outputs to see whether a change moved any
+eigenvalue, certificate value, root, zero, verdict, expression tree or
+constant by as little as one bit:
 
     PYTHONPATH=src python scripts/spectrum_digest.py > digest.json
 
 The smooth coefficients and the witness a_eps take most of the time.
 """
 
+import dataclasses
 import json
 import math
 import random
 
 from hillstab import cli
 from hillstab import coeff as cf
+from hillstab import constants as cn
 from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import lyapunov as ly
@@ -54,7 +59,7 @@ T = 2 * math.pi
 SMOOTH = {
     "1.2+0.4cos(2x), T=pi": cf.from_expression("1.2+0.4*cos(2*x)", math.pi),
     "0.5+0.3cos(x)": cf.from_expression("0.5+0.3*cos(x)", T),
-    "two_step(1, 1)": wt.make_two_step(1.0, 1.0).a,
+    "two_step(1, 1)": wt.make_two_step(1.0, 1.0),
 }
 # the one coefficient here whose pieces divide and take powers
 WITNESS = {"a_eps(1, 2pi, 0.35)": wt.make_a_eps(1, T, 0.35)}
@@ -118,7 +123,7 @@ ENVELOPED = {"criterion 11": enveloped(T), "criterion 11, T=pi":
 ZEROS = [
     ("a_eps(1, 2pi, 0.35)", WITNESS["a_eps(1, 2pi, 0.35)"], "periodic", 1),
     ("two_step(pi/4, anti_resonant_x0(pi/4)[0])", wt.make_two_step(
-        math.pi / 4, wt.anti_resonant_x0(math.pi / 4)[0]).a, "antiperiodic",
+        math.pi / 4, wt.anti_resonant_x0(math.pi / 4)[0]), "antiperiodic",
      1),
     ("a_eps(3, 2pi, 1e-3)", STACKED["a_eps(3, 2pi, 1e-3)"], "periodic", 3),
 ]
@@ -204,6 +209,12 @@ def main():
     for name, (a, z, n) in zs.items():
         out[f"{name}: subinterval_inequality(n={n})"] = \
             zr.subinterval_inequality(a, z, n)
+    for n in (1, 2, 3):
+        out[f"a_eps({n}, 2pi, 0.05): to_dict"] = \
+            wt.make_a_eps(n, T, 0.05).to_dict()
+    out["two_step(1, 1): to_dict"] = wt.make_two_step(1.0, 1.0).to_dict()
+    out["constants_table(3, 2pi)"] = [dataclasses.asdict(r)
+                                      for r in cn.constants_table(3, T)]
     print(json.dumps(out, indent=1, default=cli._json_default))
 
 

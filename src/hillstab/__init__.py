@@ -11,6 +11,9 @@ The package pairs two independent routes to the same facts:
 improved, ``zeros`` checks the zero-structure theorems behind them, and
 ``nonlinear`` carries the hypothesis checks and shooting solver for the
 nonlinear periodic problem u'' + f(x, u) = 0.
+
+The package holds only ``__version__``: each name is imported from the
+module that defines it, as in ``from hillstab import coeff, floquet``.
 """
 
 from importlib.metadata import PackageNotFoundError, version
@@ -20,48 +23,3 @@ try:
 except PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0"
 
-from .coeff import (  # noqa: F401
-    DominanceReport,
-    PeriodicCoefficient,
-    constant,
-    dominates,
-    from_expression,
-    integral,
-    l1_distance,
-    linf_norm,
-    mean,
-    step_function,
-)
-from .errors import HillstabError  # noqa: F401
-from .floquet import (  # noqa: F401
-    SpectrumSlice,
-    StabilityVerdict,
-    antiperiodic_eigenvalues,
-    check_interlacing,
-    classify,
-    discriminant,
-    edge_count,
-    eigenfunction,
-    monodromy,
-    periodic_eigenvalues,
-    spectrum,
-)
-from .lyapunov import (  # noqa: F401
-    Certificate,
-    beta1,
-    beta1_anti,
-    certify_all,
-    certify_l1_antiperiodic,
-    certify_l1_periodic,
-    certify_linf_first_zone,
-    certify_linf_periodic,
-    certify_zone_kp,
-    classical_16T,
-    constants_table,
-    gamma1,
-    gamma1_anti,
-    lambda_anti_const,
-    lambda_const,
-    zhang,
-    zone_rhs,
-)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import coeff as cf
+from . import constants as cn
 from . import floquet as fq
 from . import lyapunov as ly
 from . import nonlinear as nl
@@ -166,7 +167,7 @@ def cmd_certify(args) -> int:
 
 def cmd_constants(args) -> int:
     records = [dataclasses.asdict(r)
-               for r in ly.constants_table(args.n_max, args.period)]
+               for r in cn.constants_table(args.n_max, args.period)]
     if args.format == "csv":
         _emit_csv(list(records[0]), [list(r.values()) for r in records], args)
     else:
@@ -179,7 +180,7 @@ def cmd_witness(args) -> int:
     if args.family == "a-eps":
         a = wt.make_a_eps(args.n, args.period, args.eps)
     else:
-        a = wt.make_two_step(args.alpha, args.x0).a
+        a = wt.make_two_step(args.alpha, args.x0)
     doc = a.to_dict()
     doc["manifest"] = _manifest(args, f"witness {args.family}", [])
     _emit(doc, args)

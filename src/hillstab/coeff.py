@@ -252,12 +252,9 @@ def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
         diff = left + right - whole
         done = (depth > 2) & (np.abs(diff) <= 15 * tol)
         accepted = (left + right + diff / 15)[done]
-        if groups == 1:  # one interval: no cells to sort out by interval
-            total[0] += float(np.sum(accepted))
-        else:
-            owner = group[done].astype(int)
-            for k in np.flatnonzero(np.bincount(owner, minlength=groups)):
-                total[k] += float(np.sum(accepted[owner == k]))
+        owner = group[done].astype(int)
+        for k in np.flatnonzero(np.bincount(owner, minlength=groups)):
+            total[k] += float(np.sum(accepted[owner == k]))
         if not (np.isfinite(left + right).all()
                 and all(map(math.isfinite, total))):
             raise NonFiniteValue("integral is not finite")

@@ -29,9 +29,6 @@ class Expression:
     def diff(self, var: str = "x") -> "Expression":
         raise NotImplementedError
 
-    def subs(self, var: str, repl: "Expression") -> "Expression":
-        raise NotImplementedError
-
     def compiled(self):
         """This tree as a scalar Python function ``f(x, u=None)`` returning
         a float equal bit for bit to ``float(self.eval(x=x, u=u))``.
@@ -69,9 +66,6 @@ class Const(Expression):
     def diff(self, var="x"):
         return Const(0.0)
 
-    def subs(self, var, repl):
-        return self
-
 
 @dataclass(frozen=True, repr=False)
 class Var(Expression):
@@ -85,9 +79,6 @@ class Var(Expression):
 
     def diff(self, var="x"):
         return Const(1.0 if self.name == var else 0.0)
-
-    def subs(self, var, repl):
-        return repl if self.name == var else self
 
 
 @dataclass(frozen=True, repr=False)
@@ -103,9 +94,6 @@ class Add(_Binary):
     def diff(self, var="x"):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def subs(self, var, repl):
-        return add(self.left.subs(var, repl), self.right.subs(var, repl))
-
 
 class Sub(_Binary):
     def eval(self, **env):
@@ -113,9 +101,6 @@ class Sub(_Binary):
 
     def diff(self, var="x"):
         return sub(self.left.diff(var), self.right.diff(var))
-
-    def subs(self, var, repl):
-        return sub(self.left.subs(var, repl), self.right.subs(var, repl))
 
 
 class Mul(_Binary):
@@ -125,9 +110,6 @@ class Mul(_Binary):
     def diff(self, var="x"):
         return add(mul(self.left.diff(var), self.right),
                    mul(self.left, self.right.diff(var)))
-
-    def subs(self, var, repl):
-        return mul(self.left.subs(var, repl), self.right.subs(var, repl))
 
 
 class Div(_Binary):
@@ -143,9 +125,6 @@ class Div(_Binary):
                   mul(self.left, self.right.diff(var)))
         return Div(num, Pow(self.right, 2))
 
-    def subs(self, var, repl):
-        return Div(self.left.subs(var, repl), self.right.subs(var, repl))
-
 
 @dataclass(frozen=True, repr=False)
 class _Unary(Expression):
@@ -159,9 +138,6 @@ class Neg(_Unary):
     def diff(self, var="x"):
         return Neg(self.arg.diff(var))
 
-    def subs(self, var, repl):
-        return Neg(self.arg.subs(var, repl))
-
 
 class Sin(_Unary):
     def eval(self, **env):
@@ -170,9 +146,6 @@ class Sin(_Unary):
     def diff(self, var="x"):
         return mul(Cos(self.arg), self.arg.diff(var))
 
-    def subs(self, var, repl):
-        return Sin(self.arg.subs(var, repl))
-
 
 class Cos(_Unary):
     def eval(self, **env):
@@ -180,9 +153,6 @@ class Cos(_Unary):
 
     def diff(self, var="x"):
         return mul(Neg(Sin(self.arg)), self.arg.diff(var))
-
-    def subs(self, var, repl):
-        return Cos(self.arg.subs(var, repl))
 
 
 class Clamp(_Unary):
@@ -193,9 +163,6 @@ class Clamp(_Unary):
 
     def diff(self, var="x"):
         raise ParseError("clamp node is not differentiable")
-
-    def subs(self, var, repl):
-        return Clamp(self.arg.subs(var, repl))
 
 
 @dataclass(frozen=True, repr=False)
@@ -215,9 +182,6 @@ class Pow(Expression):
             return Const(0.0)
         return mul(mul(Const(float(k)), Pow(self.base, k - 1)),
                    self.base.diff(var))
-
-    def subs(self, var, repl):
-        return Pow(self.base.subs(var, repl), self.exponent)
 
 
 # -- smart constructors with trivial constant folding -------------------------
@@ -264,16 +228,31 @@ def constant_value(e: Expression) -> float | None:
         return None
 
 
+def _substitute_x(e: Expression, repl: Expression) -> Expression:
+    """e with each x replaced by repl; Add, Sub and Mul nodes are rebuilt by
+    add, sub and mul, so their constant folding applies."""
+    if isinstance(e, Var):
+        return repl if e.name == "x" else e
+    if isinstance(e, _Binary):
+        make = {Add: add, Sub: sub, Mul: mul}.get(type(e), type(e))
+        return make(_substitute_x(e.left, repl), _substitute_x(e.right, repl))
+    if isinstance(e, _Unary):
+        return type(e)(_substitute_x(e.arg, repl))
+    if isinstance(e, Pow):
+        return Pow(_substitute_x(e.base, repl), e.exponent)
+    return e
+
+
 def shift_var(e: Expression, offset: float) -> Expression:
     """Substitute x -> x + offset."""
     if offset == 0.0:
         return e
-    return e.subs("x", Add(Var("x"), Const(offset)))
+    return _substitute_x(e, Add(Var("x"), Const(offset)))
 
 
 def reflect_var(e: Expression, center2: float) -> Expression:
     """Substitute x -> center2 - x."""
-    return e.subs("x", Sub(Const(center2), Var("x")))
+    return _substitute_x(e, Sub(Const(center2), Var("x")))
 
 
 # -- printing -----------------------------------------------------------------

@@ -352,12 +352,6 @@ class Trajectory:
             out[:, seg == j] = states(np.clip(flat[seg == j], s, e))
         return out if xs.ndim else out[:, 0]
 
-    def u(self, x: float) -> float:
-        return float(self.state(x)[0])
-
-    def du(self, x: float) -> float:
-        return float(self.state(x)[1])
-
 
 # -- edge counting and eigenvalue search -------------------------------------
 
@@ -621,8 +615,9 @@ def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
     return _eigenvalues(a, n_periodic, n_antiperiodic)
 
 
-def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
-    """Verify lam0 < alam1 <= alam2 < lam1 <= lam2 < alam3 <= ...
+def check_interlacing(s: SpectrumSlice):
+    """Verify lam0 < alam1 <= alam2 < lam1 <= lam2 < alam3 <= ..., each
+    inequality up to a slack of 1e-9.
 
     Returns (ok, first_violation_description).
     """
@@ -631,9 +626,9 @@ def check_interlacing(s: SpectrumSlice, slack: float = 1e-9):
                    for e in getattr(s, kind))
     for (_, k0, i0, v0), (_, k1, i1, v1) in zip(chain, chain[1:]):
         if k0 == k1:
-            if v1 < v0 - slack:
+            if v1 < v0 - 1e-9:
                 return False, f"ordering violated between {(k0, i0)} and {(k1, i1)}"
-        elif v1 <= v0 - slack:
+        elif v1 <= v0 - 1e-9:
             return False, f"strict ordering violated between {(k0, i0)} and {(k1, i1)}"
     return True, None
 

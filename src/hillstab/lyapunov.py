@@ -7,7 +7,8 @@ and the exact conclusion the theorem licenses -- never more.  Failed
 hypotheses yield ``holds = False`` rather than an exception.  The x0 search
 of the Linf certificates is exhaustive, with per-candidate diagnostics so
 near-misses are explainable; the k-p zone certificate evaluates the one p
-that can hold and records its diagnostic.
+that can hold and records its diagnostic.  The constants themselves, and
+their table, are read from ``constants``.
 """
 
 from __future__ import annotations
@@ -19,20 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coeff as cf
-from .constants import (  # noqa: F401  (re-exported module API)
-    ConstantsRow,
-    beta1,
-    beta1_anti,
-    constants_table,
-    gamma1,
-    gamma1_anti,
-    j_functional,
-    j_min,
-    lambda_anti_const,
-    lambda_const,
-    zhang,
-    zone_rhs,
-)
+from .constants import (gamma1, gamma1_anti, lambda_anti_const, lambda_const,
+                        zone_rhs)
 from .errors import DomainError
 from .settings import current
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeff as cf
+from . import constants as cn
 from . import expr as ex
 from . import lyapunov as ly
 from ._scipy import solve_ivp
@@ -69,7 +70,10 @@ class NonlinearProblem:
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
         f0 = _finite(self.f_eval(xs, us), "f", "samples")
-        if np.max(np.abs(self.f_eval(xs + self.period, us) - f0)) > 1e-10:
+        # x + T rounds, which moves f by up to |f_x| ulp(x + T): the
+        # allowance grows with the size of f
+        shift = np.max(np.abs(self.f_eval(xs + self.period, us) - f0))
+        if shift > 1e-10 * (1.0 + np.max(np.abs(f0))):
             raise DomainError("f is not T-periodic in x on samples")
         if self.fu is not None:
             fu = _finite(self.fu.eval(x=xs, u=us), "fu", "samples")
@@ -162,10 +166,10 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int) -> ly.Certificate:
     """lam_{2n-1} strictly below alpha <= f_u <= beta with ||beta||_L1 within
     the sharp constant: the periodic problem has a unique solution."""
     T = p.period
-    lam = ly.lambda_const(n, T)
+    lam = cn.lambda_const(n, T)
     env_ok, env = _envelope_hypotheses(p, lam)
     bnorm = cf.l1_distance(p.beta_env, 0.0, (0.0, T))
-    g = ly.gamma1(n, T)
+    g = cn.gamma1(n, T)
     holds = env_ok and bnorm <= g + current().l1_slack
     return ly.Certificate(
         "NL_L1_PERIODIC_N", n,
@@ -179,9 +183,9 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int) -> ly.Certificate:
 def check_linf_hypotheses(p: NonlinearProblem) -> ly.Certificate:
     """0 strictly below alpha <= f_u <= beta with beta passing the split-point
     Linf bound (period pi)."""
-    env_ok, hyp = _envelope_hypotheses(p, 0.0)
     if abs(p.period - math.pi) > 1e-12:
         raise DomainError("this certificate is stated for period pi")
+    env_ok, hyp = _envelope_hypotheses(p, 0.0)
     inner = ly.certify_linf_periodic(p.beta_env)
     holds = env_ok and inner.holds
     hyp.update({"beta_" + k: v for k, v in inner.hypothesis_values.items()})

@@ -11,12 +11,14 @@ Two families live here:
   problem resonates exactly at x0 = pi (1 -+ cos alpha) / 2, while its
   periodic problem never does.  Both facts come with closed-form 4x4
   determinants, re-derived here by assembling the matching conditions.
+
+Each builder returns a plain ``PeriodicCoefficient``: ``make_u_eps`` and
+``make_a_eps`` give u_eps and a_eps, ``make_two_step`` the potential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +26,6 @@ from . import coeff as cf
 from . import constants as cn
 from . import expr as ex
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class WitnessFamilyEps:
-    n: int
-    T: float
-    epsilon: float
-    u: cf.PeriodicCoefficient
-    a: cf.PeriodicCoefficient
-
-
-@dataclass(frozen=True)
-class TwoStepPotential:
-    alpha: float
-    x0: float
-    a: cf.PeriodicCoefficient
 
 
 def _check_eps(n: int, T: float, eps: float):
@@ -125,11 +111,6 @@ def make_a_eps(n: int, T: float, eps: float) -> cf.PeriodicCoefficient:
     return cf.PeriodicCoefficient(T, tuple(pieces), tuple(removable))
 
 
-def make_witness(n: int, T: float, eps: float) -> WitnessFamilyEps:
-    return WitnessFamilyEps(n, T, eps, make_u_eps(n, T, eps),
-                            make_a_eps(n, T, eps))
-
-
 def tightness_sweep(n: int, T: float, eps_list) -> list[tuple[float, float]]:
     """L1 distances ||a_eps - lam_{2n-1}|| for a decreasing list of eps."""
     lam = cn.lambda_const(n, T)
@@ -142,15 +123,14 @@ def tightness_sweep(n: int, T: float, eps_list) -> list[tuple[float, float]]:
 
 # -- two-plateau resonance family ---------------------------------------------
 
-def make_two_step(alpha: float, x0: float) -> TwoStepPotential:
+def make_two_step(alpha: float, x0: float) -> cf.PeriodicCoefficient:
     """The potential alpha^2/x0^2 on (0, x0), alpha^2/(pi - x0)^2 on (x0, pi)."""
     if not (alpha > 0 and 0 < x0 < math.pi):
         raise DomainError("need alpha > 0 and x0 in (0, pi)")
-    a = cf.step_function(math.pi, [
+    return cf.step_function(math.pi, [
         (0.0, x0, alpha ** 2 / x0 ** 2),
         (x0, math.pi, alpha ** 2 / (math.pi - x0) ** 2),
     ])
-    return TwoStepPotential(alpha, x0, a)
 
 
 def _matching_system(alpha: float, x0: float, sign: float) -> np.ndarray:

@@ -23,6 +23,9 @@ from . import floquet as fq
 from .errors import DegenerateSolution, DomainError, RootSearchFailure
 from .settings import current
 
+#: points of the grid of [0, T] on which the eigenfunction's zeros are found
+SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class ZeroStructure:
@@ -78,8 +81,7 @@ def _zeros(f, xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.array(out).reshape(-1, 2).T
 
 
-def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
-                           samples: int = 4096) -> ZeroStructure:
+def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str) -> ZeroStructure:
     """Phase-normalize the kernel solution at mu = 0 and list its zeros.
 
     The eigenfunction is read once, on a grid of [0, T], and the zeros of u
@@ -91,7 +93,7 @@ def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str,
     traj = fq.eigenfunction(a, 0.0, bc)
     T, cfg = a.period, current()
     sign = 1.0 if bc == "periodic" else -1.0
-    xs = np.linspace(0.0, T, samples)
+    xs = np.linspace(0.0, T, SAMPLES)
     vals = traj.state(xs)
     y0, yT = vals[:, 0], vals[:, -1]
     if np.max(np.abs(yT - sign * y0)) > cfg.endpoint_tol * np.max(np.abs(y0)):

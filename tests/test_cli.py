@@ -352,7 +352,7 @@ def audit_cases():
     yield pytest.param(cf.from_expression("0.5+0.3*cos(x)-0.4*sin(2*x)", T),
                        [1], id="trig-2pi")
     # 0 is the antiperiodic edge alam_1 = alam_2: Delta(0) = -2
-    yield pytest.param(wt.make_two_step(1.0, wt.anti_resonant_x0(1.0)[0]).a,
+    yield pytest.param(wt.make_two_step(1.0, wt.anti_resonant_x0(1.0)[0]),
                        [1], id="two-step-resonant")
     # 0 lies within 1e-12 of the edge lam_3
     yield pytest.param(wt.make_a_eps(1, T, 0.05), [1], id="a-eps")
@@ -529,6 +529,16 @@ def test_nonlinear_check_and_solve(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["unique"] is True
     assert doc["solutions"][0]["residual"] < 1e-8
+
+
+def test_nonlinear_check_large_periodic_f(tmp_path, capsys):
+    # x + T rounds, moving 1e6 sin(x) by about 1e-9: still T-periodic
+    f = problem_file(tmp_path, {"f": "1e6*sin(x) + 2*u",
+                                "period": 6.283185307179586, "u_box": [-1, 1]})
+    code, out = run(capsys, "nonlinear", "check", f)
+    assert code == 0
+    assert [c["theorem_id"] for c in json.loads(out)["certificates"]] == \
+        ["NL_CLASSICAL_BAND"]
 
 
 def test_nonlinear_resonant_exit(tmp_path, capsys):

@@ -89,6 +89,20 @@ def test_shift_and_reflect():
     assert r.eval(x=1.0) == pytest.approx(e.eval(x=2.0))
 
 
+def test_shift_and_reflect_every_node_kind():
+    """The substitution walk on a tree holding every node kind: x is
+    replaced throughout, u is left alone, and the printed trees are the
+    ones the per-node substitution built."""
+    e = ex.parse("-(x + 2.5) * sin(x / 3) - cos(pi * x) ^ -2"
+                 " + clamp(x - 1) * u", variables=("x", "u"))
+    assert str(ex.shift_var(e, 0.5)) == (
+        "((((-((x + 0.5) + 2.5)) * sin(((x + 0.5) / 3.0))) - "
+        "(cos((pi * (x + 0.5))) ^ -2)) + (clamp(((x + 0.5) - 1.0)) * u))")
+    assert str(ex.reflect_var(e, 2.0)) == (
+        "((((-((2.0 - x) + 2.5)) * sin(((2.0 - x) / 3.0))) - "
+        "(cos((pi * (2.0 - x))) ^ -2)) + (clamp(((2.0 - x) - 1.0)) * u))")
+
+
 def test_roundtrip_through_string():
     texts = ["2*x + 3", "sin(pi*x)", "(x - 0.5)^3/(x + 1)", "clamp(x - 2)",
              "-sin(x)*cos(2*x)"]

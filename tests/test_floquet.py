@@ -463,17 +463,17 @@ def test_eigenfunction_periodic():
     a = cf.constant(4.0, T)
     traj = fq.eigenfunction(a, 0.0, "periodic")
     xs = np.linspace(0, T, 200)
-    u = np.array([traj.u(float(x)) for x in xs])
+    u = traj.state(xs)[0]
     assert np.max(np.abs(u)) > 1e-3
-    assert traj.u(0.0) == pytest.approx(traj.u(T), abs=1e-7)
-    assert traj.du(0.0) == pytest.approx(traj.du(T), abs=1e-7)
+    np.testing.assert_allclose(traj.state(0.0), traj.state(T), rtol=0,
+                               atol=1e-7)
 
 
 def test_eigenfunction_antiperiodic():
     a = cf.constant(0.25, T)
     traj = fq.eigenfunction(a, 0.0, "antiperiodic")
-    assert traj.u(0.0) == pytest.approx(-traj.u(T), abs=1e-7)
-    assert traj.du(0.0) == pytest.approx(-traj.du(T), abs=1e-7)
+    np.testing.assert_allclose(traj.state(0.0), -traj.state(T), rtol=0,
+                               atol=1e-7)
 
 
 @pytest.mark.parametrize("a", [
@@ -523,7 +523,7 @@ def test_trajectory_matches_closed_form():
     a = cf.constant(4.0, T)
     traj = fq.Trajectory(a, 0.0, (0.0, 2.0))  # u = sin(2x)
     xs = np.linspace(0, T, 100)
-    np.testing.assert_allclose([traj.u(float(x)) for x in xs],
+    np.testing.assert_allclose(traj.state(xs)[0],
                                np.sin(2 * xs), atol=1e-9)
 
 

@@ -52,7 +52,7 @@ def test_l1_antiperiodic_resonant_two_step():
     # certificate must refuse
     alpha = math.pi / 4
     x0 = wt.anti_resonant_x0(alpha)[0]
-    a = wt.make_two_step(alpha, x0).a
+    a = wt.make_two_step(alpha, x0)
     c = ly.certify_l1_antiperiodic(a, 1)
     assert not c.holds
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hillstab import coeff as cf
+from hillstab import constants as cn
 from hillstab import expr as ex
 from hillstab import nonlinear as nl
 from hillstab import settings
@@ -35,6 +36,21 @@ def linear_exact_problem():
 def test_periodicity_invariant_enforced():
     with pytest.raises(DomainError):
         nl.NonlinearProblem(ex.parse("x + u", variables=("x", "u")), T)
+
+
+@pytest.mark.parametrize("f", ["1e6*sin(x/2)", "sin(x) + 1e-9*x*u",
+                               "1e-6*sin(x/2)"])
+def test_periodicity_refused_at_any_size(f):
+    """The allowance for the rounding of x + T grows with |f|, but not so
+    far that a large or a small departure from periodicity passes."""
+    with pytest.raises(DomainError, match="not T-periodic"):
+        nl.NonlinearProblem(ex.parse(f, variables=("x", "u")), T)
+
+
+def test_periodicity_allows_rounding_of_large_f():
+    # x + T rounds, moving 1e12 sin(x) by up to about 1e-3
+    nl.NonlinearProblem(ex.parse("1e12*sin(x) + 2*u", variables=("x", "u")),
+                        T)
 
 
 def test_wrong_fu_rejected():
@@ -127,8 +143,7 @@ def test_check_l1_strictness_at_lambda():
 
 def test_check_l1_nonstrict_norm_bound():
     # ||beta|| == gamma1 exactly is admissible
-    import hillstab.lyapunov as ly
-    g = ly.gamma1(1, T)
+    g = cn.gamma1(1, T)
     p = nl.NonlinearProblem(
         ex.parse("1.5*u", variables=("x", "u")), T,
         fu=ex.parse("1.5 + 0*u", variables=("x", "u")),
@@ -149,6 +164,18 @@ def test_check_linf_hypotheses():
         alpha_env=cf.constant(0.1, PI), beta_env=cf.constant(4.1, PI),
         u_box=(-5.0, 5.0))
     assert not nl.check_linf_hypotheses(p_bad).holds
+
+
+@pytest.mark.parametrize("envelopes,u_box", [(False, (-5.0, 5.0)),
+                                            (True, None)])
+def test_check_linf_checks_period_first(envelopes, u_box):
+    """A problem of period 2 pi is refused for its period, before the
+    envelopes or the u box are looked at."""
+    env = cf.constant(0.5, T) if envelopes else None
+    p = nl.NonlinearProblem(ex.parse("0.5*u", variables=("x", "u")), T,
+                            alpha_env=env, beta_env=env, u_box=u_box)
+    with pytest.raises(DomainError, match="stated for period pi"):
+        nl.check_linf_hypotheses(p)
 
 
 def test_check_linf_generalizes_classical_band():

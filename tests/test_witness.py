@@ -23,8 +23,7 @@ def test_eps_validation():
 
 @pytest.mark.parametrize("n,eps", [(1, 0.05), (2, 0.03), (1, 0.2)])
 def test_u_eps_is_C2_across_seams(n, eps):
-    w = wt.make_witness(n, T, eps)
-    u = w.u
+    u = wt.make_u_eps(n, T, eps)
     du = wt.derivative(u)
     ddu = wt.derivative(u, 2)
     # the one-sided samples sit 1e-10 away from the seam, so the comparison
@@ -38,8 +37,8 @@ def test_u_eps_is_C2_across_seams(n, eps):
 
 
 def test_u_eps_periodic_closure():
-    w = wt.make_witness(1, T, 0.05)
-    u, du = w.u, wt.derivative(w.u)
+    u = wt.make_u_eps(1, T, 0.05)
+    du = wt.derivative(u)
     assert u.eval(1e-12) == pytest.approx(u.eval(T - 1e-12), abs=1e-8)
     assert du.eval(1e-12) == pytest.approx(du.eval(T - 1e-12), abs=1e-8)
 
@@ -47,10 +46,10 @@ def test_u_eps_periodic_closure():
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_eps_solves_the_equation(n):
     eps = 0.04
-    w = wt.make_witness(n, T, eps)
-    ddu = wt.derivative(w.u, 2)
+    u, a = wt.make_u_eps(n, T, eps), wt.make_a_eps(n, T, eps)
+    ddu = wt.derivative(u, 2)
     xs = np.linspace(1e-6, T - 1e-6, 1500)
-    res = [abs(ddu.eval(float(x)) + w.a.eval(float(x)) * w.u.eval(float(x)))
+    res = [abs(ddu.eval(float(x)) + a.eval(float(x)) * u.eval(float(x)))
            for x in xs]
     assert max(res) < 1e-9
 
@@ -82,10 +81,44 @@ def test_tightness_monotone_to_beta1():
 
 
 def test_two_step_shape():
-    ts = wt.make_two_step(1.0, 1.0)
-    assert ts.a.period == pytest.approx(math.pi)
-    assert ts.a.eval(0.5) == pytest.approx(1.0)
-    assert ts.a.eval(2.0) == pytest.approx(1.0 / (math.pi - 1.0) ** 2)
+    a = wt.make_two_step(1.0, 1.0)
+    assert a.period == pytest.approx(math.pi)
+    assert a.eval(0.5) == pytest.approx(1.0)
+    assert a.eval(2.0) == pytest.approx(1.0 / (math.pi - 1.0) ** 2)
+
+
+#: the expr strings of the first six pieces of a_eps(1, 2pi, 0.35), as
+#: `witness a-eps --n 1 --eps 0.35` prints them: the layer at 0 as built,
+#: then a constant, a reflection, a shift, a constant and a reflection
+A_EPS_PIECES = [
+    ("((-((-(-sin((1.0 * (x - 0.7853981633974483))))) + "
+     "(1.9241000848613543 * (3.0 * (2.0 * ((x - 0.35) ^ 1)))))) / "
+     "((-sin((1.0 * (x - 0.7853981633974483)))) + "
+     "(1.9241000848613543 * ((x - 0.35) ^ 3))))"),
+    "1.0",
+    ("((-((-(-sin(((1.5707963267948966 - x) - "
+     "0.7853981633974483)))) + (1.9241000848613543 * (3.0 * (2.0 * "
+     "(((1.5707963267948966 - x) - 0.35) ^ 1)))))) / "
+     "((-sin(((1.5707963267948966 - x) - 0.7853981633974483))) + "
+     "(1.9241000848613543 * (((1.5707963267948966 - x) - 0.35) ^ "
+     "3))))"),
+    ("((-((-(-sin(((x + -1.5707963267948966) - "
+     "0.7853981633974483)))) + (1.9241000848613543 * (3.0 * (2.0 * "
+     "(((x + -1.5707963267948966) - 0.35) ^ 1)))))) / ((-sin(((x + "
+     "-1.5707963267948966) - 0.7853981633974483))) + "
+     "(1.9241000848613543 * (((x + -1.5707963267948966) - 0.35) ^ "
+     "3))))"),
+    "1.0",
+    ("((-((-(-sin(((pi - x) - 0.7853981633974483)))) + "
+     "(1.9241000848613543 * (3.0 * (2.0 * (((pi - x) - 0.35) ^ "
+     "1)))))) / ((-sin(((pi - x) - 0.7853981633974483))) + "
+     "(1.9241000848613543 * (((pi - x) - 0.35) ^ 3))))"),
+]
+
+
+def test_witness_piece_strings_pinned():
+    pieces = wt.make_a_eps(1, T, 0.35).to_dict()["pieces"][:6]
+    assert [p["expr"] for p in pieces] == A_EPS_PIECES
 
 
 def test_determinants_match_assembled_systems():
@@ -118,10 +151,10 @@ def test_periodic_determinant_positive_grid():
 def test_resonance_confirmed_by_monodromy():
     alpha = math.pi / 4
     for x0 in wt.anti_resonant_x0(alpha):
-        a = wt.make_two_step(alpha, x0).a
+        a = wt.make_two_step(alpha, x0)
         assert abs(fq.discriminant(a, 0.0) + 2.0) < 1e-6
     # off-resonance: clearly away from -2
-    a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0] + 0.05).a
+    a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0] + 0.05)
     assert abs(fq.discriminant(a, 0.0) + 2.0) > 1e-4
 
 
@@ -131,7 +164,7 @@ def test_no_periodic_resonance_on_grid():
     x0s = np.linspace(0.3, math.pi - 0.3, 8)
     for al in alphas:
         for x0 in x0s:
-            a = wt.make_two_step(float(al), float(x0)).a
+            a = wt.make_two_step(float(al), float(x0))
             assert abs(fq.discriminant(a, 0.0) - 2.0) > 1e-4
 
 

@@ -123,14 +123,14 @@ def test_structure_check_domain():
         zr.check_periodic_structure(z, 0, T)
 
 
-def test_zero_stability_under_refinement():
+def test_zero_stability_under_refinement(monkeypatch):
     a = cf.step_function(T, [(0.0, 2.5, 4.2), (2.5, T, 4.0)])
     # shift a so that 0 is exactly a periodic eigenvalue: use a true
     # eigen-coefficient instead
-    z1 = zr.extract_zero_structure(cf.constant(4.0, T), "periodic",
-                                   samples=2048)
-    z2 = zr.extract_zero_structure(cf.constant(4.0, T), "periodic",
-                                   samples=8192)
+    monkeypatch.setattr(zr, "SAMPLES", 2048)
+    z1 = zr.extract_zero_structure(cf.constant(4.0, T), "periodic")
+    monkeypatch.setattr(zr, "SAMPLES", 8192)
+    z2 = zr.extract_zero_structure(cf.constant(4.0, T), "periodic")
     np.testing.assert_allclose(z1.u_zeros, z2.u_zeros, atol=1e-8)
     np.testing.assert_allclose(z1.du_zeros, z2.du_zeros, atol=1e-8)
 
@@ -164,7 +164,7 @@ def test_subinterval_inequality_integrates_from_the_shift():
     # symmetric about its one critical point, and so is a there, so the two
     # subintervals carry the same L1 distance; read from 0 they do not
     alpha = math.pi / 4
-    a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0]).a
+    a = wt.make_two_step(alpha, wt.anti_resonant_x0(alpha)[0])
     z = zr.extract_zero_structure(a, "antiperiodic")
     assert z.m == 1 and 0.5 < z.shift < a.period - 0.5
     out = zr.subinterval_inequality(a, z, 1)
