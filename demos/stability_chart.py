@@ -32,8 +32,8 @@ if not ok:
 print("interlacing: ok")
 
 print("\n  mu      Delta(mu)  verdict")
-for mu in np.linspace(-2.0, 4.0, 31):
-    d = floquet.discriminant(a, float(mu))
+mus = np.linspace(-2.0, 4.0, 31)
+for mu, d in zip(mus, floquet.discriminant(a, mus).tolist()):
     verdict = "stable" if abs(d) < 2 else "unstable"
     bar = "#" * min(40, int(4 * abs(d)))
     print(f"{mu:+6.2f}  {d:+9.4f}  {verdict:8s} {bar}")

@@ -30,7 +30,12 @@ zeros are read rotated, and last `subinterval_inequality` on each of
 these three, at n = 1 and at n = 3 for a_eps(3, 2pi, 1e-3).  The
 last sections print trees and constants as built: the pieces of
 a_eps(n, 2pi, 0.05) for n = 1..3 and of the two-step potential
-two_step(1, 1), as `to_dict` gives them, and `constants_table(3, 2pi)`.
+two_step(1, 1), as `to_dict` gives them, and `constants_table(3, 2pi)`,
+and after them the lines of the CSV `chart --points 201` writes for a
+4-plateau step, the README's two-piece coefficient and the Mathieu
+coefficient 1.2+0.4cos(2x), whose mu come in one array: closed-form blocks
+at all of them at once on a constant piece, an integration per mu on a
+smooth one.
 Run it on two checkouts and diff the outputs to see whether a change moved any
 eigenvalue, certificate value, root, zero, verdict, expression tree or
 constant by as little as one bit:
@@ -43,7 +48,9 @@ The smooth coefficients and the witness a_eps take most of the time.
 import dataclasses
 import json
 import math
+import os
 import random
+import tempfile
 
 from hillstab import cli
 from hillstab import coeff as cf
@@ -127,6 +134,32 @@ ZEROS = [
      1),
     ("a_eps(3, 2pi, 1e-3)", STACKED["a_eps(3, 2pi, 1e-3)"], "periodic", 3),
 ]
+
+
+# chart CSVs at 201 points over (mu_from, mu_to): constant pieces only,
+# one constant and one smooth piece, one smooth piece
+CHARTS = {
+    "4-plateau step": (cf.step_function(T, [
+        (0.0, 1.1, 1.3), (1.1, 2.5, -0.7), (2.5, 4.0, 0.0), (4.0, T, 2.2)]),
+        -4.0, 60.0),
+    "README two-piece": (cf.PeriodicCoefficient.from_dict({
+        "period": T, "pieces": [
+            {"from": 0.0, "to": 2.0, "expr": "1.5"},
+            {"from": 2.0, "to": T, "expr": "0.5 + 0.3*cos(x)"}]}), -1.0, 12.0),
+    "1.2+0.4cos(2x), T=pi": (SMOOTH["1.2+0.4cos(2x), T=pi"], -2.0, 40.0),
+}
+
+
+def chart(a, lo, hi):
+    """The lines of `chart --points 201` on a over (lo, hi)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, csv = os.path.join(tmp, "a.json"), os.path.join(tmp, "a.csv")
+        with open(src, "w") as fh:
+            json.dump(a.to_dict(), fh)
+        cli.main(["chart", src, "--mu-from", repr(lo), "--mu-to", repr(hi),
+                  "--points", "201", "--output", csv])
+        with open(csv) as fh:
+            return fh.read().splitlines()
 
 
 def entries(es):
@@ -215,6 +248,8 @@ def main():
     out["two_step(1, 1): to_dict"] = wt.make_two_step(1.0, 1.0).to_dict()
     out["constants_table(3, 2pi)"] = [dataclasses.asdict(r)
                                       for r in cn.constants_table(3, T)]
+    for name, (a, lo, hi) in CHARTS.items():
+        out[f"{name}: chart {lo!r} {hi!r}"] = chart(a, lo, hi)
     print(json.dumps(out, indent=1, default=cli._json_default))
 
 

@@ -285,8 +285,9 @@ def to_string(e: Expression) -> str:
 #: A compiled function runs on Python floats with math.sin, math.cos and `/`,
 #: which agree with eval's numpy operations bit for bit (see
 #: Expression.compiled) but raise ValueError or ZeroDivisionError where
-#: numpy returns nan or inf; it then calls eval.  np.power stays: Python's
-#: `**` differs from it in the last bit.
+#: numpy returns nan or inf; it then calls eval.  A power of exponent 0, 1
+#: or 2 is 1.0, b or b * b, as np.power gives them; a larger one stays
+#: np.power, from which Python's `**` and math.pow differ in the last bit.
 _OPS = {"sin": "_sin({})", "cos": "_cos({})",
         "pow": "_float(_power({}, {}))", "clamp": "_float(_maximum({}, 0.0))"}
 _NAMESPACE = {"_float": float, "_sin": math.sin, "_cos": math.cos,
@@ -320,9 +321,19 @@ def _body(e: Expression, consts: dict, names: set):
             rhs = _OPS[type(e).__name__.lower()].format(value(e.arg))
         elif isinstance(e, Pow):
             k = e.exponent
-            rhs = _OPS["pow"].format(value(e.base), abs(k))
+            if k == 0:
+                return "(1.0)"
+            b = value(e.base)
+            if k == 1:
+                return b
+            if k == -1:
+                rhs = b
+            elif abs(k) == 2:
+                rhs = f"{b} * {b}"
+            else:
+                rhs = _OPS["pow"].format(b, abs(k))
             if k < 0:
-                rhs = f"1.0 / {rhs}"
+                rhs = f"1.0 / ({rhs})"
         else:
             raise TypeError(f"unknown node {e!r}")
         if rhs not in temps:

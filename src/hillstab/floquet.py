@@ -6,7 +6,9 @@ trigonometric/hyperbolic block on a constant piece, and on the other pieces
 the fundamental matrices from one integration per pass, all those pieces
 stacked as one system over a common parameter.  On request that
 integration also carries the variational equation in mu, so that one pass
-gives Delta and Delta' (closed form on a constant piece).
+gives Delta and Delta' (closed form on a constant piece).  Over an array of
+mu, as a chart sweeps it, a constant piece's blocks come at all of them at
+once.
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
 a pass's zero count gives E(mu), the number of edges below mu, read at
@@ -31,8 +33,8 @@ import numpy as np
 from . import coeff as cf
 from . import expr as ex
 from ._scipy import solve_ivp
-from .errors import (DomainError, IntegrationFailure, NonFiniteValue,
-                     NotAnEigenvalue, RootSearchFailure)
+from .errors import (DomainError, HillstabError, IntegrationFailure,
+                     NonFiniteValue, NotAnEigenvalue, RootSearchFailure)
 from .settings import current
 
 
@@ -87,6 +89,33 @@ def _const_block(q: float, L: float) -> np.ndarray:
                                  f"piece: q = {q!r}, L = {L!r}") from None
         return np.array([[ch, sh / w], [w * sh, ch]])
     return np.array([[1.0, L], [0.0, 1.0]])
+
+
+def _const_blocks(q: np.ndarray, L: float) -> np.ndarray:
+    """_const_block(q, L) for each q of a 1-D array, shape (m, 2, 2), equal
+    to it bit for bit, and inf where it raises.  cosh and sinh are math's,
+    element by element: numpy's may differ from them in the last bit."""
+    out = np.full((len(q), 2, 2), math.inf)
+    finite = np.isfinite(q)
+    pos, neg = finite & (q > 0), np.flatnonzero(finite & (q < 0))
+    w = np.sqrt(q[pos])
+    c, s = np.cos(w * L), np.sin(w * L)
+    out[pos] = np.stack([c, s / w, -w * s, c], axis=-1).reshape(-1, 2, 2)
+    w = np.sqrt(-q[neg])
+    hyp = np.array([_cosh_sinh(x) for x in (w * L).tolist()]).reshape(-1, 2)
+    ok = np.isfinite(hyp[:, 0])
+    ch, sh, w = hyp[ok, 0], hyp[ok, 1], w[ok]
+    out[neg[ok]] = np.stack([ch, sh / w, w * sh, ch], axis=-1).reshape(-1, 2, 2)
+    out[q == 0] = [[1.0, L], [0.0, 1.0]]
+    return out
+
+
+def _cosh_sinh(x: float) -> tuple[float, float]:
+    """(cosh x, sinh x), both inf where cosh x overflows a float."""
+    try:
+        return math.cosh(x), math.sinh(x)
+    except OverflowError:
+        return math.inf, math.inf
 
 
 #: past _CAPPED capped steps on a piece (a tall narrow peak of a sets the
@@ -304,14 +333,62 @@ def _slope(a: cf.PeriodicCoefficient, mu: float, tol: float):
     return float(np.trace(_finite(M, mu))), float(np.trace(_finite(dM, mu)))
 
 
-def monodromy(a: cf.PeriodicCoefficient, mu: float) -> np.ndarray:
-    """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period."""
-    return _product(_propagators(a, mu, dense=False), mu)
+def monodromy(a: cf.PeriodicCoefficient, mu) -> np.ndarray:
+    """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period, shape
+    (2, 2) at a float mu, or (m, 2, 2) at each of a 1-D array of m values
+    (see _monodromies)."""
+    if np.ndim(mu) == 0:
+        return _product(_propagators(a, mu, dense=False), mu)
+    return _monodromies(a, np.asarray(mu, dtype=float))
 
 
-def discriminant(a: cf.PeriodicCoefficient, mu: float) -> float:
-    """Trace of the monodromy matrix."""
-    return float(np.trace(monodromy(a, mu)))
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite M re-runs
+def _monodromies(a: cf.PeriodicCoefficient, mus: np.ndarray) -> np.ndarray:
+    """monodromy(a, mu) for each mu of mus, bit for bit, shape (m, 2, 2).
+    A constant piece's blocks come in closed form at every mu at once, an
+    ODE piece's from one integration per mu, in order.  The first mu whose
+    blocks or product are not finite, or whose integration fails, raises
+    the error of the one-mu pass there."""
+    blocks = [_const_blocks(mus + cval, e - s)
+              if (cval := ex.constant_value(p)) is not None else None
+              for s, e, p in a.pieces]
+    fine = np.ones(len(mus), dtype=bool)
+    for B in blocks:
+        if B is not None:
+            fine &= np.isfinite(B).all(axis=(1, 2))
+    # no integration at or past the first non-finite block, whose pass fails
+    stop = len(mus) if fine.all() else int(np.argmin(fine))
+    ode = [(s, e, p, math.inf) for s, e, p in a.pieces
+           if ex.constant_value(p) is None]
+    solved, failure = np.empty((len(ode), stop, 2, 2)), None
+    for i, x in enumerate(mus[:stop].tolist() if ode else ()):
+        try:
+            for j, (B, _) in enumerate(_integrate(ode, x, False, None, False)):
+                solved[j, i] = B
+        except HillstabError as err:
+            failure, stop = err, i
+            break
+    solved = iter(solved[:, :stop])
+    M = np.broadcast_to(np.eye(2), (stop, 2, 2))
+    for B in blocks:
+        M = (next(solved) if B is None else B[:stop]) @ M
+    fine = np.isfinite(M).all(axis=(1, 2))
+    if not fine.all():
+        stop, failure = int(np.argmin(fine)), None
+    if failure is not None:  # the one-mu pass's error: its blocks are finite
+        raise failure
+    if stop < len(mus):
+        x = float(mus[stop])
+        _product(_propagators(a, x, dense=False), x)  # raises at x
+        raise AssertionError(f"the pass at mu={x!r} did not fail")
+    return M
+
+
+def discriminant(a: cf.PeriodicCoefficient, mu):
+    """Trace of the monodromy matrix: a float at a float mu, an array of
+    them at a 1-D array of mu."""
+    d = np.trace(monodromy(a, mu), axis1=-2, axis2=-1)
+    return float(d) if np.ndim(mu) == 0 else d
 
 
 # -- dense trajectories -------------------------------------------------------

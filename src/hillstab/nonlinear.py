@@ -70,10 +70,15 @@ class NonlinearProblem:
         xs = np.linspace(0.0, self.period, 64, endpoint=False)
         us = np.linspace(-3.0, 3.0, 8)[:, None]
         f0 = _finite(self.f_eval(xs, us), "f", "samples")
-        # x + T rounds, which moves f by up to |f_x| ulp(x + T): the
-        # allowance grows with the size of f
+        # x + T rounds, which moves f by up to |f_x| ulp(x + T), and f
+        # rounds at its size: the allowance grows with both, f_x read from
+        # a central difference in x at the samples
         shift = np.max(np.abs(self.f_eval(xs + self.period, us) - f0))
-        if shift > 1e-10 * (1.0 + np.max(np.abs(f0))):
+        hi, lo = xs + 1e-8 * (1.0 + xs), xs - 1e-8 * (1.0 + xs)
+        fx = np.abs((self.f_eval(hi, us) - self.f_eval(lo, us)) / (hi - lo))
+        slope = np.max(fx, where=np.isfinite(fx), initial=0.0)
+        if shift > 1e-10 * (1.0 + np.max(np.abs(f0))) \
+                + 4 * slope * np.spacing(2 * self.period):
             raise DomainError("f is not T-periodic in x on samples")
         if self.fu is not None:
             fu = _finite(self.fu.eval(x=xs, u=us), "fu", "samples")

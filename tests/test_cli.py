@@ -196,6 +196,19 @@ def test_chart_infinite_mu_plus_a_exit_1(tmp_path, capsys):
                    "q = inf\n")
 
 
+def test_chart_reports_first_mu_in_sweep_order(tmp_path, capsys):
+    # at mu = 1e308 the first piece's q is inf, but the sweep fails first at
+    # mu = -1, where cosh overflows on the second piece
+    f = coeff_file(tmp_path, cf.step_function(T, [(0.0, 1.0, 1.7e308),
+                                                  (1.0, T, -1e6)]))
+    assert cli.main(["chart", f, "--mu-from", "-1", "--mu-to", "1e308",
+                     "--points", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: cosh(sqrt(-q) L) overflows on a constant piece: "
+                   "q = -1000001.0, L = 5.283185307179586\n")
+
+
 @pytest.mark.parametrize("tall", ["1e6", "1e8"])
 def test_eigs_tall_constant_beside_ode_piece_exit_1(tmp_path, capsys, tall):
     # where the search goes, the solution over the ODE piece overflows the
@@ -534,6 +547,16 @@ def test_nonlinear_check_and_solve(tmp_path, capsys):
 def test_nonlinear_check_large_periodic_f(tmp_path, capsys):
     # x + T rounds, moving 1e6 sin(x) by about 1e-9: still T-periodic
     f = problem_file(tmp_path, {"f": "1e6*sin(x) + 2*u",
+                                "period": 6.283185307179586, "u_box": [-1, 1]})
+    code, out = run(capsys, "nonlinear", "check", f)
+    assert code == 0
+    assert [c["theorem_id"] for c in json.loads(out)["certificates"]] == \
+        ["NL_CLASSICAL_BAND"]
+
+
+def test_nonlinear_check_fast_periodic_f(tmp_path, capsys):
+    # x + T rounds, moving sin(1e6 x) by about 1e-9: still T-periodic
+    f = problem_file(tmp_path, {"f": "sin(1e6*x) + 2*u",
                                 "period": 6.283185307179586, "u_box": [-1, 1]})
     code, out = run(capsys, "nonlinear", "check", f)
     assert code == 0

@@ -159,6 +159,22 @@ def test_compiled_matches_eval_bit_for_bit(text):
             assert _bits(got) == _bits(want), (text, x, u)
 
 
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
+def test_compiled_small_powers_bit_for_bit(k):
+    # ^0, ^1 and ^2 compile to 1.0, b and b * b, which equal np.power
+    grid = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, math.inf,
+         -math.inf, math.nan, 1e155, -1e155, 1.5e154, 1e-155],
+        np.random.default_rng(k + 2).normal(0.0, 10.0, 2000)])
+    for text in (f"x^{k}", f"(x - 0.1)^{k}"):
+        e = ex.parse(text)
+        f = e.compiled()
+        with np.errstate(all="ignore"):
+            want = e.eval(x=grid)
+            got = [f(x) for x in grid.tolist()]
+        np.testing.assert_array_equal(_bits(got), _bits(want), text)
+
+
 def test_compiled_function_is_freed_with_its_tree():
     import gc
     import weakref

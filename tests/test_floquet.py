@@ -58,6 +58,99 @@ def test_monodromy_hyperbolic_block_overflow():
             fq.edge_count(a, 0.0)
 
 
+def test_const_blocks_match_const_block():
+    # the array form equals the scalar block bit for bit, with inf where
+    # the scalar raises: q not finite, or cosh overflowing past about 710
+    q = np.concatenate([np.linspace(-50.0, 50.0, 20005),
+                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                         -1e6, 1.7e308, -1.7e308, math.inf, -math.inf,
+                         math.nan]])
+    for L in (0.3, 1.0, 2.0, T, math.acosh(sys.float_info.max) / 50):
+        blocks = fq._const_blocks(q, L)
+        assert blocks.shape == (len(q), 2, 2)
+        for x, got in zip(q.tolist(), blocks):
+            try:
+                want = fq._const_block(x, L)
+            except NonFiniteValue:
+                want = np.full((2, 2), math.inf)
+            assert np.array_equal(got, want), (x, L)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (x, L)
+
+
+README_TWO_PIECE = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+    {"from": 0.0, "to": 2.0, "expr": "1.5"},
+    {"from": 2.0, "to": T, "expr": "0.5 + 0.3*cos(x)"}]})
+
+
+@pytest.mark.parametrize("a, mus", [
+    (cf.step_function(T, [(0.0, 1.1, 1.3), (1.1, 2.5, -0.7), (2.5, 4.0, 0.0),
+                          (4.0, T, 2.2)]), np.linspace(-4.0, 60.0, 401)),
+    (README_TWO_PIECE, np.linspace(-1.0, 12.0, 27)),
+    (cf.from_expression("1.2+0.4*cos(2*x)", math.pi),
+     np.linspace(-2.0, 40.0, 21)),
+], ids=["4-plateau step", "README two-piece", "mathieu"])
+def test_monodromy_over_mu_array(a, mus):
+    # each matrix is the one-mu pass's product, bit for bit
+    M = fq.monodromy(a, mus)
+    assert M.shape == (len(mus), 2, 2)
+    for mu, got in zip(mus.tolist(), M):
+        assert np.array_equal(got, fq._product(fq._propagators(a, mu, False),
+                                               mu))
+    d = fq.discriminant(a, mus)
+    assert isinstance(d, np.ndarray) and d.shape == mus.shape
+    assert d.tolist() == [fq.discriminant(a, mu) for mu in mus.tolist()]
+    assert type(fq.discriminant(a, float(mus[0]))) is float
+    assert fq.monodromy(a, float(mus[0])).shape == (2, 2)
+
+
+SMOOTH_THEN_STEP = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+    {"from": 0.0, "to": 3.0, "expr": "0.5+0.3*cos(x)"},
+    {"from": 3.0, "to": T, "expr": "2"}]})
+
+
+# two hyperbolic steps whose blocks are floats near e^400 and whose product
+# is not, at mu near 0, then an ODE piece and a constant one
+STEPS_THEN_SMOOTH = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+    {"from": 0.0, "to": 0.4, "expr": "-1e6"},
+    {"from": 0.4, "to": 0.8, "expr": "-1.0001e6"},
+    {"from": 0.8, "to": 3.0, "expr": "0.5+0.3*cos(x)"},
+    {"from": 3.0, "to": T, "expr": "2"}]})
+
+
+@pytest.mark.parametrize("a, mus", [
+    # the ODE piece exhausts the budget at mu = 400 before mu = -1e7 makes
+    # the last block overflow, and at -1e7 before that block is reached
+    (SMOOTH_THEN_STEP, [0.5, 400.0, -1e7]),
+    (SMOOTH_THEN_STEP, [0.5, -1e7, 400.0]),
+    # at -1e6 the first piece's block overflows before the budget runs out
+    (cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
+        {"from": 0.0, "to": 3.0, "expr": "2"},
+        {"from": 3.0, "to": T, "expr": "0.5+0.3*cos(x)"}]}), [0.5, -1e6]),
+    # the product overflows at 0 before the integration fails at 400, and
+    # the integration at 400 fails before its product is formed
+    (STEPS_THEN_SMOOTH, [0.0, 400.0]),
+    (STEPS_THEN_SMOOTH, [400.0, 0.0]),
+    # q = inf on the first piece at 1e308, but at -1 the second overflows
+    (cf.step_function(T, [(0.0, 1.0, 1.7e308), (1.0, T, -1e6)]),
+     [-1.0, 5e307, 1e308]),
+], ids=["budget before block", "budget inside block", "block first",
+        "product first", "budget first", "sweep order"])
+def test_monodromy_over_mu_array_raises_first_error(a, mus):
+    # the error is the one of the first mu, in order, whose one-mu pass fails
+    def first_error():
+        for mu in mus:
+            try:
+                fq._product(fq._propagators(a, mu, False), mu)
+            except (NonFiniteValue, IntegrationFailure) as err:
+                return err
+    with use(ode_budget=300):
+        want = first_error()
+        assert want is not None
+        with pytest.raises(type(want)) as got:
+            fq.monodromy(a, np.array(mus))
+    assert str(got.value) == str(want)
+
+
 def test_discriminant_smooth_vs_step_consistency():
     # same coefficient entered as one expression piece vs many constants
     a_expr = cf.from_expression("1 + 0*x", T)

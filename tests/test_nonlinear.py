@@ -39,7 +39,7 @@ def test_periodicity_invariant_enforced():
 
 
 @pytest.mark.parametrize("f", ["1e6*sin(x/2)", "sin(x) + 1e-9*x*u",
-                               "1e-6*sin(x/2)"])
+                               "1e-6*sin(x/2)", "1e6*sin(x/2) + u"])
 def test_periodicity_refused_at_any_size(f):
     """The allowance for the rounding of x + T grows with |f|, but not so
     far that a large or a small departure from periodicity passes."""
@@ -50,6 +50,12 @@ def test_periodicity_refused_at_any_size(f):
 def test_periodicity_allows_rounding_of_large_f():
     # x + T rounds, moving 1e12 sin(x) by up to about 1e-3
     nl.NonlinearProblem(ex.parse("1e12*sin(x) + 2*u", variables=("x", "u")),
+                        T)
+
+
+def test_periodicity_allows_rounding_of_fast_f():
+    # x + T rounds, moving sin(1e6 x) by up to about |f_x| ulp(2T) = 2e-9
+    nl.NonlinearProblem(ex.parse("sin(1e6*x) + 2*u", variables=("x", "u")),
                         T)
 
 
