@@ -9,8 +9,11 @@ call made and the right-hand-side calls of their integrations: the search
 integrates most passes at sqrt(`ode`), which takes fewer calls than one
 at `ode`, so the two counts together show the work.  A pass integrates all
 its non-constant pieces in one call, so a right-hand-side call serves
-every one of them and counts once.  Two coefficients have several such
-pieces, a_eps(3, 2pi, 1e-3) and the Mathieu coefficient cut into three,
+every one of them and counts once.  A pass of the search carries several
+mu, all the probes or all the Newton points its edges ask for in one
+round, and counts once too, however many mu it carries.  Two coefficients
+have several such pieces, a_eps(3, 2pi, 1e-3) and the Mathieu coefficient
+cut into three,
 and get `spectrum(3, 3)`, so that the digest covers passes that stack
 pieces as well as passes of one piece.  Three coefficients
 also get `certify_all(...).to_dict()`, every L-infinity diagnostic

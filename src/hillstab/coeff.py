@@ -317,17 +317,24 @@ def linf_norm(a: PeriodicCoefficient, interval: tuple[float, float]) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def dominates(a: PeriodicCoefficient, c: float) -> DominanceReport:
-    """Check c <= a almost everywhere, with strictness on positive measure.
+def dominance_grid(a: PeriodicCoefficient) -> np.ndarray:
+    """a at the points `dominates` reads, in one array evaluation:
+    `dominance_samples` uniform points per period, then the piece endpoints
+    offset by +-1e-9."""
+    xs = np.linspace(0.0, a.period, current().dominance_samples,
+                     endpoint=False)
+    extra = (a.breakpoints()[:, None] + [-1e-9, 1e-9]).ravel()
+    return a(np.concatenate([xs, extra]))
 
-    One array evaluation at `dominance_samples` uniform points per period
-    plus the piece endpoints offset by +-1e-9; "positive measure" means at
+
+def dominates(a: PeriodicCoefficient, c: float,
+              grid: np.ndarray | None = None) -> DominanceReport:
+    """Check c <= a almost everywhere, with strictness on positive measure,
+    on dominance_grid(a) (or grid, its value); "positive measure" means at
     least one uniform sample is strictly above c.
     """
     n = current().dominance_samples
-    xs = np.linspace(0.0, a.period, n, endpoint=False)
-    extra = (a.breakpoints()[:, None] + [-1e-9, 1e-9]).ravel()
-    gaps = a(np.concatenate([xs, extra])) - c
+    gaps = (dominance_grid(a) if grid is None else grid) - c
     min_gap = float(np.min(gaps))
     holds_ae = bool(min_gap >= -1e-12)
     strict_fraction = float(np.mean(gaps[:n] > 1e-12))

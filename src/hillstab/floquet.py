@@ -6,18 +6,22 @@ trigonometric/hyperbolic block on a constant piece, and on the other pieces
 the fundamental matrices from one integration per pass, all those pieces
 stacked as one system over a common parameter.  On request that
 integration also carries the variational equation in mu, so that one pass
-gives Delta and Delta' (closed form on a constant piece).  Over an array of
-mu, as a chart sweeps it, a constant piece's blocks come at all of them at
-once.
+gives Delta and Delta' (closed form on a constant piece).  A pass may carry
+an array of mu: a constant piece's blocks come at all of them at once, and
+the eigenvalue search stacks the ODE pieces at all of them in its one
+integration (a chart, which keeps every mu's output, integrates one mu at
+a time).
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
 a pass's zero count gives E(mu), the number of edges below mu, read at
 points at most one zero apart: each edge is bracketed by Weyl's bounds,
-isolated by bisection on E from passes at sqrt(`ode`) (again at `ode` where
-that pass's error could move E), and refined by Newton's method on Delta
-with Delta' from the same pass, each pass only as accurate as the next step
-needs; a same-kind pair E cannot part is split or found double at the root
-of Delta' between them.  A root is taken only from a pass at `ode`.
+isolated by multisection on E from passes at sqrt(`ode`) (again at `ode`
+where that pass's error could move E), and refined by Newton's method on
+Delta with Delta' from the same pass, each pass only as accurate as the
+next step needs; a same-kind pair E cannot part is split or found double at
+the root of Delta' between them.  A root is taken only from a pass at
+`ode`.  All edges are searched in lockstep, one pass per round serving
+every probe, another every Delta'.
 """
 
 from __future__ import annotations
@@ -71,13 +75,16 @@ class StabilityVerdict:
 def _const_block(q: float, L: float) -> np.ndarray:
     """Exact transfer matrix of u'' + q u = 0 over an interval of length L:
     the 2x2 map of (u, u') at its start to (u, u') at its end.  Raises
-    NonFiniteValue when q is not finite or its cosh(sqrt(-q) L) overflows a
-    float."""
+    NonFiniteValue when q or sqrt(|q|) L is not finite, or when its
+    cosh(sqrt(-q) L) overflows a float."""
     if not math.isfinite(q):
         raise NonFiniteValue(f"mu + a is not finite on a constant piece: "
                              f"q = {q!r}")
     if q > 0:
         w = math.sqrt(q)
+        if not math.isfinite(w * L):
+            raise NonFiniteValue(f"sqrt(q) L is not finite on a constant "
+                                 f"piece: q = {q!r}, L = {L!r}")
         c, s = math.cos(w * L), math.sin(w * L)
         return np.array([[c, s / w], [-w * s, c]])
     if q < 0:
@@ -96,18 +103,21 @@ def _const_blocks(q: np.ndarray, L: float) -> np.ndarray:
     to it bit for bit, and inf where it raises.  cosh and sinh are math's,
     element by element: numpy's may differ from them in the last bit."""
     out = np.full((len(q), 2, 2), math.inf)
-    finite = np.isfinite(q)
-    pos, neg = finite & (q > 0), np.flatnonzero(finite & (q < 0))
-    w = np.sqrt(q[pos])
-    c, s = np.cos(w * L), np.sin(w * L)
-    out[pos] = np.stack([c, s / w, -w * s, c], axis=-1).reshape(-1, 2, 2)
-    w = np.sqrt(-q[neg])
-    hyp = np.array([_cosh_sinh(x) for x in (w * L).tolist()]).reshape(-1, 2)
-    ok = np.isfinite(hyp[:, 0])
-    ch, sh, w = hyp[ok, 0], hyp[ok, 1], w[ok]
-    out[neg[ok]] = np.stack([ch, sh / w, w * sh, ch], axis=-1).reshape(-1, 2, 2)
+    w = np.sqrt(np.abs(q))
+    pos, neg = np.isfinite(w * L) & (q > 0), np.isfinite(q) & (q < 0)
+    _fill(out, pos, np.cos(w[pos] * L), np.sin(w[pos] * L), w[pos], -1.0)
+    hyp = np.array([_cosh_sinh(x) for x in (w[neg] * L).tolist()])
+    hyp = hyp.reshape(-1, 2)
+    neg[neg] = ok = np.isfinite(hyp[:, 0])
+    _fill(out, neg, hyp[ok, 0], hyp[ok, 1], w[neg], 1.0)
     out[q == 0] = [[1.0, L], [0.0, 1.0]]
     return out
+
+
+def _fill(out: np.ndarray, at: np.ndarray, c, s, w, sign: float):
+    """Blocks [[c, s / w], [sign w s, c]] into out where at holds."""
+    out[at, 0, 0] = out[at, 1, 1] = c
+    out[at, 0, 1], out[at, 1, 0] = s / w, sign * w * s
 
 
 def _cosh_sinh(x: float) -> tuple[float, float]:
@@ -127,29 +137,34 @@ _CAPPED = 1024
 _HUGE = 1e300
 
 
-def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
+def _propagators(a: cf.PeriodicCoefficient, mu, dense: bool,
                  tol: float | None = None, slope: bool = False,
                  spacing=None):
-    """One pass over the pieces of a, yielding (s, e, B, columns) per piece.
+    """One pass over the pieces of a at mu, a float or a 1-D array of m
+    values, yielding (s, e, B, columns) per piece.
 
-    B maps (u, u') at s to (u, u') at e: the exact block on a constant piece,
-    else the fundamental matrix from one integration that all the ODE pieces
-    share (see _integrate), the same bit for bit with or without dense
-    output.  columns is q = mu + a on a constant piece; on an ODE piece it
-    is y at the accepted steps, rows 0-3 the columns of the transfer matrix
-    from s to each step, or with dense the interpolant giving y at any
-    points of the piece.  spacing, one length per piece, keeps the steps of
-    an ODE piece at most that far apart: they are capped at it, or past
-    _CAPPED such steps y is read from the interpolant at points that far
-    apart.  With slope, y also carries dB/dmu in rows 4-7, from the
-    variational equation Phi_mu' = A Phi_mu - [[0, 0], [1, 0]] Phi.
+    B maps (u, u') at s to (u, u') at e, shape (2, 2) at a float mu and
+    (m, 2, 2) over an array: the exact block on a constant piece
+    (_const_blocks over an array, inf where _const_block raises), else the
+    fundamental matrix from one integration that all the ODE pieces at all
+    the mu share (see _integrate), the same bit for bit with or without
+    dense output.  columns is q = mu + a on a constant piece; on an ODE
+    piece it is y at the accepted steps, rows 0-3 the columns of the
+    transfer matrix from s to each step (a row per mu over an array), or
+    with dense the interpolant giving y at any points of the piece.
+    spacing, one length per piece, keeps the steps of an ODE piece at most
+    that far apart: they are capped at it, or past _CAPPED such steps y is
+    read from the interpolant at points that far apart.  With slope, y also
+    carries dB/dmu in rows 4-7, from the variational equation
+    Phi_mu' = A Phi_mu - [[0, 0], [1, 0]] Phi.
     """
     spacing = spacing or itertools.repeat(math.inf)
+    block = _const_block if np.ndim(mu) == 0 else _const_blocks
     solved = None
     for (s, e, piece), h in zip(a.pieces, spacing):
         cval = ex.constant_value(piece)
         if cval is not None:
-            yield s, e, _const_block(mu + cval, e - s), mu + cval
+            yield s, e, block(mu + cval, e - s), mu + cval
             continue
         if solved is None:  # at the first ODE piece, as a pass reaches it
             solved = iter(_integrate(
@@ -159,22 +174,25 @@ def _propagators(a: cf.PeriodicCoefficient, mu: float, dense: bool,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
+def _integrate(ode, mu, dense: bool, tol: float | None, slope: bool):
     """[(B, columns)] for the ODE pieces (s, e, expression, spacing) in ode, as
-    _propagators yields them, from one DOP853 call on the stacked 4p system
-    (8p with slope) of its p pieces.  Its parameter t runs over the first
-    piece, and piece j is read at x = s_j + (t - s_0) L_j / L_0, L_j its
-    length, so that every piece is one interval of t.  The call integrates
-    at rtol = atol = tol / sqrt(p) (`ode` when tol is None), as the RMS
-    error norm runs over all 4p components, with steps of at most a
-    sixteenth of a piece and, for a spacing, at most min_j h_j L_0 / L_j.
-    Its right-hand side calls each piece's compiled a once; a non-finite
-    mu + a raises NonFiniteValue, and more than `ode_budget` calls in a
-    pass raise IntegrationFailure."""
+    _propagators yields them at mu (a float, or a 1-D array of m values),
+    from one DOP853 call on the stacked 4mp system (8mp with slope) of its p
+    pieces at its m values.  Its parameter t runs over the first piece, and
+    piece j is read at x = s_j + (t - s_0) L_j / L_0, L_j its length, so
+    that every piece is one interval of t.  The call integrates at
+    rtol = atol = tol / sqrt(m p) (`ode` when tol is None), as the RMS error
+    norm runs over all 4mp components, with steps of at most a sixteenth of
+    a piece and, for a spacing, at most min_j h_j L_0 / L_j.  Its
+    right-hand side calls each piece's compiled a once, whatever m; a
+    non-finite mu + a raises NonFiniteValue, and more than `ode_budget`
+    calls in a pass raise IntegrationFailure."""
     cfg = current()
     budget, evals = cfg.ode_budget, itertools.count(1)
     tol = cfg.ode if tol is None else tol
-    width, p = 8 if slope else 4, len(ode)
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    width, p, m = 8 if slope else 4, len(ode), len(mus)
+    one = float(mus[0])  # the mu of a one-mu pass, for its messages
     s0, e0, _, _ = ode[0]
     L0 = e0 - s0
     ratio = [(e - s) / L0 for s, e, _, _ in ode]
@@ -184,29 +202,38 @@ def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
         return NonFiniteValue(f"mu + a is not finite at x={float(x)!r}: "
                               f"q = {float(q)!r}")
 
-    if p > 1:
-        r = np.array(ratio)
+    if p > 1 or m > 1:
+        # component i of piece j at mu c sits at (i p + j) m + c: even i are
+        # values, odd i derivatives.  dy takes each value's derivative, and
+        # each derivative's value times -q (with slope, rows 5 and 7 less
+        # rows 0 and 2), all times L_j / L_0
+        at = np.arange(width * p * m).reshape(width, p, m)
+        take = np.empty_like(at)
+        take[0::2], take[1::2] = at[1::2], at[0::2]
+        take, src, dst = take.ravel(), at[0:4:2].ravel(), at[5::2].ravel()
+        ones = np.ones((width, p, m))
+        scale = np.broadcast_to(np.array(ratio)[:, None], at.shape).ravel()
+        top = float(np.max(np.abs(mus)))
 
         def rhs(t, y):
             if next(evals) > budget:
-                raise _exhausted(budget, mu)
-            q = [mu + f(s + (t - s0) * k) for f, s, k in fs]
-            total = sum(q)
-            if total - total:  # nan: some q may not be finite
-                for v, (_, s, k) in zip(q, fs):
-                    if not math.isfinite(v):
-                        raise non_finite(v, s + (t - s0) * k)
-            # y holds component i of piece j at i p + j: rows 0, 2, 4, 6 of
-            # y.reshape(width, p) are values, rows 1, 3, 5, 7 derivatives
-            y = y.reshape(width, p)
-            dy = np.empty_like(y)
-            dy[0::2] = y[1::2]
-            dy[1::2] = np.negative(q) * y[0::2]
+                raise _exhausted(budget, one)
+            fx = [f(s + (t - s0) * k) for f, s, k in fs]
+            q = mus + fx[0] if p == 1 else np.add.outer(fx, mus)
+            bound = top + sum(map(abs, fx))
+            if bound - bound:  # nan or inf: some q may not be finite
+                for row, (_, s, k) in zip(q.reshape(p, m), fs):
+                    for v in row:
+                        if not math.isfinite(v):
+                            raise non_finite(v, s + (t - s0) * k)
+            coef = ones.copy()
+            coef[1::2] = np.negative(q)
+            dy = y[take] * coef.ravel()
             if slope:
-                dy[5::2] -= y[0:4:2]
-            return (dy * r).ravel()
+                dy[dst] -= y[src]
+            return dy if p == 1 else dy * scale
     elif slope:
-        def rhs(x, y, f=fs[0][0]):
+        def rhs(x, y, f=fs[0][0], mu=one):
             if next(evals) > budget:
                 raise _exhausted(budget, mu)
             q = mu + f(x)
@@ -215,7 +242,7 @@ def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
             return [y[1], -q * y[0], y[3], -q * y[2],
                     y[5], -q * y[4] - y[0], y[7], -q * y[6] - y[2]]
     else:
-        def rhs(x, y, f=fs[0][0]):
+        def rhs(x, y, f=fs[0][0], mu=one):
             if next(evals) > budget:
                 raise _exhausted(budget, mu)
             q = mu + f(x)
@@ -225,11 +252,11 @@ def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
 
     h = min(h / k for (_, _, _, h), k in zip(ode, ratio))
     grid = L0 / h > _CAPPED
-    y0 = np.zeros((width, p))
+    y0 = np.zeros((width, p, m))
     y0[0] = y0[3] = 1.0
+    rtol = tol / math.sqrt(m * p)
     sol = solve_ivp(rhs, (s0, e0), y0.ravel().tolist(), method="DOP853",
-                    rtol=tol / math.sqrt(p), atol=tol / math.sqrt(p),
-                    dense_output=dense or grid,
+                    rtol=rtol, atol=rtol, dense_output=dense or grid,
                     max_step=min(max(L0 / 16, 1e-12),
                                  math.inf if grid else h))
     end = sol.y[:, -1]
@@ -237,22 +264,23 @@ def _integrate(ode, mu: float, dense: bool, tol: float | None, slope: bool):
         where = f"[{s0}, {e0}]" + (f" and {p - 1} more pieces" if p > 1 else "")
         if not np.all(np.abs(end) <= _HUGE):  # also when y is not finite
             raise NonFiniteValue(f"the solution overflows on {where} "
-                                 f"at mu={mu!r}")
+                                 f"at mu={one!r}")
         raise IntegrationFailure(
             f"ODE solver failed on {where}: {sol.message}")
     if grid and not dense:
         ys = sol.sol(np.linspace(s0, e0, math.ceil(L0 / h) + 1))
     else:
         ys = sol.y
+    ys, end = ys.reshape(width, p, m, -1), end.reshape(width, p, m)
     out = []
     for j, (s, _, _, _) in enumerate(ode):
         if dense:  # t = x on the first piece, whose length t runs over
             columns = functools.partial(_dense_columns, sol.sol, j, p,
                                         None if j == 0 else (s0, s, ratio[j]))
         else:
-            columns = ys[j::p]
-        y = end[j::p]
-        out.append((np.array([[y[0], y[2]], [y[1], y[3]]]), columns))
+            columns = ys[:, j].reshape(width, *np.shape(mu), -1)
+        B = end[[0, 2, 1, 3], j].T.reshape(*np.shape(mu), 2, 2)
+        out.append((B, columns))
     return out
 
 
@@ -272,21 +300,23 @@ def _exhausted(budget: int, mu: float) -> IntegrationFailure:
                               f"exhausted at mu={mu}")
 
 
-def _const_slope(q: float, L: float, B: np.ndarray) -> np.ndarray:
-    """d/dq of B = _const_block(q, L).  With c = B11 and s = B12 =
-    sin(sqrt(q) L) / sqrt(q), an entire function of q, it is
-    [[-L s/2, s'], [-(s + L c)/2, -L s/2]] with s' = (L c - s) / (2q), or
-    where |q| L^2 < 1/2 its series -sum_k k (-q)^(k-1) L^(2k+1) / (2k+1)!,
-    as L c - s cancels there."""
-    c, s = B[0, 0], B[0, 1]
-    if abs(q) * L * L < 0.5:
-        term, ds = -L ** 3 / 6, 0.0
+@np.errstate(divide="ignore", invalid="ignore")  # the series serves q = 0
+def _const_slope(q, L: float, B: np.ndarray) -> np.ndarray:
+    """d/dq of B = _const_block(q, L), at a float q or over an array of q
+    with their blocks B.  With c = B11 and s = B12 = sin(sqrt(q) L) /
+    sqrt(q), an entire function of q, it is [[-L s/2, s'], [-(s + L c)/2,
+    -L s/2]] with s' = (L c - s) / (2q), or where |q| L^2 < 1/2 its series
+    -sum_k k (-q)^(k-1) L^(2k+1) / (2k+1)!, as L c - s cancels there."""
+    c, s = B[..., 0, 0], B[..., 0, 1]
+    ds, small = (L * c - s) / (2 * q), np.abs(q) * L * L < 0.5
+    if np.any(small):
+        term, series = -L ** 3 / 6, 0.0
         for k in range(1, 10):
-            ds += term
+            series += term
             term *= -q * L * L * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
-    else:
-        ds = (L * c - s) / (2 * q)
-    return np.array([[-L * s / 2, ds], [-(s + L * c) / 2, -L * s / 2]])
+        ds = np.where(small, series, ds)
+    return np.stack([-L * s / 2, ds, -(s + L * c) / 2, -L * s / 2],
+                    axis=-1).reshape(B.shape)
 
 
 def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
@@ -301,10 +331,10 @@ def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
     return np.array([c, ws, sw, c])
 
 
-def _finite(M: np.ndarray, mu: float) -> np.ndarray:
+def _finite(M: np.ndarray, mu) -> np.ndarray:
     """M, the product of one pass, or NonFiniteValue when it overflowed: a
     hyperbolic block, or the product of finite ones, past the floats."""
-    if not all(map(math.isfinite, M.flat)):
+    if not np.isfinite(M).all():
         raise NonFiniteValue(f"the transfer matrix over one period overflows "
                              f"at mu={mu!r}")
     return M
@@ -319,18 +349,35 @@ def _product(pieces, mu: float) -> np.ndarray:
     return _finite(M, mu)
 
 
+def _by_mu(run, a: cf.PeriodicCoefficient, mus: np.ndarray, *args):
+    """run(a, mus, *args), a pass over the 1-D array mus giving a tuple of
+    arrays over them.  Where that pass fails, it is made again at one mu at
+    a time, in order, so that the first mu whose pass fails raises the
+    error its one-mu pass raises."""
+    try:
+        return run(a, mus, *args)
+    except HillstabError:
+        pass  # raised again, if at all, by the one-mu pass that fails
+    return tuple(map(np.array, zip(*(run(a, mu, *args)
+                                     for mu in mus.tolist()))))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
-def _slope(a: cf.PeriodicCoefficient, mu: float, tol: float):
-    """(Delta, dDelta/dmu) at mu from one pass integrating at tol: the trace
-    of M = B_n ... B_1 and of its derivative, the sum over pieces of
-    B_n ... dB_j ... B_1, dB_j/dmu being _const_slope on a constant piece
-    and Phi_mu at its end on an ODE piece."""
+def _slope(a: cf.PeriodicCoefficient, mu, tol: float):
+    """(Delta, dDelta/dmu) at mu, a float or a 1-D array, from one pass
+    integrating at tol: the trace of M = B_n ... B_1 and of its derivative,
+    the sum over pieces of B_n ... dB_j ... B_1, dB_j/dmu being _const_slope
+    on a constant piece and Phi_mu at its end on an ODE piece."""
     M, dM = np.eye(2), np.zeros((2, 2))
     for s, e, B, columns in _propagators(a, mu, False, tol, slope=True):
-        dB = _const_slope(columns, e - s, B) if np.isscalar(columns) \
-            else columns[4:, -1].reshape(2, 2).T
+        if np.ndim(columns) <= 1:  # q on a constant piece
+            dB = _const_slope(columns, e - s, B)
+        else:  # Phi_mu at the end, its columns in rows 4-7
+            dB = np.moveaxis(columns[[4, 6, 5, 7], ..., -1], 0, -1).reshape(
+                *np.shape(mu), 2, 2)
         M, dM = B @ M, dB @ M + B @ dM
-    return float(np.trace(_finite(M, mu))), float(np.trace(_finite(dM, mu)))
+    return (np.trace(_finite(M, mu), axis1=-2, axis2=-1),
+            np.trace(_finite(dM, mu), axis1=-2, axis2=-1))
 
 
 def monodromy(a: cf.PeriodicCoefficient, mu) -> np.ndarray:
@@ -438,36 +485,36 @@ def _sign(u, du):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
-def _edge_count(a, mu: float, sups: list[float],
-                tol: float | None = None) -> tuple[int, np.ndarray]:
-    """(E, M): edge_count(a, mu) given sups, the sup of a on each piece,
-    which bounds the Sturm spacing there, from one pass integrating at tol,
-    with its monodromy matrix.  The pass reads an ODE piece at points at
-    most half its shortest spacing of zeros, pi / sqrt(mu + sup), apart, so
-    at most one zero lies between two of them."""
-    M, n = np.eye(2), 0
-    half = [0.5 * math.pi / math.sqrt(max(mu + sup, 1e-300)) for sup in sups]
+def _edge_count(a, mu, sups: list[float], tol: float | None = None):
+    """(E, M): edge_count(a, mu) at mu, a float or a 1-D array, given sups,
+    the sup of a on each piece, which bounds the Sturm spacing there, from
+    one pass integrating at tol, with its monodromy matrices.  The pass reads
+    an ODE piece at points at most half its shortest spacing of zeros at the
+    largest mu, pi / sqrt(mu + sup), apart, so at most one zero lies between
+    two of them."""
+    M, n, top = np.eye(2), 0, float(np.max(mu))
+    half = [0.5 * math.pi / math.sqrt(max(top + sup, 1e-300)) for sup in sups]
     for s, e, B, columns in _propagators(a, mu, False, tol, spacing=half):
-        y, M = M[:, 1], _finite(B @ M, mu)
-        end = _sign(*M[:, 1])
-        if np.isscalar(columns):
+        y, M = M[..., 1], _finite(B @ M, mu)
+        end = _sign(M[..., 0, 1], M[..., 1, 1])
+        if np.ndim(columns) <= 1:  # q on a constant piece
             # q <= 0 allows at most one zero, the sign change; for q > 0 the
             # scaled Pruefer phase atan2(sqrt(q) u, u') passes x multiples of
             # pi: of the counts of the sign change's parity, the nearest
-            flip = int(_sign(*y) != end)
-            if columns > 0:
-                w = math.sqrt(columns)
-                x = (math.atan2(w * y[0], y[1]) % math.pi + w * (e - s)) / math.pi
-                flip += 2 * round((x - 0.5 - flip) / 2)
-            n += flip
+            flip = (_sign(y[..., 0], y[..., 1]) != end).astype(int)
+            w = np.sqrt(np.maximum(columns, 0.0))
+            x = (np.arctan2(w * y[..., 0], y[..., 1]) % math.pi
+                 + w * (e - s)) / math.pi
+            n = n + flip + np.where(
+                columns > 0, 2 * np.round((x - 0.5 - flip) / 2), 0).astype(int)
             continue
         # e's sign is read from the block, as the next piece reads it
-        sg = np.append(_sign(*(columns[:2] * y[0] + columns[2:] * y[1]))[:-1],
-                       end)
-        n += int(np.count_nonzero(sg[1:] != sg[:-1]))
-    d = float(np.trace(M))
-    k = n if (n % 2 == 0) == (d > 0) else n + 1  # in a gap: its index
-    return (2 * n + 1 if abs(d) < 2.0 else 2 * k), M
+        sg = _sign(*(columns[:2] * y[..., :1] + columns[2:4] * y[..., 1:]))
+        sg[..., -1] = end
+        n = n + np.count_nonzero(sg[..., 1:] != sg[..., :-1], axis=-1)
+    d = np.trace(M, axis1=-2, axis2=-1)
+    k = np.where((n % 2 == 0) == (d > 0), n, n + 1)  # in a gap: its index
+    return np.where(np.abs(d) < 2.0, 2 * n + 1, 2 * k), M
 
 
 def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
@@ -478,7 +525,7 @@ def edge_count(a: cf.PeriodicCoefficient, mu: float) -> tuple[int, float]:
     sign (-1)^k: E = 2N + 1 in a band, and in a gap E = 2k with k the one of
     N, N + 1 of that parity.  E may be off by one within rounding of an edge."""
     E, M = _edge_count(a, mu, _bounds(a)[1])
-    return E, float(np.trace(M))
+    return int(E), float(np.trace(M))
 
 
 def _bounds(a: cf.PeriodicCoefficient) -> tuple[float, list[float]]:
@@ -495,48 +542,56 @@ def _bounds(a: cf.PeriodicCoefficient) -> tuple[float, list[float]]:
 _LOOSE = 32.0
 
 
-def _error(a, mu: float, sup: float, tol: float, size: float) -> float:
-    """What a pass at tol may be off by in a value of the given size, sup
-    being sup a: 0 at `ode`, which the search takes as exact, and else
-    _LOOSE tol max(1, size) (1 + T sqrt(mu + sup) / pi)."""
+def _error(a, mu, sup: float, tol: float, size):
+    """What a pass at tol may be off by in a value of the given size at mu
+    (floats or arrays), sup being sup a: 0 at `ode`, which the search takes
+    as exact, and else _LOOSE tol max(1, size) (1 + T sqrt(mu + sup) / pi)."""
     if tol <= current().ode:
         return 0.0
-    waves = 1.0 + a.period * math.sqrt(max(mu + sup, 0.0)) / math.pi
-    return _LOOSE * tol * max(1.0, size) * waves
+    waves = 1.0 + a.period * np.sqrt(np.maximum(mu + sup, 0.0)) / math.pi
+    return _LOOSE * tol * np.maximum(1.0, size) * waves
 
 
-def _probe(a, mu: float, sups: list[float], tol: float) -> tuple[int, float]:
-    """(E, Delta) as edge_count gives them, from a pass at tol unless its
-    ||Delta| - 2| or u(T), of the solution whose zeros E counts, is within
-    the pass's error: only those can move E, the first across a band edge
-    and the second across T.  Then the pass is made again at `ode`."""
-    E, M = _edge_count(a, mu, sups, tol)
-    if tol > current().ode and min(abs(abs(np.trace(M)) - 2.0), abs(M[0, 1])) \
-            <= _error(a, mu, max(sups), tol, np.max(np.abs(M))):
-        E, M = _edge_count(a, mu, sups)
-    return E, float(np.trace(M))
+def _probe(a, mus: np.ndarray, sups: list[float], tol: float):
+    """(E, Delta) at each mu of mus as edge_count gives them, from one pass
+    at tol, save where ||Delta| - 2| or u(T), of the solution whose zeros E
+    counts, is within the pass's error: only those can move E, the first
+    across a band edge and the second across T.  Those mu are passed again
+    together at `ode`."""
+    E, M = _by_mu(_edge_count, a, mus, sups, tol)
+    if tol > current().ode:
+        redo = np.minimum(np.abs(np.abs(np.trace(M, axis1=1, axis2=2)) - 2.0),
+                          np.abs(M[:, 0, 1])) <= _error(
+            a, mus, max(sups), tol, np.max(np.abs(M), axis=(1, 2)))
+        if redo.any():
+            E[redo], M[redo] = _by_mu(_edge_count, a, mus[redo], sups, None)
+    return E, np.trace(M, axis1=1, axis2=2)
 
 
 def _refine(f, lo: float, hi: float, x: float, df: float | None,
             rising: bool, tol: float):
-    """(root, x, slope): a root of f in [lo, hi], which f crosses upward
-    when rising and else downward, by Newton's method from x kept in the
-    bracket.  f(x, tol) gives f(x) from a pass at tol, its derivative (or
-    None: then the secant through the pass before, or df for the first) and
-    the pass's error.  The first pass runs at tol, and after one with
-    |f| = r the next at max(`ode`, r**2), never looser (inexact Newton).
-    Only a pass whose |f| exceeds its error moves an end of the bracket; a
-    step that would leave the bracket, or not halve the one before last,
-    bisects it.  The root is taken from a pass at `ode` when its Newton step
-    or the bracket is within `root` plus rounding of x, and x and slope are
-    that pass's point and derivative."""
+    """A search for a root of f in [lo, hi], which f crosses upward when
+    rising and else downward, by Newton's method from x kept in the
+    bracket, returning (root, x, slope).  It runs under _lockstep: it
+    yields [(x, tol)] for a pass at x integrating at tol and is sent
+    [reply], from which f(x, reply) gives f(x), its derivative (or None:
+    then the secant through the pass before, or df for the first), the
+    pass's error and the tol that pass integrated at, which may be tighter
+    than asked.  The first pass runs at tol, and after one with |f| = r the
+    next at max(`ode`, r**2), never looser (inexact Newton).  Only a pass
+    whose |f| exceeds its error moves an end of the bracket; a step that
+    would leave the bracket, or not halve the one before last, bisects it.
+    The root is taken from a pass at `ode` when its Newton step or the
+    bracket is within `root` plus rounding of x, and x and slope are that
+    pass's point and derivative."""
     cfg = current()
     step = step_old = hi - lo
     prev = None
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     for _ in range(200):
-        v, dv, err = f(x, tol)
+        [reply] = yield [(x, tol)]
+        v, dv, err, tol = f(x, reply)
         if dv is None:
             dv = df if prev is None or prev[0] == x else \
                 (v - prev[1]) / (x - prev[0])
@@ -558,42 +613,86 @@ def _refine(f, lo: float, hi: float, x: float, df: float | None,
     raise RootSearchFailure(f"no root found in [{lo}, {hi}]")
 
 
+def _lockstep(searches, answer) -> list:
+    """What each generator of searches returns, the generators run together
+    in rounds.  A search yields a list of requests and is sent the list of
+    their answers.  Each round answer(requests) answers every request
+    pending in any search at once, as a dict over the set of them, so that
+    one pass serves them all."""
+    searches, pending, out = list(searches), {}, {}
+
+    def advance(j, replies):
+        try:
+            pending[j] = searches[j].send(replies)
+        except StopIteration as stop:
+            out[j] = stop.value
+
+    for j in range(len(searches)):
+        advance(j, None)
+    while pending:
+        asked, pending = pending, {}
+        replies = answer({r for requests in asked.values() for r in requests})
+        for j, requests in asked.items():
+            advance(j, [replies[r] for r in requests])
+    return [out[j] for j in range(len(searches))]
+
+
+#: the edge search cuts a bracket into _SECTIONS equal parts per round and
+#: probes all their inner points in one pass: 3 bits of E per pass, not 1
+_SECTIONS = 8
+
+
 def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
     """(value, multiplicity) of each chain edge in positions, the chain being
     lam0 < alam1 <= alam2 < lam1 <= ...  Edge i starts from Weyl's bracket
-    e_i(0) - [sup a, inf a], e_i(0) = (ceil(i / 2) pi / T)^2, so it comes out
-    the same whatever else is asked for; brackets snap to a dyadic grid, so
-    nearby edges share probes.  Probes integrate at sqrt(`ode`) (see
-    _probe), and Newton on g = +-Delta - 2 with Delta' from the same pass
-    refines an edge (see _refine); a same-kind pair E cannot part is split
-    or found double at the root of Delta' between them."""
+    e_i(0) - [sup a, inf a], e_i(0) = (ceil(i / 2) pi / T)^2; brackets snap
+    to a dyadic grid, so nearby edges share probes.  Probes integrate at
+    sqrt(`ode`) (see _probe), and Newton on g = +-Delta - 2 with Delta' from
+    the same pass refines an edge (see _refine); a same-kind pair E cannot
+    part is split or found double at the root of Delta' between them.  The
+    edges are searched in lockstep (see _lockstep): each round, one
+    counting pass gives every probe that any edge asks for, and one slope
+    pass every Delta', at the tightest tol asked."""
     cfg, T, counts, deltas, slopes = current(), a.period, {}, {}, {}
     inf, sups = _bounds(a)
     sup = max(sups)
     smooth = any(ex.constant_value(p) is None for _, _, p in a.pieces)
     loose = math.sqrt(cfg.ode) if smooth else cfg.ode
 
-    def probe(mu):  # None near an edge: E may be off by one, a double unparted
-        if mu not in counts:
-            counts[mu], deltas[mu] = _probe(a, mu, sups, loose)
-        return None if band(deltas[mu]) == "Boundary" else counts[mu]
-
-    def slope(mu, tol):
-        if (mu, tol) not in slopes:
-            slopes[mu, tol] = _slope(a, mu, tol)
-        return slopes[mu, tol]
+    def answer(requests):
+        # a float mu asks for a probe, None near an edge: E may be off by
+        # one, a double unparted; (mu, tol) for (tol, Delta, Delta') from a
+        # pass at tol or tighter
+        new = sorted({r for r in requests if not isinstance(r, tuple)}
+                     - counts.keys())
+        if new:
+            E, d = _probe(a, np.array(new), sups, loose)
+            counts.update(zip(new, E.tolist()))
+            deltas.update(zip(new, d.tolist()))
+        asked = [r for r in requests if isinstance(r, tuple)
+                 and slopes.get(r[0], (math.inf,))[0] > r[1]]
+        if asked:
+            tol = min(t for _, t in asked)
+            xs = sorted({x for x, _ in asked})
+            d, dd = _by_mu(_slope, a, np.array(xs), tol)
+            slopes.update((x, (tol, v, w))
+                          for x, v, w in zip(xs, d.tolist(), dd.tolist()))
+        return {r: slopes[r[0]] if isinstance(r, tuple) else
+                None if band(deltas[r]) == "Boundary" else counts[r]
+                for r in requests}
 
     def edge(i):
         k = (i + 1) // 2  # gap k lies between edges 2k - 1 and 2k
         sign = -1.0 if k % 2 else 1.0
 
-        def g(mu, tol):
-            d, dd = slope(mu, tol)
-            return sign * d - 2.0, sign * dd, _error(a, mu, sup, tol, abs(d))
+        def g(mu, reply):
+            tol, d, dd = reply
+            return (sign * d - 2.0, sign * dd, _error(a, mu, sup, tol, abs(d)),
+                    tol)
 
-        def dg(mu, tol):
-            d, dd = slope(mu, tol)
-            return sign * dd, None, _error(a, mu, sup, tol, abs(dd))
+        def dg(mu, reply):
+            tol, d, dd = reply
+            return sign * dd, None, _error(a, mu, sup, tol, abs(dd)), tol
 
         # edge-pair spacing, and edges 2k - 1 and 2k, at a = 0
         scale, e0 = (2 * k + 1) * (math.pi / T) ** 2, (k * math.pi / T) ** 2
@@ -610,9 +709,10 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
             w = 2.0 ** math.ceil(math.log2(hi - lo))
             lo = math.floor(lo / w) * w
             hi = lo + 2 * w
-            if probe(lo) not in range(i + 1):
+            at_lo, at_hi = yield [lo, hi]
+            if at_lo not in range(i + 1):
                 lo -= w
-            elif (probe(hi) or 0) <= i:
+            elif (at_hi or 0) <= i:
                 hi += w
             else:
                 break
@@ -621,39 +721,45 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
         pair = (2 * k - 1, 2 * k + 1)  # in gap k's closure: unparted by E
         while counts[hi] - counts[lo] > 1 and not (
                 (counts[lo], counts[hi]) == pair and hi - lo <= scale / 16):
-            m = next((m for m in (lo + f * (hi - lo) for f in (0.5, 0.25, 0.75))
-                      if lo < m < hi and probe(m) is not None), None)
-            if m is None:  # what is left lies within rounding of one point
+            cuts = [x for x in (lo + j * (hi - lo) / _SECTIONS
+                                for j in range(1, _SECTIONS)) if lo < x < hi]
+            cuts = [x for x, E in zip(cuts, (yield cuts)) if E is not None]
+            if not cuts:  # what is left lies within rounding of one point
                 break
-            lo, hi = (m, hi) if counts[m] <= i else (lo, m)
+            lo = max([lo] + [x for x in cuts if counts[x] <= i])
+            hi = min([hi] + [x for x in cuts if x > lo and counts[x] > i])
         glo, ghi = sign * deltas[lo] - 2.0, sign * deltas[hi] - 2.0
         if (counts[lo], counts[hi]) != pair:
             if glo * ghi > 0:
                 raise RootSearchFailure(f"could not part edges in [{lo}, {hi}]")
             x = lo - glo * (hi - lo) / (ghi - glo)  # regula falsi
-            return _refine(g, lo, hi, x, None, ghi > 0, loose)[0], 1
+            root = yield from _refine(g, lo, hi, x, None, ghi > 0, loose)
+            return root[0], 1
         # a same-kind pair in a bracket with g < 0 at both ends: g' falls
         # through 0 once, where g peaks above 0 between two edges and at 0
         # on a double one; start where g = -c (mu - m)^2 through both ends
         # would peak
         wl, wh = math.sqrt(-glo), math.sqrt(-ghi)
-        m, x, curv = _refine(dg, lo, hi, lo + (hi - lo) * wl / (wl + wh),
-                             -2 * ((wl + wh) / (hi - lo)) ** 2, False, loose)
+        m, x, curv = yield from _refine(
+            dg, lo, hi, lo + (hi - lo) * wl / (wl + wh),
+            -2 * ((wl + wh) / (hi - lo)) ** 2, False, loose)
         # g at m on the parabola through g and g' at x, the last pass
-        gmax = g(x, cfg.ode)[0] + 0.5 * (m - x) * dg(x, cfg.ode)[0]
+        gmax = g(x, slopes[x])[0] + 0.5 * (m - x) * dg(x, slopes[x])[0]
         if gmax > 1e-12:
             # each edge from g = gmax + curv (mu - m)^2 / 2, first at the
             # accuracy that g near the edge (of order gmax) needs
             r = math.sqrt(2 * gmax / -curv) if curv < 0 else 0.0
             tol = min(loose, max(cfg.ode, gmax * gmax))
             if i == 2 * k - 1:
-                return _refine(g, lo, m, m - r, None, True, tol)[0], 1
-            return _refine(g, m, hi, m + r, None, False, tol)[0], 1
+                root = yield from _refine(g, lo, m, m - r, None, True, tol)
+            else:
+                root = yield from _refine(g, m, hi, m + r, None, False, tol)
+            return root[0], 1
         if gmax > -cfg.boundary:
             return m, 2
         raise RootSearchFailure(f"no band edge pair in [{lo}, {hi}]")
 
-    return [edge(i) for i in positions]
+    return _lockstep((edge(i) for i in positions), answer)
 
 
 def chain_position(kind: str, j: int) -> int:

@@ -70,6 +70,12 @@ def _once(f, a: cf.PeriodicCoefficient, *args):
     return memo[1][f, args]
 
 
+def _dominates(a: cf.PeriodicCoefficient, c: float) -> cf.DominanceReport:
+    """cf.dominates(a, c), a on its dominance grid evaluated once per
+    certify_all."""
+    return cf.dominates(a, c, _once(cf.dominance_grid, a))
+
+
 def _ess_inf(a: cf.PeriodicCoefficient) -> float:
     return float(np.min(_once(cf.sample, a, (0.0, a.period))[1]))
 
@@ -82,7 +88,7 @@ def _certify_l1(a: cf.PeriodicCoefficient, n: int, theorem_id: str,
         raise DomainError("n must be >= 1")
     T = a.period
     lam, g = lam_of(n, T), g_of(n, T)
-    dom = _once(cf.dominates, a, lam)
+    dom = _once(_dominates, a, lam)
     norm = _once(cf.l1_distance, a, 0.0, (0.0, T))
     holds = dom.strict_on_positive_measure and norm <= g + current().l1_slack
     return Certificate(
@@ -173,7 +179,7 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
     the window (pi (1 - cos alpha)/2, pi (1 + cos alpha)/2).
     """
     _require_period_pi(a)
-    dom = _once(cf.dominates, a, 0.0)
+    dom = _once(_dominates, a, 0.0)
     x0, m = _x0_scan(a)
     alpha = np.sqrt(m)
     alpha_ok = alpha < math.pi / 2
@@ -205,7 +211,7 @@ def certify_linf_first_zone(a: cf.PeriodicCoefficient) -> Certificate:
 def certify_linf_periodic(a: cf.PeriodicCoefficient) -> Certificate:
     """Weaker max-bound < pi^2 at some split point: lambda_0(a) < 0 < lambda_1(a)."""
     _require_period_pi(a)
-    dom = _once(cf.dominates, a, 0.0)
+    dom = _once(_dominates, a, 0.0)
     x0, m = _x0_scan(a)
     margin = math.pi ** 2 - m
     # strict: the boundary case is excluded

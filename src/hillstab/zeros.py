@@ -68,17 +68,26 @@ class StructureReport:
 def _zeros(f, xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(zeros, slopes) of the function whose values on the grid xs are vals:
     one zero in each step where the sign changes, or ends at 0, refined by
-    floquet's bracketed Newton from the chord's root.  f(x) gives the value
-    and the derivative at x, and a zero's slope is the derivative there."""
-    sg = np.sign(vals)
-    out = []
-    for i in np.flatnonzero((sg[:-1] != sg[1:]) & (sg[:-1] != 0)):
+    floquet's bracketed Newton from the chord's root, all zeros in lockstep.
+    f(x) gives the values and the derivatives at an array of points x, and
+    is called once per Newton step for all zeros; a zero's slope is the
+    derivative there."""
+    ode = current().ode
+
+    def search(i):
         lo, hi, v, w = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        z, _, slope = fq._refine(lambda x, tol: (*f(x), 0.0), lo, hi,
-                                 lo - v * (hi - lo) / (w - v), None, v < 0,
-                                 current().ode)
-        out.append((z, slope))
-    return np.array(out).reshape(-1, 2).T
+        return fq._refine(lambda x, reply: (*reply, 0.0, ode), lo, hi,
+                          lo - v * (hi - lo) / (w - v), None, v < 0, ode)
+
+    def answer(requests):
+        at = list(requests)
+        v, dv = f(np.array([x for x, _ in at]))
+        return dict(zip(at, zip(v.tolist(), dv.tolist())))
+
+    sg = np.sign(vals)
+    out = fq._lockstep([search(i) for i in np.flatnonzero(
+        (sg[:-1] != sg[1:]) & (sg[:-1] != 0))], answer)
+    return np.array([(z, slope) for z, _, slope in out]).reshape(-1, 2).T
 
 
 def extract_zero_structure(a: cf.PeriodicCoefficient, bc: str) -> ZeroStructure:

@@ -196,6 +196,19 @@ def test_chart_infinite_mu_plus_a_exit_1(tmp_path, capsys):
                    "q = inf\n")
 
 
+def test_chart_infinite_phase_exit_1(tmp_path, capsys):
+    # q = 1e300 is a float, but sqrt(q) L = 1e150 * 1e160 is not
+    f = tmp_path / "a.json"
+    f.write_text('{"period": 1e160, "pieces": '
+                 '[{"from": 0, "to": 1e160, "expr": "1e300"}]}')
+    assert cli.main(["chart", str(f), "--mu-from", "0", "--mu-to", "1",
+                     "--points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: sqrt(q) L is not finite on a constant piece: "
+                   "q = 1e+300, L = 1e+160\n")
+
+
 def test_chart_reports_first_mu_in_sweep_order(tmp_path, capsys):
     # at mu = 1e308 the first piece's q is inf, but the sweep fails first at
     # mu = -1, where cosh overflows on the second piece

@@ -151,6 +151,53 @@ def test_monodromy_over_mu_array_raises_first_error(a, mus):
     assert str(got.value) == str(want)
 
 
+@pytest.mark.parametrize("a, mus", [
+    (cf.from_expression("1.2+0.4*cos(2*x)", math.pi),
+     np.linspace(-2.0, 40.0, 17)),
+    (README_TWO_PIECE, np.linspace(-1.0, 12.0, 17)),
+    # twelve pieces, eight of them ODE pieces stacked in one integration
+    (wt.make_a_eps(1, T, 0.35), np.linspace(-4.0, 10.0, 17)),
+], ids=["mathieu", "README two-piece", "a_eps stacked"])
+def test_batched_passes_agree_with_one_mu_passes(a, mus):
+    # one pass over all mus gives, column by column, the edge count of the
+    # one-mu pass, and its Delta and Delta' within 1e-10 relative
+    sups, ode = fq._bounds(a)[1], current().ode
+    E, M = fq._edge_count(a, mus, sups)
+    d, dd = fq._slope(a, mus, ode)
+    assert E.shape == d.shape == dd.shape == mus.shape
+    for j, mu in enumerate(mus.tolist()):
+        E1, M1 = fq._edge_count(a, mu, sups)
+        d1, dd1 = fq._slope(a, mu, ode)
+        assert E[j] == E1, mu
+        for got, want in ((np.trace(M[j]), np.trace(M1)), (d[j], d1),
+                          (dd[j], dd1)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), mu
+
+
+@pytest.mark.parametrize("a, mus, bad", [
+    # at -1e6 the ODE piece's solution overflows
+    (README_TWO_PIECE, [0.5, -1e6, 2.0, -2e6], -1e6),
+    # below about 2e5 the product of two hyperbolic steps overflows
+    (cf.step_function(0.8, [(0.0, 0.4, -1e6), (0.4, 0.8, -1.0001e6)]),
+     [9e5, 0.0, 9.5e5, -1.0], 0.0),
+], ids=["integration", "product"])
+def test_batch_raises_the_one_mu_error(a, mus, bad):
+    # a batch with a failing column raises the error of its first failing
+    # mu's one-mu pass
+    sups, ode = fq._bounds(a)[1], current().ode
+    loose = math.sqrt(ode)
+    for batch, one in (
+            (lambda: fq._probe(a, np.array(mus), sups, loose),
+             lambda: fq._edge_count(a, bad, sups, loose)),
+            (lambda: fq._by_mu(fq._slope, a, np.array(mus), ode),
+             lambda: fq._slope(a, bad, ode))):
+        with pytest.raises(NonFiniteValue) as want:
+            one()
+        with pytest.raises(NonFiniteValue) as got:
+            batch()
+        assert str(got.value) == str(want.value)
+
+
 def test_discriminant_smooth_vs_step_consistency():
     # same coefficient entered as one expression piece vs many constants
     a_expr = cf.from_expression("1 + 0*x", T)
@@ -267,13 +314,17 @@ def test_constant_slope_continuous_at_series_switch():
 def test_loose_probe_counts_as_edge_count(a):
     # a probe at sqrt(ode) gives the count a pass at ode gives, on a grid
     # and 1e-5 from each edge, where it must integrate again at ode
-    sups = fq._bounds(a)[1]
+    # and so does each mu of one pass over them all
+    sups, loose = fq._bounds(a)[1], math.sqrt(current().ode)
     edges = chain(fq.spectrum(a, 3, 2))
-    for mu in np.concatenate([np.linspace(-2.0, 60.0, 32),
-                              edges - 1e-5, edges + 1e-5]):
-        E, d = fq._probe(a, mu, sups, math.sqrt(current().ode))
+    mus = np.concatenate([np.linspace(-2.0, 60.0, 32), edges - 1e-5,
+                          edges + 1e-5])
+    batch = zip(*fq._probe(a, mus, sups, loose))
+    for mu, (E_batch, d_batch) in zip(mus, batch):
+        [E], [d] = fq._probe(a, np.array([mu]), sups, loose)
         E_ode, d_ode = fq.edge_count(a, mu)
         assert (E, abs(d) < 2) == (E_ode, abs(d_ode) < 2), mu
+        assert (E_batch, abs(d_batch) < 2) == (E_ode, abs(d_ode) < 2), mu
 
 
 def hill_eigenvalues(period, fourier, anti, modes=41):
@@ -323,7 +374,8 @@ def test_large_constant_double_edges(c):
 def test_smooth_spectrum_rhs_calls(monkeypatch):
     # spectrum(2, 2) on the Mathieu coefficient: the search made 49 passes
     # and 18 482 right-hand-side calls before probes ran at sqrt(ode) and
-    # Newton took Delta' from its own passes
+    # Newton took Delta' from its own passes, and 31 passes before the four
+    # edges were searched in lockstep, 9 with 2 886 calls since
     calls, rhs = passes(monkeypatch), []
     solve_ivp = fq.solve_ivp
 
@@ -334,8 +386,8 @@ def test_smooth_spectrum_rhs_calls(monkeypatch):
 
     monkeypatch.setattr(fq, "solve_ivp", counted)
     fq.spectrum(MATHIEU, 2, 2)
-    assert len(calls) < 49
-    assert sum(rhs) < 18_482
+    assert len(calls) <= 9
+    assert sum(rhs) <= 3_000
 
 
 def chain(s):
@@ -472,7 +524,7 @@ def test_witness_spectrum_pinned(monkeypatch):
     a = wt.make_a_eps(1, T, 0.35)
     calls = passes(monkeypatch)
     s = fq.spectrum(a, 3, 2)
-    assert len(calls) <= 120
+    assert len(calls) <= 11  # 31 before the edges were searched in lockstep
     assert [e.multiplicity for e in s.periodic] == [1, 2, 2]
     assert [e.multiplicity for e in s.antiperiodic] == [2, 2]
     np.testing.assert_allclose(

@@ -153,9 +153,9 @@ def test_certificate_serialization():
 
 @pytest.mark.parametrize("quad", [None, 1e-6])
 def test_certify_all_computes_shared_values_once(monkeypatch, quad):
-    # ||a||_L1, the samples of a and its dominance over 0 are computed once
-    # per call, under the settings in effect, and every certificate is the
-    # one its own function gives
+    # ||a||_L1, the samples of a and a on its dominance grid are computed
+    # once per call, under the settings in effect, and every certificate is
+    # the one its own function gives
     a = cf.from_expression("1.2+0.4*cos(2*x)", PI)
     with config.use(quad=quad):
         alone = [f(a, n) for n in (1, 2, 3) for f in (
@@ -163,7 +163,7 @@ def test_certify_all_computes_shared_values_once(monkeypatch, quad):
             ly.certify_zone_kp(a), ly.certify_linf_first_zone(a),
             ly.certify_linf_periodic(a), ly.classical_16T(a)]
         calls = []
-        for name in ("l1_distance", "sample", "dominates"):
+        for name in ("l1_distance", "sample", "dominance_grid"):
             def counted(*args, _f=getattr(cf, name), _name=name):
                 calls.append((_name, args[1:]))
                 return _f(*args)
@@ -173,5 +173,5 @@ def test_certify_all_computes_shared_values_once(monkeypatch, quad):
     assert [repr(c.to_dict()) for c in together] == \
         [repr(c.to_dict()) for c in alone]
     assert sorted(name for name, _ in calls) == [
-        "dominates"] * 7 + ["l1_distance", "sample"]
+        "dominance_grid", "l1_distance", "sample"]
     assert len(set(calls)) == len(calls)
