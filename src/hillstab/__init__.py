@@ -16,10 +16,6 @@ The package holds only ``__version__``: each name is imported from the
 module that defines it, as in ``from hillstab import coeff, floquet``.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("hillstab")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+# kept equal to [project] version in pyproject.toml (a test checks it)
+__version__ = "0.1.0"
 

@@ -135,6 +135,9 @@ class Solution:
 
 @dataclass(frozen=True)
 class ShootingResult:
+    """The distinct roots' solutions, whether there is one, and how many
+    starts converged: confirmed a root at `ode` or reached one confirmed
+    before them."""
     solutions: tuple[Solution, ...]
     unique: bool
     n_converged_starts: int
@@ -263,12 +266,18 @@ def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
     return y[:2] - c, np.array([[y[2] - 1.0, y[4]], [y[3], y[5] - 1.0]])
 
 
-def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float):
+def _newton(p: NonlinearProblem, c: np.ndarray, tol: float, scale: float,
+            roots: list[np.ndarray]):
     """The root Newton reaches from c in at most 50 steps, first
     integrating at tol, or None when it stops on a failed integration, a
-    singular Jacobian, a non-finite step or one longer than 10 scale."""
+    singular Jacobian, a non-finite step or one longer than 10 scale.
+    Before each integration an iterate within `cluster` of one of the
+    confirmed roots stops there: that root is returned unchanged."""
     cfg = current()
     for _ in range(50):
+        for root in roots:
+            if np.linalg.norm(c - root) < cfg.cluster:
+                return root
         try:
             F, J = _shoot(p, c, tol)
             if np.linalg.norm(F) < cfg.residual * 1e-2 and tol != cfg.ode:
@@ -308,7 +317,11 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     again from the same point with every integration at `ode`, as loose
     early steps can send Newton away from a root near where the Jacobian is
     ill-conditioned.  Converged roots are deduplicated at `cluster` in
-    initial data.  Raises NonFiniteValue when f(x, 0) is not finite, and
+    initial data, and each is confirmed once: the starts after it share
+    it, so a start whose iterate comes within `cluster` of a root an
+    earlier start confirmed stops there before its next integration,
+    in the loose run and the retry alike, and counts as converged to that
+    root.  Raises NonFiniteValue when f(x, 0) is not finite, and
     NoConvergence when no start converges.
     """
     rng, cfg = np.random.default_rng(seed), current()
@@ -320,9 +333,9 @@ def solve_periodic(p: NonlinearProblem, starts: int = 16,
     n_conv = 0
     for _ in range(starts):
         c0 = rng.uniform(-scale, scale, size=2)
-        c = _newton(p, c0, math.sqrt(cfg.ode), scale)
+        c = _newton(p, c0, math.sqrt(cfg.ode), scale, roots)
         if c is None:
-            c = _newton(p, c0, cfg.ode, scale)
+            c = _newton(p, c0, cfg.ode, scale, roots)
         if c is None:
             continue
         n_conv += 1

@@ -44,6 +44,13 @@ def test_eigs_zero_coefficient(tmp_path, capsys):
     assert doc["manifest"]["tool_version"] == hillstab.__version__
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert hillstab.__version__ == project["version"]
+
+
 def test_tolerance_overrides_last_one_call(tmp_path, capsys):
     f = coeff_file(tmp_path, cf.constant(0.0, T))
     code, out = run(capsys, "--tol-root", "1e-4", "--tol-quad", "1e-3",
@@ -633,6 +640,7 @@ def test_scipy_imported_only_on_first_use(tmp_path):
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from hillstab import cli
+assert "importlib.metadata" not in sys.modules, "version looked up"
 step, const, smooth, problem, witness = sys.argv[2:]
 
 def main(*argv):

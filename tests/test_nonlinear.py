@@ -267,31 +267,56 @@ def test_roots_accepted_only_from_integrations_at_ode(monkeypatch, problem,
                                                       residual):
     # at residual 1e-3 integrations at sqrt(ode) meet the test too
     calls = recorded_integrations(monkeypatch)
+    newton, runs = nl._newton, []
+
+    def recorded(*args):
+        first = len(calls)
+        root = newton(*args)
+        runs.append((calls[first:], root))
+        return root
+
+    monkeypatch.setattr(nl, "_newton", recorded)
     with settings.use(residual=residual):
         r = nl.solve_periodic(problem(), starts=4)
         cfg = settings.current()
-    # shooting integrations carry the variational equation: 6 states
-    shots = [(tol, y0[:2], np.linalg.norm(y[:2] - y0[:2]))
-             for tol, y0, y, _ in calls if len(y0) == 6]
-    accepted = confirmed = 0
-    for (tol, c, F), after in zip(shots, shots[1:] + [None]):
-        if F < cfg.residual * 1e-2:
-            if tol == cfg.ode:
-                accepted += 1
+    accepted, stopped, confirmed = [], 0, 0
+    for run, root in runs:
+        # a Newton run makes only shooting integrations, which carry the
+        # variational equation
+        assert all(len(y0) == 6 for _, y0, *_ in run)
+        shots = [(tol, y0[:2], np.linalg.norm(y[:2] - y0[:2]))
+                 for tol, y0, y, _ in run]
+        stops = root is not None  # unless one of its integrations accepts
+        for i, (tol, c, F) in enumerate(shots):
+            if F >= cfg.residual * 1e-2:
+                continue
+            if tol == cfg.ode:  # an acceptance ends the run with its c
+                assert i == len(shots) - 1 and np.array_equal(root, c)
+                accepted.append(root)
+                stops = False
             else:  # integrated once more at ode before it counts
-                assert after[0] == cfg.ode and np.array_equal(after[1], c)
+                assert shots[i + 1][0] == cfg.ode
+                assert np.array_equal(shots[i + 1][1], c)
                 confirmed += 1
-    assert accepted == r.n_converged_starts == 4
+        if stops:  # at a root an earlier start accepted
+            assert any(root is a for a in accepted)
+            stopped += 1
+    assert len(accepted) + stopped == r.n_converged_starts == 4
+    assert len(accepted) == len(r.solutions) and stopped > 0
     assert residual is None or confirmed > 0
 
 
 def test_inexact_newton_saves_right_hand_side_calls(monkeypatch):
     # with every Newton integration at ode the same solve made 19 135
-    # right-hand-side calls, the final dense integration included
+    # right-hand-side calls, the final dense integration included; with
+    # loose integrations but every start confirming its own root, 9 425
     calls = recorded_integrations(monkeypatch)
     r = nl.solve_periodic(canonical_problem(), starts=4)
     assert r.unique and r.n_converged_starts == 4
-    assert sum(nfev for *_, nfev in calls) <= 0.6 * 19135
+    assert sum(nfev for *_, nfev in calls) <= 0.3 * 19135
+    at_ode = [tol for tol, y0, *_ in calls
+              if len(y0) == 6 and tol == settings.current().ode]
+    assert len(at_ode) <= 2 * len(r.solutions)
 
 
 def test_solve_canonical_unique_at_looser_ode():
@@ -307,6 +332,11 @@ def test_solve_several_periodic_solutions():
     p = nl.NonlinearProblem(ex.parse("u^3 - u", variables=("x", "u")), T)
     r = nl.solve_periodic(p, starts=4, seed=1)
     cfg = settings.current()
+    # the roots each start found alone: sharing confirmed roots between
+    # starts merges no distinct ones and moves none by a bit
+    assert [(repr(s.u0), repr(s.du0)) for s in r.solutions] == [
+        ("-1.6651024280362554", "9.108864410882711"),
+        ("-3.2389176546091925", "6.285441901277193")]
     assert r.n_converged_starts >= 2
     assert not r.unique and len(r.solutions) >= 2
     for i, s in enumerate(r.solutions):
