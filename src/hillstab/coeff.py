@@ -3,20 +3,16 @@
 A coefficient is a finite list of half-open intervals partitioning [0, T),
 each carrying a closed-form expression in x.  Evaluation takes an array of
 points, extends the coefficient T-periodically to the whole line and
-evaluates each piece's expression once on the points inside it.  The
-integration cells of an interval are cut at piece breakpoints and removable
+evaluates each piece's expression once on the points inside it.  An
+interval's integration cells are cut at piece breakpoints and removable
 points and moved into [0, T] by whole periods; `sample` draws dense points
-inside each cell for the sup/inf functionals, and integrals use adaptive
-Simpson quadrature run breadth first over all cells at once, those of
-several intervals in one call with each cell at its own interval's
-tolerance, and with each cell's ends evaluated in its own piece, so
-two-plateau potentials and boundary-layer witness families integrate to
-full accuracy.
+in each cell for the sup/inf functionals, and integrals run adaptive
+Gauss-Kronrod (7, 15) quadrature breadth first over all cells at once,
+several intervals' in one call, each cell at its interval's tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -216,64 +212,69 @@ def sample(a: PeriodicCoefficient, interval: tuple[float, float],
     return (xs + shift[:, None]).ravel(), a(xs.ravel())
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _adaptive_simpson(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-                      group: np.ndarray, groups: int) -> list[float]:
-    """Adaptive Simpson over all cells [lo_i, hi_i] at once, breadth first:
-    the integral of each of `groups` intervals, cell i belonging to interval
-    group_i and accepted at its own tolerance tol_i.
+# QUADPACK's qk15 rule: the nodes in [0, 1] with their Kronrod and Gauss
+# weights (0 at Kronrod's own nodes), mirrored into the 15 nodes in (-1, 1)
+_GK_HALF = np.array([
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0)])
+_X, _W_K, _W_G = np.concatenate([_GK_HALF[:0:-1] * (-1, 1, 1), _GK_HALF]).T
+# rows applied to f at -1, the 15 nodes and 1: K, K - G, and at each end f
+# less the polynomial through f at the nodes (in barycentric form) there,
+# times the gap between that end and its nearest node
+_AT_1 = 1 / np.prod(_X[:, None] - _X + np.eye(15), axis=1) / (1 - _X)
+_GAP = (1 - _X[-1]) * np.r_[0, -_AT_1 / _AT_1.sum(), 1]
+_WEIGHTS = np.array([np.pad(_W_K, 1), np.pad(_W_K - _W_G, 1), _GAP[::-1], _GAP])
 
-    Each level halves every open cell with one call of f on all the new
-    nodes and halves its tolerance.  A cell is accepted from depth 3 on when
-    the two halves differ from the whole by at most 15 tol, with the
-    Richardson term added to its interval's total, level by level, in the
-    order a call on that interval's cells alone would add it; one still open
-    past depth 60 fails, and a Simpson estimate or total that is not finite
-    raises NonFiniteValue.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
+                   group: np.ndarray, groups: int) -> list[float]:
+    """Adaptive Gauss-Kronrod (7, 15) over all cells [lo_i, hi_i] at once,
+    breadth first: the integral of each of `groups` intervals, cell i
+    belonging to interval group_i and accepted at its own tolerance tol_i.
+
+    Each level calls f once, on the 15 nodes and the ends of every open
+    cell (the right end an ulp inside, in the cell's piece).  A cell whose
+    error, |K - G| of its Kronrod and Gauss estimates plus what a kink can
+    hide between an end and its nearest node (the rule's health indicator),
+    is at most tol_i or QUADPACK's round-off floor 50 eps h sum(w_K |f|)
+    adds K to its interval's total, level by level, in the order a call on
+    that interval's cells alone would add it; the others split in two at
+    half the tolerance.  One open past depth 60 fails; a non-finite
+    estimate or total raises NonFiniteValue.
     """
-    # the right end is taken one ulp inside, so that it is in the cell's piece
-    f_lo, f_mid, f_hi = np.split(
-        f(np.concatenate([lo, (lo + hi) / 2, np.nextafter(hi, lo)])), 3)
-    used = 3 * len(lo)
-    # the open cells, one column each: their ends, f at the ends and the
-    # middle, their Simpson estimate, tolerance and interval
-    cells = np.array([lo, hi, f_lo, f_mid, f_hi,
-                      (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi), tol, group])
-    total = [0.0] * groups
-    for depth in itertools.count():
-        lo, hi, f_lo, f_mid, f_hi, whole, tol, group = cells
-        used += 2 * len(lo)
+    total, used = np.zeros(groups), 0
+    for _ in range(62):
+        mid, h = (lo + hi) / 2, (hi - lo) / 2
+        x = np.c_[lo, mid[:, None] + h[:, None] * _X, np.nextafter(hi, lo)]
+        used += x.size
         if used > current().quad_budget:
             raise QuadratureFailure("quadrature evaluation budget exhausted")
-        m = (lo + hi) / 2
-        f_lm, f_rm = np.split(f(np.concatenate([(lo + m) / 2, (m + hi) / 2])), 2)
-        left = (m - lo) / 6 * (f_lo + 4 * f_lm + f_mid)
-        right = (hi - m) / 6 * (f_mid + 4 * f_rm + f_hi)
-        diff = left + right - whole
-        done = (depth > 2) & (np.abs(diff) <= 15 * tol)
-        accepted = (left + right + diff / 15)[done]
-        owner = group[done].astype(int)
-        for k in np.flatnonzero(np.bincount(owner, minlength=groups)):
-            total[k] += float(np.sum(accepted[owner == k]))
-        if not (np.isfinite(left + right).all()
-                and all(map(math.isfinite, total))):
+        fx = f(x.ravel()).reshape(x.shape)
+        # row sums, not fx @ w: BLAS may round a row by the number of rows
+        kronrod, *errors = h * (fx[:, None] * _WEIGHTS).sum(axis=2).T
+        floor = 50 * np.finfo(float).eps * h * (np.abs(fx) * _WEIGHTS[0]).sum(1)
+        done = np.abs(errors).sum(axis=0) <= np.maximum(tol, floor)
+        total += np.bincount(group[done], weights=kronrod[done], minlength=groups)
+        if not (np.isfinite(kronrod).all() and np.isfinite(total).all()):
             raise NonFiniteValue("integral is not finite")
         if done.all():
-            return total
-        if depth > 60:
-            raise QuadratureFailure("quadrature did not converge (depth limit)")
-        # the open cells split into [lo, m] and [m, hi] at half the tolerance
+            return total.tolist()
         go = ~done
-        cells = np.concatenate(
-            [np.array([lo, m, f_lo, f_lm, f_mid, left, tol / 2, group])[:, go],
-             np.array([m, hi, f_mid, f_rm, f_hi, right, tol / 2, group])[:, go]],
-            axis=1)
+        lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
+        tol, group = np.tile(tol[go] / 2, 2), np.tile(group[go], 2)
+    raise QuadratureFailure("quadrature did not converge (depth limit)")
 
 
 def _integrate(a: PeriodicCoefficient, f, intervals) -> list[float]:
     """The integrals of f, T-periodic, over each interval (s, e), from one
-    _adaptive_simpson call over all their cells, an interval's cells each
-    at `quad` / (their number)."""
+    _gauss_kronrod call; an interval's n cells each take `quad` / n."""
     cells = []
     for k, (s, e) in enumerate(intervals):
         if e < s:
@@ -285,19 +286,18 @@ def _integrate(a: PeriodicCoefficient, f, intervals) -> list[float]:
                           np.full(len(lo), k)))
     if not cells:
         return [0.0] * len(intervals)
-    return _adaptive_simpson(f, *map(np.concatenate, zip(*cells)),
-                             len(intervals))
+    return _gauss_kronrod(f, *map(np.concatenate, zip(*cells)), len(intervals))
 
 
 def l1_distances(a: PeriodicCoefficient, c: float, intervals) -> list[float]:
-    """The integral of |a(x) - c| over each interval, absolute tolerance
-    1e-10 each, from one quadrature."""
+    """The integral of |a(x) - c| over each interval, from one quadrature:
+    each to `quad`, or to the round-off floor where that is larger."""
     return _integrate(a, lambda x: np.abs(a(x) - c), intervals)
 
 
 def l1_distance(a: PeriodicCoefficient, c: float,
                 interval: tuple[float, float]) -> float:
-    """Integral of |a(x) - c| over the interval, absolute tolerance 1e-10."""
+    """Integral of |a(x) - c| over the interval; see l1_distances."""
     return l1_distances(a, c, [interval])[0]
 
 

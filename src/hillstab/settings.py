@@ -9,8 +9,12 @@ import dataclasses
 
 @dataclasses.dataclass(frozen=True)
 class Settings:
-    quad: float = 1e-10  #: absolute tolerance for quadrature
-    quad_budget: int = 1_000_000  #: evaluation budget for one quadrature call
+    #: absolute tolerance of an integral, shared among its cells; a cell is
+    #: accepted when its Gauss-Kronrod error is within its share or within
+    #: the round-off floor 50 eps h sum(w_K |f|), whichever is larger
+    quad: float = 1e-10
+    #: evaluation budget for one quadrature call, 17 per cell and level
+    quad_budget: int = 1_000_000
     #: width within which a bracketed Newton refinement stops: in mu for a
     #: band edge, in x for a zero of a solution or of its derivative
     root: float = 1e-10

@@ -1,12 +1,15 @@
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillstab import coeff as cf
+from hillstab import constants as cn
 from hillstab import expr as ex
 from hillstab import settings as config
 from hillstab import witness as wt
@@ -204,31 +207,28 @@ def test_constant_integral_property(c, width):
     assert cf.integral(a, (0.0, width)) == pytest.approx(c * width, abs=1e-9)
 
 
-def simpson_one_interval(f, lo, hi, tol):
-    """The breadth-first adaptive Simpson over the cells of one interval,
-    one scalar total and one tolerance: what _adaptive_simpson must give
-    for a single interval, bit for bit."""
-    f_lo, f_mid, f_hi = np.split(
-        f(np.concatenate([lo, (lo + hi) / 2, np.nextafter(hi, lo)])), 3)
-    whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
-    total, depth = 0.0, 0
+def gauss_kronrod_one_interval(f, lo, hi, tol):
+    """The breadth-first adaptive Gauss-Kronrod (7, 15) over the cells of
+    one interval, one scalar total and one tolerance, each level's accepted
+    estimates summed in a loop: what _gauss_kronrod must give for a single
+    interval, bit for bit."""
+    total = 0.0
     while True:
-        m = (lo + hi) / 2
-        f_lm, f_rm = np.split(f(np.concatenate([(lo + m) / 2, (m + hi) / 2])), 2)
-        left = (m - lo) / 6 * (f_lo + 4 * f_lm + f_mid)
-        right = (hi - m) / 6 * (f_mid + 4 * f_rm + f_hi)
-        diff = left + right - whole
-        done = (depth > 2) & (np.abs(diff) <= 15 * tol)
-        total += float(np.sum((left + right + diff / 15)[done]))
+        mid, h = (lo + hi) / 2, (hi - lo) / 2
+        x = np.c_[lo, mid[:, None] + h[:, None] * cf._X, np.nextafter(hi, lo)]
+        fx = f(x.ravel()).reshape(x.shape)
+        kronrod, *errors = h * (fx[:, None] * cf._WEIGHTS).sum(axis=2).T
+        floor = 50 * np.finfo(float).eps * h * (np.abs(fx) * cf._WEIGHTS[0]).sum(1)
+        done = np.abs(errors).sum(axis=0) <= np.maximum(tol, floor)
+        level = 0.0
+        for value in kronrod[done]:
+            level += value
+        total += level
         if done.all():
             return total
         go = ~done
-        lo, hi = np.concatenate([lo[go], m[go]]), np.concatenate([m[go], hi[go]])
-        f_lo, f_mid, f_hi = (np.concatenate([f_lo[go], f_mid[go]]),
-                             np.concatenate([f_lm[go], f_rm[go]]),
-                             np.concatenate([f_mid[go], f_hi[go]]))
-        whole = np.concatenate([left[go], right[go]])
-        tol, depth = tol / 2, depth + 1
+        lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
+        tol /= 2
 
 
 @pytest.mark.parametrize("a", [
@@ -247,7 +247,7 @@ def test_grouped_quadrature(a):
     for (s, e), value in zip(intervals, grouped):
         if e > s:
             lo, hi, _ = cf._integration_cells(a, s, e)
-            assert value == simpson_one_interval(
+            assert value == gauss_kronrod_one_interval(
                 lambda x: np.abs(a(x) - 0.4), lo, hi,
                 config.current().quad / len(lo))
     with pytest.raises(ValueError):
@@ -255,9 +255,150 @@ def test_grouped_quadrature(a):
 
 
 def test_grouped_quadrature_budget():
-    # the evaluation budget covers the whole call
+    # the evaluation budget covers the whole call: one interval takes two
+    # levels, 17 + 34 evaluations; twenty take 340 at the first level and
+    # 680 more at the second, past the budget
     a = cf.from_expression("0.5+0.3*cos(x)", T)
-    with config.use(quad_budget=2000):
+    with config.use(quad_budget=450):
         cf.l1_distance(a, 0.0, (0.0, T))
         with pytest.raises(QuadratureFailure, match="budget"):
             cf.l1_distances(a, 0.0, [(0.0, T)] * 20)
+
+
+def test_gauss_kronrod_rule_is_exact_on_polynomials():
+    # Kronrod's 15 nodes integrate x^k exactly up to degree 22, Gauss's 7
+    # (the weights that are not 0) up to degree 13, so K - G vanishes up
+    # to degree 13; the ends get no weight, and the gap terms vanish up to
+    # degree 14, the degree of the polynomial through the 15 nodes
+    x = np.r_[-1, cf._X, 1]
+    kronrod, k_less_g, *gaps = cf._WEIGHTS
+    assert np.all(np.diff(x) > 0) and kronrod[0] == kronrod[-1] == 0
+    assert np.count_nonzero(kronrod - k_less_g) == 7
+    for k in range(23):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.sum(kronrod * x ** k) == pytest.approx(exact, abs=1e-15)
+        if k < 14:
+            assert abs(np.sum(k_less_g * x ** k)) < 1e-15
+        if k < 15:
+            assert np.abs(np.dot(gaps, x ** k)).max() < 1e-16
+    assert np.abs(np.dot(gaps, x ** 15)).min() > 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.02, T - 1e-3])
+def test_l1_distance_sees_a_kink_next_to_a_cell_end(c):
+    # |x - c| on [0, T] is linear at all 15 inner nodes of the first cell,
+    # where K = G; its kink lies between an end and the nearest node, and
+    # only the ends show it
+    a = cf.from_expression("x", T)
+    exact = c * c / 2 + (T - c) ** 2 / 2
+    assert cf.l1_distance(a, c, (0.0, T)) == pytest.approx(exact, abs=1e-10)
+
+
+@pytest.mark.parametrize("c", [-0.9, -0.3, 0.0, 0.5, 0.99])
+def test_l1_distance_refines_at_a_kink(c):
+    # |cos x - c| has kinks at +-arccos c, inside the one cell of [0, 2pi]
+    a = cf.from_expression("cos(x)", T)
+    exact = 4 * math.sqrt(1 - c * c) + c * (T - 4 * math.acos(c))
+    assert cf.l1_distance(a, c, (0.0, T)) == pytest.approx(exact, abs=1e-10)
+
+
+def test_round_off_floor_accepts_large_constants():
+    # K and G of a constant differ in their last bits, which for 1e10 is
+    # far above quad; the round-off floor accepts the cell at the first
+    # level, within a budget of 17 evaluations
+    with config.use(quad_budget=17):
+        v = cf.l1_distance(cf.constant(1e10, T), 0.0, (0.0, T))
+    assert v == pytest.approx(1e10 * T, rel=1e-15)
+
+
+def test_quadrature_depth_limit():
+    # a jump inside a cell never converges: the cell holding it splits at
+    # each of the 62 levels, and then the quadrature fails (a jump where
+    # the floats are coarser than 2pi / 2^61 would end in cells too narrow
+    # to hold a node between their ends)
+    calls = []
+
+    def jump(x):
+        calls.append(len(x))
+        return (x > 1e-3) * 1.0
+
+    with pytest.raises(QuadratureFailure, match="depth limit"):
+        cf._integrate(cf.constant(0.0, T), jump, [(0.0, T)])
+    assert len(calls) == 62 and max(calls) == 2 * 17
+
+
+def test_witness_l1_distance_is_one_call(monkeypatch):
+    # every cell of a_eps converges at the first level: one call of the
+    # integrand (adaptive Simpson made 8)
+    a = wt.make_a_eps(3, T, 0.0125)
+    lam = cn.lambda_const(3, T)
+    calls = []
+    call = cf.PeriodicCoefficient.__call__
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(cf.PeriodicCoefficient, "__call__", counted)
+    cf.l1_distances(a, lam, [(0.0, T)])
+    assert 1 <= len(calls) <= 2
+
+
+def mpmath_l1_distance(f, c, s, e, breaks):
+    """The integral of |f - c| over [s, e] by mpmath.quad at 30 digits, split
+    at the T-periodic breaks of a step f, or else at every sign change of
+    f - c on a fine grid, each located by mpmath.findroot."""
+    with mpmath.workdps(30):
+        g = lambda x: f(x) - c  # noqa: E731
+        points = [s, e] + [k * T + b for k in range(-1, 3) for b in breaks
+                           if s < k * T + b < e]
+        if not breaks:
+            xs = np.linspace(s, e, 1001)
+            points += [mpmath.findroot(g, (p, q), solver="anderson")
+                       for p, q in zip(xs[:-1], xs[1:]) if g(p) * g(q) < 0]
+        return float(mpmath.quad(lambda x: abs(g(x)),
+                                 sorted(map(mpmath.mpf, points))))
+
+
+@st.composite
+def steps_and_trig(draw):
+    """(a, f, breaks): a coefficient, the same function for mpmath and its
+    breaks in [0, T), for a step of 2-5 plateaus; or a trigonometric
+    polynomial of 1-3 harmonics, with no breaks."""
+    values = st.floats(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=2, max_value=5))
+        cuts = sorted(draw(st.lists(st.floats(min_value=0.05, max_value=T - 0.05),
+                                    min_size=k - 1, max_size=k - 1, unique=True)))
+        b = [0.0, *cuts, T]
+        vals = draw(st.lists(values, min_size=k, max_size=k))
+
+        def f(x):
+            r = x % T
+            return mpmath.mpf(vals[max(i for i in range(k) if b[i] <= r)])
+        return cf.step_function(T, list(zip(b[:-1], b[1:], vals))), f, b[:-1]
+    n = draw(st.integers(min_value=1, max_value=3))
+    cos = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    sin = draw(st.lists(values, min_size=n, max_size=n))
+    terms = [ex.Const(cos[0])]
+    for k in range(1, n + 1):
+        kx = ex.Mul(ex.Const(float(k)), ex.Var("x"))
+        terms += [ex.Mul(ex.Const(cos[k]), ex.Cos(kx)),
+                  ex.Mul(ex.Const(sin[k - 1]), ex.Sin(kx))]
+
+    def f(x):
+        return cos[0] + sum(cos[k] * mpmath.cos(k * x) + sin[k - 1] * mpmath.sin(k * x)
+                            for k in range(1, n + 1))
+    return cf.from_expression(functools.reduce(ex.Add, terms), T), f, []
+
+
+@given(steps_and_trig(), st.floats(min_value=-3, max_value=3),
+       st.floats(min_value=-T, max_value=T), st.floats(min_value=0.1, max_value=2 * T))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_l1_distance_matches_mpmath(coefficient, c, s, width):
+    # a step's kinks are its breaks, which cut the cells; a trigonometric
+    # polynomial's are where it crosses c, which the refinement must find
+    a, f, breaks = coefficient
+    exact = mpmath_l1_distance(f, c, s, s + width, breaks)
+    assert cf.l1_distance(a, c, (s, s + width)) == pytest.approx(
+        exact, abs=config.current().quad)
