@@ -212,6 +212,8 @@ def cmd_chart(args) -> int:
     a = _load_coefficient(args)
     if not args.mu_from < args.mu_to:
         raise ParseError("--mu-from must be below --mu-to")
+    if not math.isfinite(args.mu_to - args.mu_from):
+        raise ParseError("--mu-to minus --mu-from overflows a float")
     mus = np.linspace(args.mu_from, args.mu_to, args.points)
     rows = [(mu, d, fq.band(d)) for mu, d in
             zip(mus.tolist(), fq.discriminant(a, mus).tolist())]

@@ -6,11 +6,13 @@ trigonometric/hyperbolic block on a constant piece, and on the other pieces
 the fundamental matrices from one integration per pass, all those pieces
 stacked as one system over a common parameter.  On request that
 integration also carries the variational equation in mu, so that one pass
-gives Delta and Delta' (closed form on a constant piece).  A pass may carry
-an array of mu: a constant piece's blocks come at all of them at once, and
-the eigenvalue search stacks the ODE pieces at all of them in its one
-integration (a chart, which keeps every mu's output, integrates one mu at
-a time).
+gives Delta and Delta' (closed form on a constant piece).  One closed form
+gives a constant piece's blocks, at one mu, at an array of mu at once, or
+at an array of points for its dense states.  A pass may carry an array of
+mu, its ODE pieces at all of them stacked in its one integration: the
+eigenvalue search makes such passes, and so does a chart on a coefficient
+of constant pieces (a chart with an ODE piece, which keeps every mu's
+output, makes one pass per mu).
 Periodic and antiperiodic eigenvalues, the roots of Delta(mu) = +-2 for the
 monodromy trace Delta, lie on one chain of band edges.  By Sturm oscillation
 a pass's zero count gives E(mu), the number of edges below mu, read at
@@ -73,45 +75,49 @@ class StabilityVerdict:
 # -- piecewise propagation ----------------------------------------------------
 
 def _const_block(q: float, L: float) -> np.ndarray:
-    """Exact transfer matrix of u'' + q u = 0 over an interval of length L:
-    the 2x2 map of (u, u') at its start to (u, u') at its end.  Raises
-    NonFiniteValue when q or sqrt(|q|) L is not finite, or when its
-    cosh(sqrt(-q) L) overflows a float."""
+    """_const_blocks(q, L) at a float q and L, shape (2, 2), raising
+    NonFiniteValue where it is all inf, with the cause: q or sqrt(|q|) L is
+    not finite, or cosh(sqrt(-q) L) overflows a float."""
+    B = _const_blocks(q, L)
+    if math.isfinite(B[0, 0]):
+        return B
     if not math.isfinite(q):
         raise NonFiniteValue(f"mu + a is not finite on a constant piece: "
                              f"q = {q!r}")
     if q > 0:
-        w = math.sqrt(q)
-        if not math.isfinite(w * L):
-            raise NonFiniteValue(f"sqrt(q) L is not finite on a constant "
-                                 f"piece: q = {q!r}, L = {L!r}")
-        c, s = math.cos(w * L), math.sin(w * L)
-        return np.array([[c, s / w], [-w * s, c]])
-    if q < 0:
-        w = math.sqrt(-q)
-        try:
-            ch, sh = math.cosh(w * L), math.sinh(w * L)
-        except OverflowError:
-            raise NonFiniteValue(f"cosh(sqrt(-q) L) overflows on a constant "
-                                 f"piece: q = {q!r}, L = {L!r}") from None
-        return np.array([[ch, sh / w], [w * sh, ch]])
-    return np.array([[1.0, L], [0.0, 1.0]])
+        raise NonFiniteValue(f"sqrt(q) L is not finite on a constant "
+                             f"piece: q = {q!r}, L = {L!r}")
+    raise NonFiniteValue(f"cosh(sqrt(-q) L) overflows on a constant "
+                         f"piece: q = {q!r}, L = {L!r}")
 
 
-def _const_blocks(q: np.ndarray, L: float) -> np.ndarray:
-    """_const_block(q, L) for each q of a 1-D array, shape (m, 2, 2), equal
-    to it bit for bit, and inf where it raises.  cosh and sinh are math's,
-    element by element: numpy's may differ from them in the last bit."""
+@np.errstate(over="ignore", invalid="ignore")  # inf marks a block overflow
+def _const_blocks(q, L) -> np.ndarray:
+    """Exact transfer matrices of u'' + q u = 0 over intervals of length L,
+    the 2x2 maps of (u, u') at their start to (u, u') at their end, with
+    w = sqrt(|q|): [[cos wL, sin(wL) / w], [-w sin wL, cos wL]] for q > 0,
+    the same with cosh and sinh and +w for q < 0, and [[1, L], [0, 1]] for
+    q = 0.  q and L broadcast to the shape (...) of the result, shape
+    (..., 2, 2).  A block is all inf where q or wL is not finite or cosh wL
+    overflows a float (an entry w sinh wL alone may overflow too).  cosh
+    and sinh are math's, element by element: numpy's may differ from them
+    in the last bit."""
+    q, L = np.broadcast_arrays(np.asarray(q, dtype=float),
+                               np.asarray(L, dtype=float))
+    shape, q, L = q.shape, q.ravel(), L.ravel()
     out = np.full((len(q), 2, 2), math.inf)
     w = np.sqrt(np.abs(q))
-    pos, neg = np.isfinite(w * L) & (q > 0), np.isfinite(q) & (q < 0)
-    _fill(out, pos, np.cos(w[pos] * L), np.sin(w[pos] * L), w[pos], -1.0)
-    hyp = np.array([_cosh_sinh(x) for x in (w[neg] * L).tolist()])
+    wL = w * L
+    pos, neg = np.isfinite(wL) & (q > 0), np.isfinite(q) & (q < 0)
+    _fill(out, pos, np.cos(wL[pos]), np.sin(wL[pos]), w[pos], -1.0)
+    hyp = np.array([_cosh_sinh(x) for x in wL[neg].tolist()])
     hyp = hyp.reshape(-1, 2)
     neg[neg] = ok = np.isfinite(hyp[:, 0])
     _fill(out, neg, hyp[ok, 0], hyp[ok, 1], w[neg], 1.0)
-    out[q == 0] = [[1.0, L], [0.0, 1.0]]
-    return out
+    zero = q == 0
+    out[zero, 0, 0] = out[zero, 1, 1] = 1.0
+    out[zero, 0, 1], out[zero, 1, 0] = L[zero], 0.0
+    return out.reshape(*shape, 2, 2)
 
 
 def _fill(out: np.ndarray, at: np.ndarray, c, s, w, sign: float):
@@ -145,7 +151,8 @@ def _propagators(a: cf.PeriodicCoefficient, mu, dense: bool,
 
     B maps (u, u') at s to (u, u') at e, shape (2, 2) at a float mu and
     (m, 2, 2) over an array: the exact block on a constant piece
-    (_const_blocks over an array, inf where _const_block raises), else the
+    (_const_blocks, inf where a block is not a float; at a float mu
+    _const_block, which raises there instead), else the
     fundamental matrix from one integration that all the ODE pieces at all
     the mu share (see _integrate), the same bit for bit with or without
     dense output.  columns is q = mu + a on a constant piece; on an ODE
@@ -319,18 +326,6 @@ def _const_slope(q, L: float, B: np.ndarray) -> np.ndarray:
                     axis=-1).reshape(B.shape)
 
 
-def _const_columns(q: float, s: float, xs: np.ndarray) -> np.ndarray:
-    """_const_block(q, x - s) for each x in xs on arrays, column by column."""
-    L, w = xs - s, math.sqrt(abs(q))
-    if q > 0:
-        c, sw, ws = np.cos(w * L), np.sin(w * L) / w, -w * np.sin(w * L)
-    elif q < 0:
-        c, sw, ws = np.cosh(w * L), np.sinh(w * L) / w, w * np.sinh(w * L)
-    else:
-        c, sw, ws = np.ones_like(L), L, np.zeros_like(L)
-    return np.array([c, ws, sw, c])
-
-
 def _finite(M: np.ndarray, mu) -> np.ndarray:
     """M, the product of one pass, or NonFiniteValue when it overflowed: a
     hyperbolic block, or the product of finite ones, past the floats."""
@@ -382,53 +377,21 @@ def _slope(a: cf.PeriodicCoefficient, mu, tol: float):
 
 def monodromy(a: cf.PeriodicCoefficient, mu) -> np.ndarray:
     """Fundamental matrix of u'' + (mu + a(x)) u = 0 over one period, shape
-    (2, 2) at a float mu, or (m, 2, 2) at each of a 1-D array of m values
-    (see _monodromies)."""
+    (2, 2) at a float mu, or (m, 2, 2) at each of a 1-D array of m values,
+    each the one-mu pass's bit for bit: on a coefficient of constant pieces
+    from one pass over all of them (see _by_mu), else from one pass per mu,
+    in order.  The first mu whose one-mu pass fails raises its error."""
     if np.ndim(mu) == 0:
         return _product(_propagators(a, mu, dense=False), mu)
-    return _monodromies(a, np.asarray(mu, dtype=float))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite M re-runs
-def _monodromies(a: cf.PeriodicCoefficient, mus: np.ndarray) -> np.ndarray:
-    """monodromy(a, mu) for each mu of mus, bit for bit, shape (m, 2, 2).
-    A constant piece's blocks come in closed form at every mu at once, an
-    ODE piece's from one integration per mu, in order.  The first mu whose
-    blocks or product are not finite, or whose integration fails, raises
-    the error of the one-mu pass there."""
-    blocks = [_const_blocks(mus + cval, e - s)
-              if (cval := ex.constant_value(p)) is not None else None
-              for s, e, p in a.pieces]
-    fine = np.ones(len(mus), dtype=bool)
-    for B in blocks:
-        if B is not None:
-            fine &= np.isfinite(B).all(axis=(1, 2))
-    # no integration at or past the first non-finite block, whose pass fails
-    stop = len(mus) if fine.all() else int(np.argmin(fine))
-    ode = [(s, e, p, math.inf) for s, e, p in a.pieces
-           if ex.constant_value(p) is None]
-    solved, failure = np.empty((len(ode), stop, 2, 2)), None
-    for i, x in enumerate(mus[:stop].tolist() if ode else ()):
-        try:
-            for j, (B, _) in enumerate(_integrate(ode, x, False, None, False)):
-                solved[j, i] = B
-        except HillstabError as err:
-            failure, stop = err, i
-            break
-    solved = iter(solved[:, :stop])
-    M = np.broadcast_to(np.eye(2), (stop, 2, 2))
-    for B in blocks:
-        M = (next(solved) if B is None else B[:stop]) @ M
-    fine = np.isfinite(M).all(axis=(1, 2))
-    if not fine.all():
-        stop, failure = int(np.argmin(fine)), None
-    if failure is not None:  # the one-mu pass's error: its blocks are finite
-        raise failure
-    if stop < len(mus):
-        x = float(mus[stop])
-        _product(_propagators(a, x, dense=False), x)  # raises at x
-        raise AssertionError(f"the pass at mu={x!r} did not fail")
-    return M
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim > 1:
+        raise DomainError(f"mu must be a float or a 1-D array, not an array "
+                          f"of shape {mus.shape}")
+    if all(ex.constant_value(p) is not None for _, _, p in a.pieces):
+        return _by_mu(lambda a, mu: (_product(_propagators(a, mu, False),
+                                              mu),), a, mus)[0]
+    return np.array([_product(_propagators(a, x, False), x)
+                     for x in mus.tolist()]).reshape(-1, 2, 2)
 
 
 def discriminant(a: cf.PeriodicCoefficient, mu):
@@ -443,7 +406,10 @@ def discriminant(a: cf.PeriodicCoefficient, mu):
 def _states(columns, s: float, y0, xs: np.ndarray) -> np.ndarray:
     """(u, u') at the points xs from the state y0 at the piece start s,
     columns being a dense _propagators pass's."""
-    m = _const_columns(columns, s, xs) if np.isscalar(columns) else columns(xs)
+    if np.isscalar(columns):  # q on a constant piece: B's columns in rows
+        m = _const_blocks(columns, xs - s).swapaxes(-1, -2).reshape(-1, 4).T
+    else:
+        m = columns(xs)
     return m[:2] * y0[0] + m[2:] * y0[1]
 
 

@@ -229,6 +229,17 @@ def test_chart_reports_first_mu_in_sweep_order(tmp_path, capsys):
                    "q = -1000001.0, L = 5.283185307179586\n")
 
 
+def test_chart_range_wider_than_floats_exit_2(tmp_path, capsys):
+    # both ends are floats, but 1e308 - (-1e308) is not: no grid of mu
+    # exists, and np.linspace would warn and fill it with nan
+    f = coeff_file(tmp_path, cf.constant(1.0, T))
+    assert cli.main(["chart", f, "--mu-from=-1e308", "--mu-to=1e308",
+                     "--points", "3"]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --mu-to minus --mu-from overflows a float\n"
+
+
 @pytest.mark.parametrize("tall", ["1e6", "1e8"])
 def test_eigs_tall_constant_beside_ode_piece_exit_1(tmp_path, capsys, tall):
     # where the search goes, the solution over the ODE piece overflows the

@@ -8,7 +8,7 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import witness as wt
-from hillstab.errors import (IntegrationFailure, NonFiniteValue,
+from hillstab.errors import (DomainError, IntegrationFailure, NonFiniteValue,
                              NotAnEigenvalue, RootSearchFailure)
 from hillstab.settings import current, use
 
@@ -58,23 +58,90 @@ def test_monodromy_hyperbolic_block_overflow():
             fq.edge_count(a, 0.0)
 
 
+def const_block_reference(q: float, L: float) -> np.ndarray:
+    """The transfer matrix of u'' + q u = 0 over a length L by the scalar
+    formula of math's cos, sin, cosh and sinh, raising NonFiniteValue when
+    q or sqrt(|q|) L is not finite or cosh(sqrt(-q) L) overflows."""
+    if not math.isfinite(q):
+        raise NonFiniteValue("mu + a is not finite")
+    if q > 0:
+        w = math.sqrt(q)
+        if not math.isfinite(w * L):
+            raise NonFiniteValue("sqrt(q) L is not finite")
+        c, s = math.cos(w * L), math.sin(w * L)
+        return np.array([[c, s / w], [-w * s, c]])
+    if q < 0:
+        w = math.sqrt(-q)
+        try:
+            ch, sh = math.cosh(w * L), math.sinh(w * L)
+        except OverflowError:
+            raise NonFiniteValue("cosh(sqrt(-q) L) overflows") from None
+        return np.array([[ch, sh / w], [w * sh, ch]])
+    return np.array([[1.0, L], [0.0, 1.0]])
+
+
+def reference_or_inf(q: float, L: float) -> np.ndarray:
+    try:
+        return const_block_reference(q, L)
+    except NonFiniteValue:
+        return np.full((2, 2), math.inf)
+
+
+SPECIAL_Q = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, -1.0, 1.0, -1e6,
+             1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
 def test_const_blocks_match_const_block():
-    # the array form equals the scalar block bit for bit, with inf where
-    # the scalar raises: q not finite, or cosh overflowing past about 710
-    q = np.concatenate([np.linspace(-50.0, 50.0, 20005),
-                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324,
-                         -1e6, 1.7e308, -1.7e308, math.inf, -math.inf,
-                         math.nan]])
+    # the closed form equals the scalar formula bit for bit, with inf where
+    # that raises: q not finite, or cosh overflowing past about 710
+    q = np.concatenate([np.linspace(-50.0, 50.0, 20005), SPECIAL_Q])
     for L in (0.3, 1.0, 2.0, T, math.acosh(sys.float_info.max) / 50):
         blocks = fq._const_blocks(q, L)
         assert blocks.shape == (len(q), 2, 2)
         for x, got in zip(q.tolist(), blocks):
-            try:
-                want = fq._const_block(x, L)
-            except NonFiniteValue:
-                want = np.full((2, 2), math.inf)
+            want = reference_or_inf(x, L)
             assert np.array_equal(got, want), (x, L)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (x, L)
+
+
+def test_const_blocks_over_lengths():
+    # at a float q over an array of lengths, as a constant piece's dense
+    # states read it, up to and past the lengths where cosh overflows
+    largest = math.acosh(sys.float_info.max)
+    edges = [largest, largest / 1000, largest / math.sqrt(1.7e308)]
+    L = np.concatenate([np.linspace(0.0, largest, 2001), edges,
+                        [math.nextafter(e, d) for e in edges
+                         for d in (0.0, math.inf)]])
+    for x in SPECIAL_Q:
+        blocks = fq._const_blocks(x, L)
+        assert blocks.shape == (len(L), 2, 2)
+        for length, got in zip(L.tolist(), blocks):
+            want = reference_or_inf(x, length)
+            assert np.array_equal(got, want), (x, length)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), \
+                (x, length)
+    # q and L broadcast against each other
+    grid = fq._const_blocks(np.array(SPECIAL_Q)[:, None], L[None, :])
+    assert grid.shape == (len(SPECIAL_Q), len(L), 2, 2)
+    for row, x in zip(grid, SPECIAL_Q):
+        assert np.array_equal(row, fq._const_blocks(x, L))
+
+
+@pytest.mark.parametrize("L", [0.3, T, math.acosh(sys.float_info.max) / 1000])
+def test_const_block_raises_where_the_block_is_inf(L):
+    # the float block is the closed form's, and raises where the scalar
+    # formula does, naming the same cause
+    for x in SPECIAL_Q:
+        try:
+            want = const_block_reference(x, L)
+        except NonFiniteValue as err:
+            with pytest.raises(NonFiniteValue) as got:
+                fq._const_block(x, L)
+            assert str(got.value).startswith(str(err)), (x, L)
+            continue
+        got = fq._const_block(x, L)
+        assert np.array_equal(got, want), (x, L)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (x, L)
 
 
 README_TWO_PIECE = cf.PeriodicCoefficient.from_dict({"period": T, "pieces": [
@@ -149,6 +216,22 @@ def test_monodromy_over_mu_array_raises_first_error(a, mus):
         with pytest.raises(type(want)) as got:
             fq.monodromy(a, np.array(mus))
     assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("a", [
+    cf.step_function(T, [(0.0, 1.1, 1.3), (1.1, T, -0.7)]),
+    README_TWO_PIECE,
+], ids=["step", "with an ODE piece"])
+def test_monodromy_over_mu_array_shapes(a):
+    # an empty 1-D array gives empty results; an array of 2 or more
+    # dimensions is refused, on both kinds of coefficient
+    assert fq.monodromy(a, np.array([])).shape == (0, 2, 2)
+    assert fq.discriminant(a, np.array([])).shape == (0,)
+    for f in (fq.monodromy, fq.discriminant):
+        with pytest.raises(DomainError, match="1-D"):
+            f(a, np.zeros((2, 2)))
+        with pytest.raises(DomainError, match="1-D"):
+            f(a, np.zeros((1, 3, 1)))
 
 
 @pytest.mark.parametrize("a, mus", [
