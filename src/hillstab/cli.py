@@ -4,9 +4,10 @@ generation, zero structures, discriminant charts, and nonlinear probing.
 All JSON outputs embed a run manifest (command, inputs, parameters,
 tolerances, tool version) so artifacts are reproducible.  Exit codes:
 0 success, 1 any other ``HillstabError`` (for example ``witness a-eps
---eps 10``), 2 parse error or bad option value, 3 root-search or integration
-failure, 4 a ``--verify`` pass found a certificate contradicted by the
-ground truth: the edge counts, how many band edges lie below mu = 0.
+--eps 10``, or a quadrature that cannot meet its tolerance), 2 parse error,
+bad option value, or a malformed or over-nested document, 3 root-search or
+integration failure, 4 a ``--verify`` pass found a certificate contradicted
+by the ground truth: the edge counts, how many band edges lie below mu = 0.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
 
 def _load_coefficient(args) -> cf.PeriodicCoefficient:
     with open(args.coeff_file) as fh:
-        doc = json.load(fh)
+        doc = cf.parse_json(fh.read())
     if not isinstance(doc, dict):
         raise ParseError("a coefficient document is a JSON object")
     if args.period_override is not None:
@@ -351,8 +352,7 @@ def main(argv=None) -> int:
     try:
         with settings.use(quad=args.tol_quad, root=args.tol_root):
             return args.func(args)
-    except (ParseError, json.JSONDecodeError, UnicodeDecodeError,
-            OSError) as e:
+    except (ParseError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (RootSearchFailure, IntegrationFailure, NoConvergence) as e:

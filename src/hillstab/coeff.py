@@ -151,11 +151,16 @@ class PeriodicCoefficient:
 
     @staticmethod
     def from_json(text: str) -> "PeriodicCoefficient":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err}") from err
-        return PeriodicCoefficient.from_dict(doc)
+        return PeriodicCoefficient.from_dict(parse_json(text))
+
+
+def parse_json(text: str):
+    """The JSON document text holds; ParseError when it is malformed or
+    nested deeper than the decoder can recurse."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ParseError(f"bad JSON: {err}") from err
 
 
 # -- constructors -------------------------------------------------------------
@@ -255,7 +260,8 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
         x = np.c_[lo, mid[:, None] + h[:, None] * _X, np.nextafter(hi, lo)]
         used += x.size
         if used > current().quad_budget:
-            raise QuadratureFailure("quadrature evaluation budget exhausted")
+            raise _unmet(lo, hi, f"its budget of {current().quad_budget} "
+                                 "evaluations ran out")
         fx = f(x.ravel()).reshape(x.shape)
         # row sums, not fx @ w: BLAS may round a row by the number of rows
         kronrod, *errors = h * (fx[:, None] * _WEIGHTS).sum(axis=2).T
@@ -269,7 +275,14 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
         go = ~done
         lo, hi = np.concatenate([lo[go], mid[go]]), np.concatenate([mid[go], hi[go]])
         tol, group = np.tile(tol[go] / 2, 2), np.tile(group[go], 2)
-    raise QuadratureFailure("quadrature did not converge (depth limit)")
+    raise _unmet(lo, hi, "its cells reached the depth limit")
+
+
+def _unmet(lo: np.ndarray, hi: np.ndarray, why: str) -> QuadratureFailure:
+    """The failure of a quadrature whose cells [lo_i, hi_i] are still open."""
+    return QuadratureFailure(
+        f"quadrature cannot meet quad = {current().quad!r}: {why}, with "
+        f"{len(lo)} cells open in x = [{lo.min():.10g}, {hi.max():.10g}]")
 
 
 def _integrate(a: PeriodicCoefficient, f, intervals) -> list[float]:

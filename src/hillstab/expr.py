@@ -1,16 +1,27 @@
 """Small symbolic expression trees for piecewise-analytic coefficients.
 
-The grammar is deliberately tiny: floating literals, ``x`` (and ``u`` for
-nonlinear right-hand sides), ``pi``, ``+ - * / ^``, ``sin``, ``cos`` and
-parentheses.  Trees support vectorized evaluation, exact differentiation
-(needed to build coefficients of the form -u''/u from a closed-form u),
-substitution of the variable by another expression, and round-trip
-printing/parsing.
+Trees support vectorized evaluation, exact differentiation (needed to build
+coefficients of the form -u''/u from a closed-form u), substitution of the
+variable by another expression, and printing in the grammar `parse` reads:
+
+    expr  := term (("+" | "-") term)*
+    term  := power (("*" | "/") power)*
+    power := "-"* atom ["^" ["-"]digits]
+    atom  := number | "pi" | variable | [function] "(" expr ")"
+
+with the variable ``x`` (and ``u`` in nonlinear right-hand sides) and the
+functions ``sin``, ``cos`` and ``clamp``.  Binary operators group to the
+left; unary minus binds tighter than ``^``, so ``-x^2`` is ``(-x)^2``.  An
+exponent is an integer whose optional ``-`` touches its digits: ``x^ -2`` is
+read, ``x^- 2`` refused.  Trees more than MAX_DEPTH = 64 nodes deep and
+parentheses nested deeper are refused, so that neither the parser nor any
+later walk of a tree recurses past that depth.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,155 +377,114 @@ def _compile(e: Expression):
 
 # -- parsing ------------------------------------------------------------------
 
+#: one token after optional whitespace: a number, a name, an operator or
+#: parenthesis, the end of the text, or any other character, which no rule
+#: accepts; with that last branch the matches of finditer tile the text
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<name>[^\W\d]\w*)
+    | (?P<op>[-+*/^()])
+    | (?P<end>\Z)
+    | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+#: the binary operators by level, loosest first; each level groups to the left
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "clamp": Clamp}
 
 
-class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
-        self.pos = 0
-        self.variables = variables
-        self.groups = 0
+def parse(text: str, variables: tuple[str, ...] = ("x",)) -> Expression:
+    """Parse an expression string in the grammar of this module's docstring;
+    whatever the grammar refuses raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"an expression is a string, not {type(text).__name__}")
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN.finditer(text)]  # (kind, token, position)
+    at = groups = 0  # the next token; the parentheses open
 
-    def error(self, msg: str):
-        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
+    def fail(msg: str):
+        raise ParseError(f"{msg} at position {tokens[at][2]} in {text!r}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def take(op: str) -> bool:
+        nonlocal at
+        found = tokens[at][1] == op
+        at += found
+        return found
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    # Each rule returns (tree, depth).
 
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.accept(ch):
-            self.error(f"expected {ch!r}")
-
-    def parse(self) -> Expression:
-        e, _ = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return e
-
-    # Each rule returns (tree, depth).  A tree deeper than MAX_DEPTH is
-    # refused while it is built, and so are groups nested deeper, so that
-    # neither the parser nor any later walk of a tree recurses past it.
-
-    def over(self, d: int) -> int:
+    def deeper(d: int) -> int:
         """The depth of a node over children at most d deep."""
         if d >= MAX_DEPTH:
-            self.error(f"expression deeper than {MAX_DEPTH}")
+            fail(f"expression deeper than {MAX_DEPTH}")
         return d + 1
 
-    def chain(self, operand, ops: dict):
-        """operand (op operand)*, grouped to the left, with op in ops."""
-        e, d = operand()
-        while (ch := self.peek()) in ops:
-            self.pos += 1
-            r, dr = operand()
-            e, d = ops[ch](e, r), self.over(max(d, dr))
+    def binary(level: int):
+        nonlocal at
+        if level == len(_LEVELS):
+            return power()
+        e, d = binary(level + 1)
+        while (make := _LEVELS[level].get(tokens[at][1])) is not None:
+            at += 1
+            r, dr = binary(level + 1)
+            e, d = make(e, r), deeper(max(d, dr))
         return e, d
 
-    def expr(self):
-        return self.chain(self.term, {"+": Add, "-": Sub})
-
-    def term(self):
-        return self.chain(self.factor, {"*": Mul, "/": Div})
-
-    def factor(self):
-        e, d = self.unary()
-        if self.accept("^"):
-            e, d = Pow(e, self.integer()), self.over(d)
-        return e, d
-
-    def unary(self):
+    def power():
+        nonlocal at
         negs = 0
-        while self.accept("-"):
+        while take("-"):
             negs += 1
-        e, d = self.atom()
+        e, d = atom()
         for _ in range(negs):
-            e, d = Neg(e), self.over(d)
+            e, d = Neg(e), deeper(d)
+        if not take("^"):
+            return e, d
+        sign = -1 if take("-") else 1
+        kind, digits, start = tokens[at]
+        if kind != "number" or not digits.isdecimal() or \
+                sign < 0 and start > tokens[at - 1][2] + 1:
+            fail("expected integer exponent")
+        try:
+            k = int(digits)
+        except ValueError:  # more digits than int() converts
+            fail("integer exponent too long")
+        at += 1
+        return Pow(e, sign * k), deeper(d)
+
+    def atom():
+        nonlocal at
+        kind, name, _ = tokens[at]
+        if name == "(":
+            return group()
+        if kind == "number":
+            at += 1
+            return Const(float(name)), 1
+        if kind != "name":
+            fail("expected expression")
+        if name in _FUNCTIONS:
+            at += 1
+            e, d = group()
+            return _FUNCTIONS[name](e), deeper(d)
+        if name != "pi" and name not in variables:
+            fail(f"unknown identifier {name!r}")
+        at += 1
+        return (Const(math.pi) if name == "pi" else Var(name)), 1
+
+    def group():
+        """'(' expr ')', at most MAX_DEPTH groups open at once."""
+        nonlocal groups
+        if not take("("):
+            fail("expected '('")
+        groups += 1
+        if groups > MAX_DEPTH:
+            fail(f"parentheses nested deeper than {MAX_DEPTH}")
+        e, d = binary(0)
+        if not take(")"):
+            fail("expected ')'")
+        groups -= 1
         return e, d
 
-    def integer(self) -> int:
-        self.skip_ws()
-        sign = -1 if self.accept("-") else 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected integer exponent")
-        return sign * int(self.text[start:self.pos])
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            return self.group()
-        if ch.isdigit() or ch == ".":
-            return Const(self.number()), 1
-        if ch.isalpha() or ch == "_":
-            name = self.identifier()
-            if name == "pi":
-                return Const(math.pi), 1
-            if name in _FUNCTIONS:
-                e, d = self.group()
-                return _FUNCTIONS[name](e), self.over(d)
-            if name in self.variables:
-                return Var(name), 1
-            self.error(f"unknown identifier {name!r}")
-        self.error("expected expression")
-
-    def group(self):
-        """'(' expr ')', at most MAX_DEPTH groups open at once."""
-        self.expect("(")
-        self.groups += 1
-        if self.groups > MAX_DEPTH:
-            self.error(f"parentheses nested deeper than {MAX_DEPTH}")
-        e = self.expr()
-        self.expect(")")
-        self.groups -= 1
-        return e
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        seen_dot = seen_exp = False
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isdigit():
-                self.pos += 1
-            elif c == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                self.pos += 1
-            elif c in "eE" and not seen_exp and self.pos > start:
-                seen_exp = True
-                self.pos += 1
-                if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                    self.pos += 1
-            else:
-                break
-        try:
-            return float(self.text[start:self.pos])
-        except ValueError:
-            self.error("bad numeric literal")
-
-
-def parse(text: str, variables: tuple[str, ...] = ("x",)) -> Expression:
-    """Parse an expression string in the coefficient-file grammar."""
-    return _Parser(text, variables).parse()
+    e, _ = binary(0)
+    if tokens[at][0] != "end":
+        fail("trailing input")
+    return e

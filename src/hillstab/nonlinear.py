@@ -10,7 +10,6 @@ multistart on the periodicity map.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -116,11 +115,7 @@ class NonlinearProblem:
 
     @staticmethod
     def from_json(text: str) -> "NonlinearProblem":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err}") from err
-        return NonlinearProblem.from_dict(doc)
+        return NonlinearProblem.from_dict(cf.parse_json(text))
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,15 @@ def test_eigs_malformed_input(tmp_path, capsys):
     # not UTF-8: one error line, no traceback, for coefficients and problems
     raw = tmp_path / "bad.bin"
     raw.write_bytes(b"\x80\x81\xff")
-    for argv in (["eigs", str(raw)], ["nonlinear", "check", str(raw)]):
-        assert cli.main(argv) == cli.EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+    # and nested deeper than the JSON decoder recurses
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path in (raw, deep):
+        for argv in (["eigs", str(path)], ["nonlinear", "check", str(path)]):
+            assert cli.main(argv) == cli.EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error: bad JSON: maximum recursion depth exceeded")
     # expressions too deep to walk, a NaN piece bound, a document that is
     # not an object: each one error line, no traceback
     docs = [{"period": T, "pieces": [{"from": 0.0, "to": T, "expr": text}]}
@@ -117,6 +122,22 @@ def test_eigs_malformed_input(tmp_path, capsys):
     assert cli.main(["nonlinear", "check", str(p)]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unreachable_quadrature_tolerance_exit_1(tmp_path, capsys):
+    """Near the crossings of a(x) = c the round-off floor of a cell is far
+    below 1e-17, which the cells there never meet: the error names the
+    tolerance and where the cells still open lie."""
+    f = coeff_file(tmp_path, cf.from_expression("0.3+cos(x)", 2 * math.pi))
+    assert cli.main(["--tol-quad", "1e-16", "certify", f, "--n", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--tol-quad", "1e-17", "certify", f, "--n", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: quadrature cannot meet quad = 1e-17: its "
+                          "budget of 1000000 evaluations ran out, with ")
+    lo, hi = map(float, err[err.index("x = [") + 5:-2].split(", "))
+    assert 1.8 < lo < hi < 4.5
 
 
 def test_nonlinear_solve_infinite_start_scale(tmp_path, capsys):

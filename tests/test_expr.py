@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillstab import expr as ex
@@ -40,7 +40,8 @@ def test_parse_unary_minus():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "2 +", "sin()", "x y", "unknown(x)", "(((", "1..2"):
+    for bad in ("", "2 +", "sin()", "x y", "unknown(x)", "(((", "1..2",
+                "x^- 2", "x^2^3", "x^2.5", 5, None):
         with pytest.raises(ParseError):
             ex.parse(bad)
 
@@ -113,10 +114,66 @@ def test_roundtrip_through_string():
         np.testing.assert_allclose(e2.eval(x=xs), e.eval(x=xs), atol=1e-12)
 
 
+def test_parse_rules_of_the_grammar():
+    x = ex.Var("x")
+    assert ex.parse("-x^2") == ex.Pow(ex.Neg(x), 2)
+    assert ex.parse("x ^ -2") == ex.parse("x^-2") == ex.Pow(x, -2)
+    assert ex.parse("1 - 2 - x") == ex.Sub(ex.Sub(ex.Const(1.0), ex.Const(2.0)), x)
+    assert ex.parse("x/2*3") == ex.Mul(ex.Div(x, ex.Const(2.0)), ex.Const(3.0))
+    assert ex.parse("1.5e+2 + .5") == ex.Add(ex.Const(150.0), ex.Const(0.5))
+
+
 def test_depth_limit():
     deep = "sin(" * 70 + "x" + ")" * 70
     with pytest.raises(ParseError):
         ex.parse(deep)
+    # MAX_DEPTH bounds the tree's depth and the nesting of parentheses
+    for shallow, too_deep in (("-" * 63 + "x", "-" * 64 + "x"),
+                              ("(" * 64 + "x" + ")" * 64,
+                               "(" * 65 + "x" + ")" * 65)):
+        ex.parse(shallow)
+        with pytest.raises(ParseError):
+            ex.parse(too_deep)
+
+
+# the grammar's characters and words, characters str.isdigit accepts but
+# int() does not, another script's digit, a character outside the grammar,
+# and a digit run longer than int() converts
+_PIECES = st.sampled_from(list("xu0123456789.eE+-*/^() \t") + [
+    "sin", "cos", "clamp", "pi", "\u00b2", "\u0663", "$", "9" * 5000])
+
+
+@example("x^\u00b2")
+@example("x^" + "9" * 5000)
+@given(st.lists(_PIECES, max_size=24).map("".join))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_parse_gives_a_tree_or_a_parse_error(text):
+    try:
+        e = ex.parse(text, variables=("x", "u"))
+    except ParseError:
+        return
+    assert isinstance(e, ex.Expression)
+
+
+_LEAVES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(lambda v: ex.Const(abs(v))),
+    st.sampled_from([ex.Const(math.pi), ex.Var("x"), ex.Var("u")]))
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(lambda make, l, r: make(l, r),
+                  st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]),
+                  children, children),
+        st.builds(lambda make, arg: make(arg),
+                  st.sampled_from([ex.Neg, ex.Sin, ex.Cos, ex.Clamp]), children),
+        st.builds(ex.Pow, children, st.integers(-5, 5)))
+
+
+@given(st.recursive(_LEAVES, _nodes, max_leaves=10))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_parse_reads_back_what_str_prints(e):
+    assert ex.parse(str(e), variables=("x", "u")) == e
 
 
 @given(st.floats(min_value=-10, max_value=10),
