@@ -8,7 +8,9 @@ stacked as one system over a common parameter.  On request that
 integration also carries the variational equation in mu, so that one pass
 gives Delta and Delta' (closed form on a constant piece).  One closed form
 gives a constant piece's blocks, at one mu, at an array of mu at once, or
-at an array of points for its dense states.  A pass may carry an array of
+at an array of points for its dense states: a trajectory reads an array of
+points on all its constant pieces in one such call, and on all its ODE
+pieces in one call of its pass's interpolant.  A pass may carry an array of
 mu, its ODE pieces at all of them stacked in its one integration: the
 eigenvalue search makes such passes, and so does a chart on a coefficient
 of constant pieces (a chart with an ODE piece, which keeps every mu's
@@ -28,7 +30,6 @@ every probe, another every Delta'.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,7 +159,9 @@ def _propagators(a: cf.PeriodicCoefficient, mu, dense: bool,
     dense output.  columns is q = mu + a on a constant piece; on an ODE
     piece it is y at the accepted steps, rows 0-3 the columns of the
     transfer matrix from s to each step (a row per mu over an array), or
-    with dense the interpolant giving y at any points of the piece.
+    with dense (interpolant, j, s_0, L_j / L_0): the pass's interpolant,
+    whose rows i p + j give piece j's y at t = s_0 + (x - s_j) L_0 / L_j
+    (t = x on the first ODE piece, j = 0).
     spacing, one length per piece, keeps the steps of an ODE piece at most
     that far apart: they are capped at it, or past _CAPPED such steps y is
     read from the interpolant at points that far apart.  With slope, y also
@@ -280,26 +283,14 @@ def _integrate(ode, mu, dense: bool, tol: float | None, slope: bool):
         ys = sol.y
     ys, end = ys.reshape(width, p, m, -1), end.reshape(width, p, m)
     out = []
-    for j, (s, _, _, _) in enumerate(ode):
-        if dense:  # t = x on the first piece, whose length t runs over
-            columns = functools.partial(_dense_columns, sol.sol, j, p,
-                                        None if j == 0 else (s0, s, ratio[j]))
+    for j in range(p):
+        if dense:  # x maps to t = s_0 + (x - s_j) / ratio_j, t = x for j = 0
+            columns = (sol.sol, j, s0, ratio[j])
         else:
             columns = ys[:, j].reshape(width, *np.shape(mu), -1)
         B = end[[0, 2, 1, 3], j].T.reshape(*np.shape(mu), 2, 2)
         out.append((B, columns))
     return out
-
-
-def _dense_columns(interpolant, j: int, p: int, to_t,
-                   xs: np.ndarray) -> np.ndarray:
-    """y of piece j of a stacked dense pass of p pieces at the points xs of
-    that piece, to_t = (s_0, s_j, L_j / L_0) mapping them to the parameter
-    (None: xs are on it)."""
-    if to_t is not None:
-        s0, s, ratio = to_t
-        xs = s0 + (xs - s) / ratio
-    return interpolant(xs)[j::p]
 
 
 def _exhausted(budget: int, mu: float) -> IntegrationFailure:
@@ -403,43 +394,45 @@ def discriminant(a: cf.PeriodicCoefficient, mu):
 
 # -- dense trajectories -------------------------------------------------------
 
-def _states(columns, s: float, y0, xs: np.ndarray) -> np.ndarray:
-    """(u, u') at the points xs from the state y0 at the piece start s,
-    columns being a dense _propagators pass's."""
-    if np.isscalar(columns):  # q on a constant piece: B's columns in rows
-        m = _const_blocks(columns, xs - s).swapaxes(-1, -2).reshape(-1, 4).T
-    else:
-        m = columns(xs)
-    return m[:2] * y0[0] + m[2:] * y0[1]
-
-
 class Trajectory:
-    """Dense solution of u'' + (mu + a(x)) u = 0 on [0, T] from given data:
-    one (start, end, states) per piece, where states maps an array of points
-    to their (u, u') by the transfer matrices of a dense _propagators pass."""
+    """Dense solution of u'' + (mu + a(x)) u = 0 on [0, T] from given data,
+    read from a dense _propagators pass: each piece's ends, its start state,
+    and q on a constant piece or else its index j and parameter map in the
+    pass's one interpolant, so that a state call reads any array of points
+    with at most one _const_blocks call and one interpolant call."""
 
     def __init__(self, a: cf.PeriodicCoefficient, mu: float, y0, _pieces=None):
-        self.a, self.mu = a, mu
-        self.segments = []
-        y = np.asarray(y0, dtype=float)
+        self.a, self.mu, self._interpolant = a, mu, None
+        rows, y = [], np.asarray(y0, dtype=float)
         for s, e, B, columns in _pieces or _propagators(a, mu, dense=True):
-            self.segments.append(
-                (s, e, functools.partial(_states, columns, s, y)))
+            if np.isscalar(columns):  # q on a constant piece
+                rows.append((s, e, *y, columns, -1, 0.0, 1.0))
+            else:
+                self._interpolant, j, s0, ratio = columns
+                rows.append((s, e, *y, math.nan, j, s0, ratio))
             y = B @ y
+        self._pieces = np.array(rows)
 
     def state(self, x) -> np.ndarray:
         """(u, u') at x in [0, T], shape (2,), or at an array of n points,
-        shape (2, n).  A point is read, clamped, in the first segment whose
+        shape (2, n).  A point is read, clamped, in the first piece whose
         end it does not pass by more than 1e-12."""
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
-        ends = np.array([e for _, e, _ in self.segments])
-        seg = np.minimum(np.searchsorted(ends + 1e-12, flat),
-                         len(self.segments) - 1)
-        out = np.empty((2, flat.size))
-        for j in np.unique(seg):
-            s, e, states = self.segments[j]
-            out[:, seg == j] = states(np.clip(flat[seg == j], s, e))
+        k = np.minimum(np.searchsorted(self._pieces[:, 1] + 1e-12, flat),
+                       len(self._pieces) - 1)
+        s, e, u, du, q, j, s0, ratio = self._pieces[k].T
+        flat = np.clip(flat, s, e)
+        m, ode = np.empty((4, flat.size)), j >= 0
+        if not ode.all():  # the columns of B from s to each point
+            m[:, ~ode] = _const_blocks(q[~ode], (flat - s)[~ode]).swapaxes(
+                -1, -2).reshape(-1, 4).T
+        if ode.any():  # rows i p + j of the interpolant at each point's t
+            j, x = j[ode].astype(int), flat[ode]
+            t = np.where(j == 0, x, s0[ode] + (x - s[ode]) / ratio[ode])
+            m[:, ode] = self._interpolant(t).reshape(4, -1, t.size)[
+                :, j, np.arange(t.size)]
+        out = m[:2] * u + m[2:] * du
         return out if xs.ndim else out[:, 0]
 
 
@@ -537,8 +530,9 @@ def _probe(a, mus: np.ndarray, sups: list[float], tol: float):
 def _refine(f, lo: float, hi: float, x: float, df: float | None,
             rising: bool, tol: float):
     """A search for a root of f in [lo, hi], which f crosses upward when
-    rising and else downward, by Newton's method from x kept in the
-    bracket, returning (root, x, slope).  It runs under _lockstep: it
+    rising and else downward, by Newton's method from x, or from the
+    midpoint where x lies outside [lo, hi] (an end is kept: the root may
+    lie on it), kept in the bracket, returning (root, x, slope).  It runs under _lockstep: it
     yields [(x, tol)] for a pass at x integrating at tol and is sent
     [reply], from which f(x, reply) gives f(x), its derivative (or None:
     then the secant through the pass before, or df for the first), the
@@ -553,7 +547,7 @@ def _refine(f, lo: float, hi: float, x: float, df: float | None,
     cfg = current()
     step = step_old = hi - lo
     prev = None
-    if not lo < x < hi:
+    if not lo <= x <= hi:
         x = 0.5 * (lo + hi)
     for _ in range(200):
         [reply] = yield [(x, tol)]
@@ -841,5 +835,6 @@ def eigenfunction(a: cf.PeriodicCoefficient, mu: float, bc: str):
     v = vt[-1]
     if np.linalg.norm(A @ v) > 1e-4:
         raise NotAnEigenvalue(
-            f"mu={mu} is not a {bc} eigenvalue (defect {np.linalg.norm(A @ v):.2e})")
+            f"mu={mu} is not {'a' if sign > 0 else 'an'} {bc} eigenvalue "
+            f"(defect {np.linalg.norm(A @ v):.2e})")
     return Trajectory(a, mu, v, _pieces=pieces)

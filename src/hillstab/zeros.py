@@ -5,7 +5,10 @@ conditions is phase-normalized to start at its first zero r in [0, T].  As
 u(x + T) = +-u(x), its zeros and critical points on [r, r + T] are those of
 the eigenfunction's one pass over [0, T] rotated by r: each is found once,
 from the sign changes on a grid read in one array call, and refined to
-`root` by floquet's bracketed Newton method, the band edges' own.  The
+`root` by floquet's bracketed Newton method, the band edges' own, from the
+chord root of its grid step.  That start is kept when it is the step's end,
+as it is for a zero on a grid point or at T, so such a zero takes a Newton
+step or two, not a bisection down to `root`.  The
 spacing bounds, parity of the zero count, and the per-subinterval L1
 inequalities can then be checked against the structure theorems.
 """

@@ -475,6 +475,42 @@ def test_bad_floats_rejected(tmp_path, capsys, argv):
     assert exc.value.code == cli.EXIT_PARSE
 
 
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """main builds its parser on its first call, not on import, and keeps
+    it: after two subcommands and a rejected call in one process, the next
+    call prints what a fresh process prints."""
+    f = coeff_file(tmp_path, cf.constant(0.25, T))
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    argv = ["eigs", f, "--count", "2", "--bc", "periodic"]
+    assert run(capsys, "constants", "--n-max", "2")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eigs", f, "--count", "0"])
+    assert exc.value.code == cli.EXIT_PARSE
+    capsys.readouterr()
+    code, out = run(capsys, *argv)
+    assert code == 0 and built == [1]
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hillstab import cli
+assert cli._parser.cache_info().currsize == 0, "parser built on import"
+sys.exit(cli.main(sys.argv[2:]))
+"""
+    src = str(Path(hillstab.__file__).resolve().parent.parent)
+    fresh = subprocess.run([sys.executable, "-c", script, src, *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
+
+
 def test_certify_theorem_filter(tmp_path, capsys):
     f = coeff_file(tmp_path, cf.constant(1.1, T))
     code, out = run(capsys, "certify", f, "--n", "1",

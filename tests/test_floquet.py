@@ -743,8 +743,10 @@ def test_eigenfunction_single_pass(a, monkeypatch):
 
 def test_eigenfunction_rejects_non_eigenvalue():
     a = cf.constant(0.0, T)
-    with pytest.raises(NotAnEigenvalue):
+    with pytest.raises(NotAnEigenvalue, match="is not a periodic eigen"):
         fq.eigenfunction(a, 0.5, "periodic")
+    with pytest.raises(NotAnEigenvalue, match="is not an antiperiodic eigen"):
+        fq.eigenfunction(a, 0.5, "antiperiodic")
 
 
 def test_trajectory_matches_closed_form():
@@ -755,14 +757,22 @@ def test_trajectory_matches_closed_form():
                                np.sin(2 * xs), atol=1e-9)
 
 
-def loop_state(traj, x):
-    """One point at a time: the first segment whose end x does not pass by
-    more than 1e-12, with x clamped into it; past the last, its end."""
-    for s, e, states in traj.segments:
-        if x <= e + 1e-12:
-            return states(np.array([min(max(x, s), e)]))[:, 0]
-    s, e, states = traj.segments[-1]
-    return states(np.array([e]))[:, 0]
+def loop_state(pieces, y0, x):
+    """One point at a time from the blocks of a dense _propagators pass: the
+    first piece whose end x does not pass by more than 1e-12, with x clamped
+    into it; past the last, its end."""
+    y = np.asarray(y0, dtype=float)
+    for i, (s, e, B, columns) in enumerate(pieces):
+        if x <= e + 1e-12 or i == len(pieces) - 1:
+            x = min(max(x, s), e)
+            if np.isscalar(columns):  # q on a constant piece
+                return fq._const_block(columns, x - s) @ y
+            # y of the pass's stacked interpolant at x's parameter
+            interpolant, j, s0, ratio = columns
+            m = interpolant(x if j == 0 else s0 + (x - s) / ratio)
+            m = m.reshape(4, -1)[:, j]
+            return m[:2] * y[0] + m[2:] * y[1]
+        y = B @ y
 
 
 @pytest.mark.parametrize("a", [
@@ -778,8 +788,10 @@ def test_trajectory_array_state(a):
     states = traj.state(xs)
     assert states.shape == (2, len(xs))
     tol = 1e-14 * np.max(np.abs(states))
+    pieces = list(fq._propagators(a, 0.0, dense=True))
     for ref in (np.stack([traj.state(float(x)) for x in xs], axis=1),
-                np.stack([loop_state(traj, float(x)) for x in xs], axis=1)):
+                np.stack([loop_state(pieces, y0, float(x)) for x in xs],
+                         axis=1)):
         assert np.max(np.abs(states - ref)) <= tol
     # on a constant first piece the array closed form is the exact block
     s, e, piece = a.pieces[0]
@@ -789,6 +801,52 @@ def test_trajectory_array_state(a):
         block = np.stack([fq._const_block(q, x - s) @ y0 for x in first],
                          axis=1)
         assert np.max(np.abs(traj.state(first) - block)) <= tol
+
+
+def test_trajectory_state_reads_in_one_call_each(monkeypatch):
+    """A state call on a_eps, constant and ODE pieces alike, reads every
+    constant-piece point in one _const_blocks call and every ODE-piece
+    point in one call of the pass's interpolant."""
+    from scipy.integrate import OdeSolution
+    a = wt.make_a_eps(2, T, 0.0136)
+    traj = fq.Trajectory(a, 0.0, (0.3, 1.0))
+    xs = np.linspace(0.0, T, 4096)
+    want = traj.state(xs)
+    blocks, interpolant = fq._const_blocks, OdeSolution.__call__
+    calls = []
+
+    def counted_blocks(*args):
+        calls.append("blocks")
+        return blocks(*args)
+
+    def counted_interpolant(self, t):
+        calls.append("interpolant")
+        return interpolant(self, t)
+
+    monkeypatch.setattr(fq, "_const_blocks", counted_blocks)
+    monkeypatch.setattr(OdeSolution, "__call__", counted_interpolant)
+    got = traj.state(xs)
+    monkeypatch.undo()
+    assert sorted(calls) == ["blocks", "interpolant"]
+    assert np.array_equal(got, want)
+
+
+def test_refine_keeps_a_start_on_a_bracket_end():
+    """A search started on an end of its bracket, where f is 0, takes that
+    end after one request."""
+    ode = current().ode
+    for lo, hi, x in ((0.0, 1.0, 1.0), (0.0, 1.0, 0.0)):
+        rounds = []
+
+        def answer(requests):
+            rounds.append(requests)
+            return {r: (r[0] - x, 1.0) for r in requests}
+
+        [(root, at, slope)] = fq._lockstep([fq._refine(
+            lambda z, reply: (*reply, 0.0, ode), lo, hi, x, None, True,
+            ode)], answer)
+        assert (root, at, slope) == (x, x, 1.0)
+        assert rounds == [{(x, ode)}]
 
 
 def test_spectrum_counts():

@@ -110,6 +110,27 @@ def test_extract_integrates_once(monkeypatch):
     assert z.m == 4
 
 
+def test_extract_in_few_rounds(monkeypatch):
+    """The searches on a_eps, n = 2, end in a few lockstep rounds, each one
+    state call: the zeros of u' at the grid points k T/6 start on their
+    grid step's end and stay there."""
+    a = wt.make_a_eps(2, T, 0.0136)
+    state, calls = fq.Trajectory.state, []
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return state(self, x)
+
+    monkeypatch.setattr(fq.Trajectory, "state", counted)
+    z = zr.extract_zero_structure(a, "periodic")
+    monkeypatch.undo()
+    assert len(calls) <= 8
+    assert z.m == 6
+    k = (np.array(z.du_zeros) + z.shift) / (T / 6)
+    assert np.max(np.abs(k - np.round(k))) * T / 6 <= 1e-10
+    assert sorted(np.round(k).astype(int) % 6) == list(range(6))
+
+
 def test_antiperiodic_structure():
     z = zr.extract_zero_structure(cf.constant(2.25, T), "antiperiodic")
     assert z.m == 3
