@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import simpson
 from .errors import DegenerateDenominator, DomainError
 
 
@@ -138,15 +137,26 @@ def j_functional(x: np.ndarray, u: np.ndarray, M: float,
                  du: np.ndarray | None = None) -> float:
     """Quotient (int u'^2 - M int u^2) / u(b)^2 for a sampled test function.
 
-    x must be a fine uniform grid on [a, b] with u(a) = 0 and u(b) != 0.
-    The derivative is second-order finite-differenced unless supplied.
+    x must be a fine uniform grid on [a, b] of an odd number of points, with
+    u(a) = 0 and u(b) != 0; both integrals are composite Simpson sums over
+    it.  The derivative is second-order finite-differenced unless supplied.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if len(x) < 3 or len(x) % 2 == 0:
+        raise DomainError("the grid must hold an odd number of at least 3 "
+                          "points")
     if abs(u[0]) > 1e-9:
         raise DomainError("test function must vanish at the left endpoint")
     if u[-1] ** 2 < 1e-18:
         raise DegenerateDenominator("u(b)^2 below threshold")
     dudx = np.gradient(u, x) if du is None else np.asarray(du, dtype=float)
-    num = simpson(dudx ** 2, x=x) - M * simpson(u ** 2, x=x)
+    num = _simpson(dudx ** 2, x) - M * _simpson(u ** 2, x)
     return float(num / u[-1] ** 2)
+
+
+def _simpson(f: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of the samples f on the uniform grid x of
+    an odd number of points: h/3 (f_0 + 4 f_1 + 2 f_2 + ... + 4 f_n-1 + f_n)."""
+    return (x[-1] - x[0]) / (3 * (len(x) - 1)) * (
+        f[0] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum() + f[-1])

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import coeff as cf
 from . import expr as ex
-from ._scipy import solve_ivp
+from ._dop853 import solve_ivp
 from .errors import (DomainError, HillstabError, IntegrationFailure,
                      NonFiniteValue, NotAnEigenvalue, RootSearchFailure)
 from .settings import current

@@ -19,7 +19,7 @@ from . import coeff as cf
 from . import constants as cn
 from . import expr as ex
 from . import lyapunov as ly
-from ._scipy import solve_ivp
+from ._dop853 import solve_ivp
 from .errors import (DomainError, IntegrationFailure, MissingEnvelopes,
                      NoConvergence, NonFiniteValue, ParseError)
 from .settings import current

@@ -691,9 +691,10 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert len(doc["periodic"]) == 3
 
 
-def test_scipy_imported_only_on_first_use(tmp_path):
-    """Commands that integrate no ODE run without importing scipy; the first
-    one that does imports it then."""
+def test_no_command_imports_scipy(tmp_path):
+    """No command imports scipy: not those that integrate no ODE, nor a
+    smooth eigs, zeros on a_eps or nonlinear solve, which integrate with
+    hillstab's own DOP853."""
     step = coeff_file(tmp_path, cf.step_function(
         T, [(0.0, 1.0, 0.3), (1.0, T, 0.9)]), "step.json")
     const = coeff_file(tmp_path, cf.constant(4.0, T), "const.json")
@@ -723,9 +724,11 @@ main("certify", step, "--verify")
 main("eigs", step, "--count", "3", "--bc", "both")
 main("nonlinear", "check", problem, "--n", "1")
 main("zeros", const, "--bc", "periodic", "--n", "1")
-assert "scipy" not in sys.modules, "scipy imported before first use"
 main("eigs", smooth, "--count", "2")
-assert "scipy" in sys.modules
+main("zeros", witness, "--bc", "periodic", "--n", "1")
+main("nonlinear", "solve", problem, "--starts", "2")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules
+                                          if m.startswith("scipy"))[:5]
 """
     src = str(Path(hillstab.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", script, src, step, const,

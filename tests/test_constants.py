@@ -154,6 +154,22 @@ def test_j_functional_denominator_guard():
         cn.j_functional(xs, u + 1.0, 0.5)  # u(a) != 0
 
 
+def test_j_functional_simpson_exact_on_cubics():
+    # Simpson's rule is exact on cubics: u = x on [0, 2] has int u'^2 = 2
+    # and int u^2 = 8/3, so J = (2 - M 8/3) / 4 on any odd grid
+    for n in (3, 5, 101):
+        xs = np.linspace(0.0, 2.0, n)
+        assert cn.j_functional(xs, xs, 0.5, np.ones(n)) == pytest.approx(
+            (2.0 - 0.5 * 8.0 / 3.0) / 4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100])
+def test_j_functional_needs_an_odd_grid(n):
+    xs = np.linspace(0.0, 1.0, n)
+    with pytest.raises(DomainError):
+        cn.j_functional(xs, xs, 0.5)
+
+
 @given(st.floats(min_value=0.05, max_value=2.0),
        st.floats(min_value=0.2, max_value=0.7),
        st.integers(min_value=0, max_value=10 ** 6))

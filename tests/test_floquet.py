@@ -8,6 +8,7 @@ from hillstab import coeff as cf
 from hillstab import expr as ex
 from hillstab import floquet as fq
 from hillstab import witness as wt
+from hillstab._dop853 import Interpolant
 from hillstab.errors import (DomainError, IntegrationFailure, NonFiniteValue,
                              NotAnEigenvalue, RootSearchFailure)
 from hillstab.settings import current, use
@@ -807,12 +808,11 @@ def test_trajectory_state_reads_in_one_call_each(monkeypatch):
     """A state call on a_eps, constant and ODE pieces alike, reads every
     constant-piece point in one _const_blocks call and every ODE-piece
     point in one call of the pass's interpolant."""
-    from scipy.integrate import OdeSolution
     a = wt.make_a_eps(2, T, 0.0136)
     traj = fq.Trajectory(a, 0.0, (0.3, 1.0))
     xs = np.linspace(0.0, T, 4096)
     want = traj.state(xs)
-    blocks, interpolant = fq._const_blocks, OdeSolution.__call__
+    blocks, interpolant = fq._const_blocks, Interpolant.__call__
     calls = []
 
     def counted_blocks(*args):
@@ -824,7 +824,7 @@ def test_trajectory_state_reads_in_one_call_each(monkeypatch):
         return interpolant(self, t)
 
     monkeypatch.setattr(fq, "_const_blocks", counted_blocks)
-    monkeypatch.setattr(OdeSolution, "__call__", counted_interpolant)
+    monkeypatch.setattr(Interpolant, "__call__", counted_interpolant)
     got = traj.state(xs)
     monkeypatch.undo()
     assert sorted(calls) == ["blocks", "interpolant"]
