@@ -98,12 +98,8 @@ def _emit_csv(header: list, rows: list, args):
 
 def cmd_eigs(args) -> int:
     a = _load_coefficient(args)
-    if args.bc == "periodic":
-        s = fq.periodic_eigenvalues(a, args.count)
-    elif args.bc == "antiperiodic":
-        s = fq.antiperiodic_eigenvalues(a, args.count)
-    else:
-        s = fq.spectrum(a, args.count, args.count)
+    s = fq.spectrum(a, None if args.bc == "antiperiodic" else args.count,
+                    None if args.bc == "periodic" else args.count)
     interlace_ok = True
     if s.periodic and s.antiperiodic:
         interlace_ok, _ = fq.check_interlacing(s)
@@ -232,7 +228,7 @@ def cmd_nonlinear(args) -> int:
         if p.alpha_env is not None and p.beta_env is not None:
             if args.n is not None:
                 certs.append(nl.check_l1_hypotheses(p, args.n))
-            if abs(p.period - math.pi) <= 1e-12:
+            if ly.linf_applies(p.period):
                 certs.append(nl.check_linf_hypotheses(p))
         if p.u_box is not None:
             certs.append(nl.check_classical_band(p))

@@ -1,7 +1,9 @@
 """T-periodic piecewise-defined coefficients with exact expression pieces.
 
 A coefficient is a finite list of half-open intervals partitioning [0, T),
-each carrying a closed-form expression in x.  Evaluation takes an array of
+each carrying a closed-form expression in x; its attribute `constants`
+holds, piece by piece, the value of a variable-free expression or None,
+found once as the coefficient is made.  Evaluation takes an array of
 points, extends the coefficient T-periodically to the whole line and
 evaluates each piece's expression once on the points inside it.  An
 interval's integration cells are cut at piece breakpoints and removable
@@ -50,14 +52,16 @@ class PeriodicCoefficient:
         if not np.all(np.isfinite(bounds + list(self.removable_points))):
             raise ParseError("piece bounds and removable points must be finite")
         tol = 1e-9 * max(1.0, T)
+        with np.errstate(over="ignore"):
+            constants = tuple(ex.constant_value(p) for _, _, p in self.pieces)
+        # not a field, so equality, hashing and repr read the pieces alone
+        object.__setattr__(self, "constants", constants)
         prev = 0.0
-        for s, e, p in self.pieces:
+        for (s, e, p), c in zip(self.pieces, constants):
             if abs(s - prev) > tol:
                 raise ParseError(f"pieces do not partition [0,T): gap/overlap at {s}")
             if e <= s:
                 raise ParseError("empty piece interval")
-            with np.errstate(over="ignore"):
-                c = ex.constant_value(p)
             if c is not None and not math.isfinite(c):
                 raise NonFiniteValue(
                     f"coefficient is not finite on [{s}, {e}): {p} = {c}")

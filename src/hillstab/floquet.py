@@ -38,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coeff as cf
-from . import expr as ex
 from ._dop853 import solve_ivp
 from .errors import (DomainError, HillstabError, IntegrationFailure,
                      NonFiniteValue, NotAnEigenvalue, RootSearchFailure)
@@ -151,9 +150,9 @@ def _propagators(a: cf.PeriodicCoefficient, mu, dense: bool,
     values, yielding (s, e, B, columns) per piece.
 
     B maps (u, u') at s to (u, u') at e, shape (2, 2) at a float mu and
-    (m, 2, 2) over an array: the exact block on a constant piece
-    (_const_blocks, inf where a block is not a float; at a float mu
-    _const_block, which raises there instead), else the
+    (m, 2, 2) over an array: the exact block on a constant piece, one with
+    a value in a.constants (_const_blocks, inf where a block is not a
+    float; at a float mu _const_block, which raises there instead), else the
     fundamental matrix from one integration that all the ODE pieces at all
     the mu share (see _integrate), the same bit for bit with or without
     dense output.  columns is q = mu + a on a constant piece; on an ODE
@@ -171,15 +170,15 @@ def _propagators(a: cf.PeriodicCoefficient, mu, dense: bool,
     spacing = spacing or itertools.repeat(math.inf)
     block = _const_block if np.ndim(mu) == 0 else _const_blocks
     solved = None
-    for (s, e, piece), h in zip(a.pieces, spacing):
-        cval = ex.constant_value(piece)
-        if cval is not None:
-            yield s, e, block(mu + cval, e - s), mu + cval
+    for (s, e, _), c in zip(a.pieces, a.constants):
+        if c is not None:
+            yield s, e, block(mu + c, e - s), mu + c
             continue
         if solved is None:  # at the first ODE piece, as a pass reaches it
             solved = iter(_integrate(
-                [(lo, hi, p, w) for (lo, hi, p), w in zip(a.pieces, spacing)
-                 if ex.constant_value(p) is None], mu, dense, tol, slope))
+                [(lo, hi, p, w) for (lo, hi, p), c, w
+                 in zip(a.pieces, a.constants, spacing) if c is None],
+                mu, dense, tol, slope))
         yield (s, e, *next(solved))
 
 
@@ -378,7 +377,7 @@ def monodromy(a: cf.PeriodicCoefficient, mu) -> np.ndarray:
     if mus.ndim > 1:
         raise DomainError(f"mu must be a float or a 1-D array, not an array "
                           f"of shape {mus.shape}")
-    if all(ex.constant_value(p) is not None for _, _, p in a.pieces):
+    if None not in a.constants:
         return _by_mu(lambda a, mu: (_product(_propagators(a, mu, False),
                                               mu),), a, mus)[0]
     return np.array([_product(_propagators(a, x, False), x)
@@ -616,8 +615,7 @@ def _edges(a: cf.PeriodicCoefficient, positions) -> list[tuple[float, int]]:
     cfg, T, counts, deltas, slopes = current(), a.period, {}, {}, {}
     inf, sups = _bounds(a)
     sup = max(sups)
-    smooth = any(ex.constant_value(p) is None for _, _, p in a.pieces)
-    loose = math.sqrt(cfg.ode) if smooth else cfg.ode
+    loose = math.sqrt(cfg.ode) if None in a.constants else cfg.ode
 
     def answer(requests):
         # a float mu asks for a probe, None near an edge: E may be off by
@@ -729,9 +727,10 @@ def chain_position(kind: str, j: int) -> int:
     return 2 * j + j % 2 - (2 if kind == "antiperiodic" else 0)
 
 
-def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
-                 n_antiperiodic: int | None) -> SpectrumSlice:
-    """The first n_periodic lam_j and n_antiperiodic alam_j."""
+def spectrum(a: cf.PeriodicCoefficient, n_periodic: int | None,
+             n_antiperiodic: int | None) -> SpectrumSlice:
+    """The first n_periodic lam_j and n_antiperiodic alam_j, both kinds
+    from one search; None asks for no eigenvalue of its kind."""
     if any(n is not None and n < 1 for n in (n_periodic, n_antiperiodic)):
         raise ValueError("count must be >= 1")
     p, ap = range(n_periodic or 0), range(1, (n_antiperiodic or 0) + 1)
@@ -743,19 +742,12 @@ def _eigenvalues(a: cf.PeriodicCoefficient, n_periodic: int | None,
 
 def periodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` periodic eigenvalues (roots of Delta = 2), with multiplicity."""
-    return _eigenvalues(a, count, None)
+    return spectrum(a, count, None)
 
 
 def antiperiodic_eigenvalues(a: cf.PeriodicCoefficient, count: int) -> SpectrumSlice:
     """First `count` antiperiodic eigenvalues (roots of Delta = -2), indexed from 1."""
-    return _eigenvalues(a, None, count)
-
-
-def spectrum(a: cf.PeriodicCoefficient, n_periodic: int,
-             n_antiperiodic: int) -> SpectrumSlice:
-    """Both kinds from one search; see periodic_eigenvalues and
-    antiperiodic_eigenvalues."""
-    return _eigenvalues(a, n_periodic, n_antiperiodic)
+    return spectrum(a, None, count)
 
 
 def check_interlacing(s: SpectrumSlice):

@@ -153,8 +153,13 @@ def certify_zone_kp(a: cf.PeriodicCoefficient) -> Certificate:
     )
 
 
+def linf_applies(period: float) -> bool:
+    """Whether the L-infinity theorems apply: they are stated for period pi."""
+    return abs(period - math.pi) <= 1e-12
+
+
 def _require_period_pi(a: cf.PeriodicCoefficient):
-    if abs(a.period - math.pi) > 1e-12:
+    if not linf_applies(a.period):
         raise DomainError("this certificate is stated for period pi")
 
 
@@ -269,7 +274,7 @@ def certify_all(a: cf.PeriodicCoefficient, n_list=(1, 2, 3),
                 out.append(certify_l1_antiperiodic(a, n))
         if "L1_ZONE_KP" in wanted:
             out.append(certify_zone_kp(a))
-        if abs(a.period - math.pi) <= 1e-12:
+        if linf_applies(a.period):
             if "LINF_FIRST_ZONE" in wanted:
                 out.append(certify_linf_first_zone(a))
             if "LINF_PERIODIC" in wanted:

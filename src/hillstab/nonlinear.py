@@ -186,7 +186,7 @@ def check_l1_hypotheses(p: NonlinearProblem, n: int) -> ly.Certificate:
 def check_linf_hypotheses(p: NonlinearProblem) -> ly.Certificate:
     """0 strictly below alpha <= f_u <= beta with beta passing the split-point
     Linf bound (period pi)."""
-    if abs(p.period - math.pi) > 1e-12:
+    if not ly.linf_applies(p.period):
         raise DomainError("this certificate is stated for period pi")
     env_ok, hyp = _envelope_hypotheses(p, 0.0)
     inner = ly.certify_linf_periodic(p.beta_env)

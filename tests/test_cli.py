@@ -735,3 +735,47 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules
                            smooth, problem, witness],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_zeros_antiperiodic_structure(tmp_path, capsys):
+    # a = 9/4 on 2 pi: alam = 0 with u = sin(3 x / 2 + c), 3 zeros a period
+    f = coeff_file(tmp_path, cf.constant(2.25, T))
+    code, out = run(capsys, "zeros", f, "--bc", "antiperiodic", "--n", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bc"] == "antiperiodic" and doc["m"] == 3
+    assert doc["spacings"] == pytest.approx([math.pi / 3] * 6, abs=1e-9)
+    structure = doc["checks"]["structure"]
+    assert structure["spacing_bound"] == pytest.approx(math.pi)
+    assert structure["all_ok"] is True
+
+
+def test_nonlinear_check_at_period_pi_runs_linf(tmp_path, capsys):
+    # with envelopes at T = pi the Linf hypotheses are checked too;
+    # beta = 3.9 < 4 passes them (as in test_check_linf_generalizes_...)
+    f = problem_file(tmp_path, {
+        "f": "2*u + 1.9*sin(u)", "fu": "2 + 1.9*cos(u)", "period": math.pi,
+        "alpha_env": cf.constant(0.1, math.pi).to_dict(),
+        "beta_env": cf.constant(3.9, math.pi).to_dict(), "u_box": [-5, 5]})
+    code, out = run(capsys, "nonlinear", "check", f, "--n", "1")
+    assert code == 0
+    certs = {c["theorem_id"]: c for c in json.loads(out)["certificates"]}
+    assert list(certs) == ["NL_L1_PERIODIC_N", "NL_LINF_PERIODIC",
+                           "NL_CLASSICAL_BAND"]
+    assert certs["NL_LINF_PERIODIC"]["holds"] is True
+    assert len(certs["NL_LINF_PERIODIC"]["diagnostics"]) == 1024
+
+
+@pytest.mark.parametrize("bc, counts", [
+    ("periodic", (3, None)), ("antiperiodic", (None, 3)), ("both", (3, 3))])
+def test_eigs_makes_one_spectrum_call(tmp_path, capsys, monkeypatch, bc,
+                                      counts):
+    calls, search = [], fq.spectrum
+    monkeypatch.setattr(fq, "spectrum",
+                        lambda a, p, ap: calls.append((p, ap)) or search(a, p, ap))
+    f = coeff_file(tmp_path, cf.constant(0.0, T))
+    code, out = run(capsys, "eigs", f, "--count", "3", "--bc", bc)
+    assert code == 0 and calls == [counts]
+    doc = json.loads(out)
+    assert [len(doc["periodic"]), len(doc["antiperiodic"])] == [
+        n or 0 for n in counts]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -402,3 +403,18 @@ def test_l1_distance_matches_mpmath(coefficient, c, s, width):
     exact = mpmath_l1_distance(f, c, s, s + width, breaks)
     assert cf.l1_distance(a, c, (s, s + width)) == pytest.approx(
         exact, abs=config.current().quad)
+
+
+def test_constants_found_once_and_not_a_field():
+    # one entry per piece, its value or None; equality, hashing and repr
+    # read the pieces alone
+    a = cf.PeriodicCoefficient(T, ((0.0, 1.0, ex.parse("2*3 - 0.5")),
+                                   (1.0, T, ex.parse("1 + cos(x)"))))
+    assert a.constants == (5.5, None)
+    b = cf.PeriodicCoefficient(T, a.pieces)
+    assert a == b and hash(a) == hash(b)
+    assert "constants" not in repr(a)
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "period", "pieces", "removable_points"]
+    assert cf.step_function(T, [(0.0, 2.0, 1.5), (2.0, T, -0.25)]
+                            ).constants == (1.5, -0.25)

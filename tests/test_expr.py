@@ -258,3 +258,74 @@ def test_compiled_matches_eval_on_witness_pieces():
         f = piece.compiled()
         got = [f(x) for x in xs.tolist()]
         np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_trees_of_one_shape_share_code():
+    # constants are names of the function's namespace, so the code depends
+    # only on the shape, and each function still reads its own constants
+    e1, e2 = ex.parse("0.5+0.3*cos(x)"), ex.parse("1.2+0.4*cos(x)")
+    f1, f2 = e1.compiled(), e2.compiled()
+    assert f1.__code__ is f2.__code__
+    xs = np.linspace(-7.0, 7.0, 301)
+    for e, f in ((e1, f1), (e2, f2)):
+        np.testing.assert_array_equal(_bits([f(x) for x in xs.tolist()]),
+                                      _bits(e.eval(x=xs)))
+
+
+def test_compiled_keeps_the_sign_of_zero():
+    x = ex.Var("x")
+    neg, pos = ex.Mul(ex.Const(-0.0), x), ex.Mul(ex.Const(0.0), x)
+    assert neg.compiled().__code__ is pos.compiled().__code__
+    assert _bits(neg.compiled()(1.0)) == _bits(-0.0)
+    assert _bits(pos.compiled()(1.0)) == _bits(0.0)
+    # one tree holding both: -0.0 x - 0.0 x is -0.0, not 0.0 x - 0.0 x
+    both = ex.Sub(neg, pos)
+    assert _bits(both.compiled()(1.0)) == _bits(both.eval(x=1.0)) == _bits(-0.0)
+
+
+def test_compiled_non_finite_constants_match_eval():
+    # inf and nan constants are bound like any other; where the float code
+    # raises (sin(inf)), the function falls back to eval
+    x, inf = ex.Var("x"), math.inf
+    nan, neg_nan = math.nan, inf - inf  # the default nan has its sign bit set
+    assert _bits(nan) != _bits(neg_nan)
+    trees = [ex.Add(x, ex.Const(inf)), ex.Mul(ex.Const(-inf), x),
+             ex.Sin(ex.Mul(ex.Const(inf), x)), ex.Cos(ex.Add(x, ex.Const(nan))),
+             ex.Mul(ex.Const(nan), x), ex.Mul(ex.Const(neg_nan), x)]
+    for e in trees:
+        f = e.compiled()
+        for v in (0.0, -0.0, 1.0, -2.5, inf, -inf):
+            with np.errstate(all="ignore"):
+                want = e.eval(x=v)
+            assert _bits(f(v)) == _bits(want), (e, v)
+    # two nans, equal to no other value, keep a name each (which of two
+    # nans a sum returns is up to the interpreter, so their sum is not read)
+    both = ex.Add(ex.Mul(ex.Const(nan), x), ex.Mul(ex.Const(neg_nan), x))
+    assert {n for n in both.compiled().__code__.co_names
+            if n.startswith("_k")} == {"_k0", "_k1"}
+
+
+def test_a_eps_file_compiles_once_per_shape(monkeypatch):
+    # the 16 ODE pieces of a loaded a_eps(3) are of three shapes
+    import builtins
+    from hillstab import coeff as cf
+    from hillstab import witness as wt
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_CODE", {})
+    monkeypatch.setattr(ex, "compile", counted, raising=False)
+    text = wt.make_a_eps(3, 2 * math.pi, 0.01).to_json()
+    a = cf.PeriodicCoefficient.from_json(text)
+    ode = [p for (_, _, p), c in zip(a.pieces, a.constants) if c is None]
+    assert len(ode) == 16
+    codes = {p.compiled().__code__ for p in ode}
+    assert len(calls) == len(codes) == 3
+    again = cf.PeriodicCoefficient.from_json(text)
+    for (_, _, p), c in zip(again.pieces, again.constants):
+        if c is None:
+            p.compiled()  # the same file again compiles nothing
+    assert len(calls) == 3

@@ -952,3 +952,44 @@ def test_non_finite_ode_piece(text):
         {"from": 3.0, "to": T, "expr": "1+0.1*cos(x)"}]})
     with pytest.raises(NonFiniteValue, match="mu \\+ a is not finite at x="):
         fq.eigenfunction(a, 0.0, "periodic")
+
+
+@pytest.mark.parametrize("text, budget, error, match", [
+    ("0.5+0.3*cos(x)", 50, IntegrationFailure,
+     "ODE budget of 50 evaluations exhausted at mu=1.0"),
+    ("1+x^-2", None, NonFiniteValue, r"not finite at x=0\.0: q = inf"),
+], ids=["budget", "non-finite"])
+def test_one_mu_slope_pass_exits(text, budget, error, match):
+    # the one-mu right-hand side with the variational equation stops at its
+    # budget and at a q that is not finite, as the one without it does
+    a = cf.from_expression(text, 1.0)
+    with use(ode_budget=budget), pytest.raises(error, match=match):
+        fq._slope(a, 1.0, 1e-12)
+
+
+def test_passes_read_the_constant_pieces_of_the_coefficient(monkeypatch):
+    # which pieces are constant is found once, as the coefficient is made:
+    # monodromies, slopes and the eigenvalue search do not ask again
+    step = cf.step_function(T, [(0.0, 2.0, 1.3), (2.0, T, -0.7)])
+    want = (fq.discriminant(step, np.array([0.5, 2.0])),
+            fq.spectrum(README_TWO_PIECE, 2, 1))
+
+    def refuse(e):
+        raise AssertionError("constant_value called again")
+
+    monkeypatch.setattr(ex, "constant_value", refuse)
+    np.testing.assert_array_equal(
+        fq.discriminant(step, np.array([0.5, 2.0])), want[0])
+    assert fq.spectrum(README_TWO_PIECE, 2, 1) == want[1]
+    fq._slope(README_TWO_PIECE, 0.7, current().ode)
+    fq.Trajectory(README_TWO_PIECE, 0.7, (1.0, 0.0)).state(1.0)
+
+
+def test_spectrum_searches_only_the_kinds_asked_for():
+    a = cf.constant(0.0, T)
+    assert fq.spectrum(a, 3, None).antiperiodic == []
+    assert fq.spectrum(a, None, 2).periodic == []
+    assert fq.periodic_eigenvalues(a, 3) == fq.spectrum(a, 3, None)
+    assert fq.antiperiodic_eigenvalues(a, 2) == fq.spectrum(a, None, 2)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        fq.spectrum(a, 0, None)

@@ -175,3 +175,14 @@ def test_certify_all_computes_shared_values_once(monkeypatch, quad):
     assert sorted(name for name, _ in calls) == [
         "dominance_grid", "l1_distance", "sample"]
     assert len(set(calls)) == len(calls)
+
+
+def test_linf_applies_at_period_pi_only():
+    # one rule for where the Linf theorems run: certify_all, and the
+    # refusal of the Linf certificates, read it
+    assert ly.linf_applies(PI) and ly.linf_applies(PI + 1e-13)
+    assert not ly.linf_applies(PI + 1e-11) and not ly.linf_applies(T)
+    ids = lambda a: [c.theorem_id for c in ly.certify_all(a, n_list=(1,))]
+    assert "LINF_PERIODIC" in ids(cf.constant(1.0, PI))
+    assert not {"LINF_PERIODIC", "LINF_FIRST_ZONE"} & set(
+        ids(cf.constant(1.0, T)))
