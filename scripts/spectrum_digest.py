@@ -234,10 +234,8 @@ def main():
             for e in es for v in [fq.classify(a, e.value)]]
 
     for name, p in ENVELOPED.items():
-        checks = [nl.check_l1_hypotheses(p, 1), nl.check_classical_band(p)]
-        if p.period == math.pi:
-            checks.insert(1, nl.check_linf_hypotheses(p))
-        out[f"{name}: nonlinear check --n 1"] = [c.to_dict() for c in checks]
+        out[f"{name}: nonlinear check --n 1"] = [
+            c.to_dict() for c in nl.check_all(p, 1)]
     zs = {name: (a, zr.extract_zero_structure(a, bc), n)
           for name, a, bc, n in ZEROS}
     for name, (a, z, _) in zs.items():

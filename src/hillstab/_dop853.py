@@ -263,16 +263,14 @@ def _first_step(fun, t, y, f, t_bound, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, interval, max_step)
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6,
-              dense_output=False, max_step=math.inf) -> Result:
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, dense_output=False,
+              max_step=math.inf) -> Result:
     """Integrate y' = fun(t, y), y(t_span[0]) = y0 (1-D) from t_span[0] to
     t_span[1] > t_span[0] by DOP853, each step at most max_step, keeping
     its local error below atol + rtol |y| in the RMS norm; with dense_output
     the result's sol is the Interpolant of its steps.  A step below 10 ulp
     of t ends the integration at the last accepted step, unsuccessfully and
     with no Interpolant."""
-    if method != "DOP853":
-        raise ValueError(f"method must be 'DOP853', not {method!r}")
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError("t_span must increase")

@@ -40,12 +40,16 @@ EXIT_SEARCH = 3
 EXIT_SOUNDNESS = 4
 
 
-def _manifest(args, command: str, inputs: list[str]) -> dict:
+def _manifest(args) -> dict:
+    """The command the parser chose, its input file and every option set."""
+    given = {k: v for k, v in vars(args).items()
+             if k != "func" and v is not None}
     return {
-        "command": command,
-        "inputs": inputs,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("func",) and v is not None},
+        "command": " ".join(given[k] for k in ("subcommand", "family",
+                                                "action") if k in given),
+        "inputs": [given[k] for k in ("coeff_file", "problem_file")
+                   if k in given],
+        "parameters": given,
         "tool_version": __version__,
         "tolerances": dataclasses.asdict(settings.current()),
     }
@@ -74,7 +78,7 @@ def _json_default(o):
 
 def _write(text: str, args):
     """Write text to the --output file, or to stdout without one."""
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -82,6 +86,8 @@ def _write(text: str, args):
 
 
 def _emit(doc: dict, args):
+    """Write doc and the run's manifest as JSON."""
+    doc["manifest"] = _manifest(args)
     _write(json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
            + "\n", args)
 
@@ -103,13 +109,9 @@ def cmd_eigs(args) -> int:
     interlace_ok = True
     if s.periodic and s.antiperiodic:
         interlace_ok, _ = fq.check_interlacing(s)
-    doc = {
-        "manifest": _manifest(args, "eigs", [args.coeff_file]),
-        "periodic": [e._asdict() for e in s.periodic],
-        "antiperiodic": [e._asdict() for e in s.antiperiodic],
-        "interlacing_ok": interlace_ok,
-    }
-    _emit(doc, args)
+    _emit({"periodic": [e._asdict() for e in s.periodic],
+           "antiperiodic": [e._asdict() for e in s.antiperiodic],
+           "interlacing_ok": interlace_ok}, args)
     return 0
 
 
@@ -151,10 +153,7 @@ def cmd_certify(args) -> int:
     n_list = [args.n] if args.n is not None else [1, 2, 3]
     theorems = [args.theorem] if args.theorem else None
     certs = ly.certify_all(a, n_list=n_list, theorems=theorems)
-    doc = {
-        "manifest": _manifest(args, "certify", [args.coeff_file]),
-        "certificates": [c.to_dict() for c in certs],
-    }
+    doc = {"certificates": [c.to_dict() for c in certs]}
     if args.verify:
         doc["verification"] = _verification(a, certs)
     _emit(doc, args)
@@ -168,27 +167,24 @@ def cmd_constants(args) -> int:
     if args.format == "csv":
         _emit_csv(list(records[0]), [list(r.values()) for r in records], args)
     else:
-        _emit({"manifest": _manifest(args, "constants", []),
-               "rows": records}, args)
+        _emit({"rows": records}, args)
     return 0
 
 
-def cmd_witness(args) -> int:
-    if args.family == "a-eps":
-        a = wt.make_a_eps(args.n, args.period, args.eps)
-    else:
-        a = wt.make_two_step(args.alpha, args.x0)
-    doc = a.to_dict()
-    doc["manifest"] = _manifest(args, f"witness {args.family}", [])
-    _emit(doc, args)
+def cmd_witness_a_eps(args) -> int:
+    _emit(wt.make_a_eps(args.n, args.period, args.eps).to_dict(), args)
+    return 0
+
+
+def cmd_witness_two_step(args) -> int:
+    _emit(wt.make_two_step(args.alpha, args.x0).to_dict(), args)
     return 0
 
 
 def cmd_zeros(args) -> int:
     a = _load_coefficient(args)
     z = zr.extract_zero_structure(a, args.bc)
-    doc = {"manifest": _manifest(args, "zeros", [args.coeff_file])}
-    doc.update(z.to_dict())
+    doc = z.to_dict()
     if args.n is not None:
         if args.bc == "periodic":
             rep = zr.check_periodic_structure(z, args.n, a.period)
@@ -218,28 +214,23 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def cmd_nonlinear(args) -> int:
+def _load_problem(args) -> nl.NonlinearProblem:
     with open(args.problem_file) as fh:
-        p = nl.NonlinearProblem.from_json(fh.read())
-    doc = {"manifest": _manifest(args, f"nonlinear {args.action}",
-                                 [args.problem_file])}
-    if args.action == "check":
-        certs = []
-        if p.alpha_env is not None and p.beta_env is not None:
-            if args.n is not None:
-                certs.append(nl.check_l1_hypotheses(p, args.n))
-            if ly.linf_applies(p.period):
-                certs.append(nl.check_linf_hypotheses(p))
-        if p.u_box is not None:
-            certs.append(nl.check_classical_band(p))
-        doc["certificates"] = [c.to_dict() for c in certs]
-    else:
-        r = nl.solve_periodic(p, starts=args.starts, seed=args.seed)
-        doc["unique"] = r.unique
-        doc["n_converged_starts"] = r.n_converged_starts
-        doc["solutions"] = [{"u0": s.u0, "du0": s.du0,
-                             "residual": s.residual} for s in r.solutions]
-    _emit(doc, args)
+        return nl.NonlinearProblem.from_json(fh.read())
+
+
+def cmd_nonlinear_check(args) -> int:
+    certs = nl.check_all(_load_problem(args), args.n)
+    _emit({"certificates": [c.to_dict() for c in certs]}, args)
+    return 0
+
+
+def cmd_nonlinear_solve(args) -> int:
+    r = nl.solve_periodic(_load_problem(args), starts=args.starts,
+                          seed=args.seed)
+    _emit({"unique": r.unique, "n_converged_starts": r.n_converged_starts,
+           "solutions": [{"u0": s.u0, "du0": s.du0, "residual": s.residual}
+                         for s in r.solutions]}, args)
     return 0
 
 
@@ -266,6 +257,7 @@ def _finite(positive: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A parser per command, family and action, with the options it reads."""
     ap = argparse.ArgumentParser(
         prog="hillstab",
         description="Stability certification for u'' + (mu + a(x)) u = 0",
@@ -276,69 +268,68 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the quadrature tolerance")
     ap.add_argument("--tol-root", type=_finite(positive=True), default=None,
                     help="override the root tolerance: band edges and zeros")
-    ap.add_argument("--seed", type=int, default=0)
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write here instead of to stdout")
 
-    p = sub.add_parser("eigs", help="periodic/antiperiodic eigenvalues")
+    def command(sub, name, func, help):
+        p = sub.add_parser(name, help=help, parents=[output])
+        p.set_defaults(func=func)
+        return p
+
+    sub = ap.add_subparsers(dest="subcommand", required=True)
+    p = command(sub, "eigs", cmd_eigs, "periodic/antiperiodic eigenvalues")
     p.add_argument("coeff_file")
     p.add_argument("--count", type=_int_at_least(1), default=5)
     p.add_argument("--bc", choices=["periodic", "antiperiodic", "both"],
                    default="both")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_eigs)
 
-    p = sub.add_parser("certify", help="run the certification theorems")
+    p = command(sub, "certify", cmd_certify, "run the certification theorems")
     p.add_argument("coeff_file")
     p.add_argument("--n", type=_int_at_least(1), default=None)
     p.add_argument("--theorem", choices=ly.THEOREM_IDS, default=None)
     p.add_argument("--verify", action="store_true",
                    help="cross-check holds=true certificates against "
                         "edge counts at mu = 0; exit 4 on contradiction")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("constants", help="table of the optimal constants")
+    p = command(sub, "constants", cmd_constants, "the optimal constants")
     p.add_argument("--n-max", type=_int_at_least(0), default=10)
     p.add_argument("--period", type=_finite(), default=2 * math.pi)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("witness", help="emit an extremal coefficient file")
-    p.add_argument("family", choices=["a-eps", "two-step"])
+    witness = sub.add_parser("witness", help="an extremal coefficient file")
+    family = witness.add_subparsers(dest="family", required=True)
+    p = command(family, "a-eps", cmd_witness_a_eps, "the family a_eps")
     p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--period", type=_finite(), default=2 * math.pi)
     p.add_argument("--eps", type=_finite(), default=0.05)
+    p = command(family, "two-step", cmd_witness_two_step,
+                "the two-plateau potential on (0, pi)")
     p.add_argument("--alpha", type=_finite(), default=1.0)
     p.add_argument("--x0", type=_finite(), default=1.0)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("zeros", help="zero structure of the kernel solution")
+    p = command(sub, "zeros", cmd_zeros, "zero structure of the kernel")
     p.add_argument("coeff_file")
     p.add_argument("--bc", choices=["periodic", "antiperiodic"],
                    default="periodic")
     p.add_argument("--n", type=_int_at_least(1), default=None,
                    help="also run the structure checks at this index")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_zeros)
 
-    p = sub.add_parser("chart", help="discriminant sweep as CSV")
+    p = command(sub, "chart", cmd_chart, "discriminant sweep as CSV")
     p.add_argument("coeff_file")
     p.add_argument("--mu-from", type=_finite(), required=True)
     p.add_argument("--mu-to", type=_finite(), required=True)
     p.add_argument("--points", type=_int_at_least(1), default=601)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_chart)
 
-    p = sub.add_parser("nonlinear", help="nonlinear periodic BVP tooling")
-    p.add_argument("action", choices=["check", "solve"])
+    nonlinear = sub.add_parser("nonlinear", help="nonlinear periodic BVPs")
+    action = nonlinear.add_subparsers(dest="action", required=True)
+    p = command(action, "check", cmd_nonlinear_check,
+                "the uniqueness certificates its data allow")
     p.add_argument("problem_file")
     p.add_argument("--n", type=_int_at_least(1), default=None)
+    p = command(action, "solve", cmd_nonlinear_solve, "Newton multistart")
+    p.add_argument("problem_file")
     p.add_argument("--starts", type=_int_at_least(1), default=16)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_nonlinear)
-
+    p.add_argument("--seed", type=int, default=0)
     return ap
 
 

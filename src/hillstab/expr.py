@@ -12,10 +12,10 @@ variable by another expression, and printing in the grammar `parse` reads:
 with the variable ``x`` (and ``u`` in nonlinear right-hand sides) and the
 functions ``sin``, ``cos`` and ``clamp``.  Binary operators group to the
 left; unary minus binds tighter than ``^``, so ``-x^2`` is ``(-x)^2``.  An
-exponent is an integer whose optional ``-`` touches its digits: ``x^ -2`` is
-read, ``x^- 2`` refused.  Trees more than MAX_DEPTH = 64 nodes deep and
-parentheses nested deeper are refused, so that neither the parser nor any
-later walk of a tree recurses past that depth.
+exponent is an integer a float holds, whose optional ``-`` touches its
+digits: ``x^ -2`` is read, ``x^- 2`` refused.  Trees more than MAX_DEPTH =
+64 nodes deep and parentheses nested deeper are refused, so that neither
+the parser nor any later walk of a tree recurses past that depth.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ class Expression:
         round like the C library's ``math.sin`` and ``math.cos``, as they
         did on 600 k points with numpy 2.4 on x86-64 Linux.  A numpy build
         with its own vectorised float64 sin and cos may differ there from
-        ``eval`` by one ulp.
+        ``eval`` by one ulp.  A nan result may differ in sign and payload:
+        which operand a sum of two nans passes on depends on whether
+        CPython takes its specialised float add or ``float_add``.
         """
         make = self.__dict__.get("_compiled")
         if make is None:
@@ -447,12 +449,11 @@ def parse(text: str, variables: tuple[str, ...] = ("x",)) -> Expression:
         if kind != "number" or not digits.isdecimal() or \
                 sign < 0 and start > tokens[at - 1][2] + 1:
             fail("expected integer exponent")
-        try:
-            k = int(digits)
-        except ValueError:  # more digits than int() converts
-            fail("integer exponent too long")
+        # eval takes k as a float; int() refuses more than 4 300 digits
+        if math.isinf(float(digits)):
+            fail("integer exponent too large for a float")
         at += 1
-        return Pow(e, sign * k), deeper(d)
+        return Pow(e, sign * int(digits)), deeper(d)
 
     def atom():
         nonlocal at

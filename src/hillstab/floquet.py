@@ -264,8 +264,8 @@ def _integrate(ode, mu, dense: bool, tol: float | None, slope: bool):
     y0 = np.zeros((width, p, m))
     y0[0] = y0[3] = 1.0
     rtol = tol / math.sqrt(m * p)
-    sol = solve_ivp(rhs, (s0, e0), y0.ravel().tolist(), method="DOP853",
-                    rtol=rtol, atol=rtol, dense_output=dense or grid,
+    sol = solve_ivp(rhs, (s0, e0), y0.ravel().tolist(), rtol=rtol,
+                    atol=rtol, dense_output=dense or grid,
                     max_step=min(max(L0 / 16, 1e-12),
                                  math.inf if grid else h))
     end = sol.y[:, -1]

@@ -222,6 +222,19 @@ def check_classical_band(p: NonlinearProblem) -> ly.Certificate:
     )
 
 
+def check_all(p: NonlinearProblem,
+              n: int | None = None) -> list[ly.Certificate]:
+    """The certificates p's data allow: with both envelopes the L1 one at n,
+    if given, and at period pi the L-infinity one; with a u_box the band."""
+    enveloped = p.alpha_env is not None and p.beta_env is not None
+    certs = [check_l1_hypotheses(p, n)] if enveloped and n is not None else []
+    if enveloped and ly.linf_applies(p.period):
+        certs.append(check_linf_hypotheses(p))
+    if p.u_box is not None:
+        certs.append(check_classical_band(p))
+    return certs
+
+
 # -- shooting -----------------------------------------------------------------
 
 def _integrate(p: NonlinearProblem, y0):
@@ -231,8 +244,8 @@ def _integrate(p: NonlinearProblem, y0):
     def rhs(x, y):
         return [y[1], -f(x, y[0])]
 
-    sol = solve_ivp(rhs, (0.0, p.period), y0, method="DOP853",
-                    rtol=current().ode, atol=current().ode, dense_output=True)
+    sol = solve_ivp(rhs, (0.0, p.period), y0, rtol=current().ode,
+                    atol=current().ode, dense_output=True)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol
@@ -254,7 +267,7 @@ def _shoot(p: NonlinearProblem, c: np.ndarray, tol: float):
         return [y[1], -f(x, y[0]), y[3], -q * y[2], y[5], -q * y[4]]
 
     sol = solve_ivp(rhs, (0.0, p.period), [c[0], c[1], 1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=tol, atol=tol)
+                    rtol=tol, atol=tol)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     y = sol.y[:, -1]

@@ -46,6 +46,19 @@ def _base_clause(n: int, T: float, eps: float) -> ex.Expression:
     return ex.Add(sine, cubic)
 
 
+def _bumps(n: int, q: float, eps: float, clauses) -> tuple:
+    """The pieces of u_eps or a_eps: n + 1 bumps [o, o + 4q), o = 4 j q,
+    each cut at o + eps, o + 2q -+ eps and o + 4q - eps into the six
+    clauses(o) gives."""
+    pieces = []
+    for j in range(n + 1):
+        o = j * 4 * q
+        cuts = (o, o + eps, o + 2 * q - eps, o + 2 * q, o + 2 * q + eps,
+                o + 4 * q - eps, o + 4 * q)
+        pieces += zip(cuts[:-1], cuts[1:], clauses(o))
+    return tuple(pieces)
+
+
 def make_u_eps(n: int, T: float, eps: float) -> cf.PeriodicCoefficient:
     """The C^2 piecewise function: cubic-corrected sine on [0, eps], pure sine
     up to the quarter point, odd/even reflections, then T/(n+1)-periodic."""
@@ -53,25 +66,16 @@ def make_u_eps(n: int, T: float, eps: float) -> cf.PeriodicCoefficient:
     w = 2 * n * math.pi / T
     q = T / (4 * (n + 1))
     u0 = _base_clause(n, T, eps)
-    x = ex.Var("x")
 
-    def sine_about(c):
-        # -sin(w (x - c)) shifted so the clause matches the reflections
-        return ex.Neg(ex.Sin(ex.Mul(ex.Const(w), ex.Sub(x, ex.Const(c)))))
+    def sine(c):
+        return ex.Sin(ex.Mul(ex.Const(w), ex.Sub(ex.Var("x"), ex.Const(c))))
 
-    pieces = []
-    for j in range(n + 1):
-        o = j * 4 * q
-        pieces += [
-            (o, o + eps, ex.shift_var(u0, -o)),
-            (o + eps, o + 2 * q - eps, sine_about(o + q)),
-            (o + 2 * q - eps, o + 2 * q, ex.Neg(ex.reflect_var(u0, o + 2 * q))),
-            (o + 2 * q, o + 2 * q + eps, ex.Neg(ex.shift_var(u0, -(o + 2 * q)))),
-            (o + 2 * q + eps, o + 4 * q - eps,
-             ex.Sin(ex.Mul(ex.Const(w), ex.Sub(x, ex.Const(o + 3 * q))))),
-            (o + 4 * q - eps, o + 4 * q, ex.reflect_var(u0, o + 4 * q)),
-        ]
-    return cf.PeriodicCoefficient(T, tuple(pieces))
+    def clauses(o):
+        return (ex.shift_var(u0, -o), ex.Neg(sine(o + q)),
+                ex.Neg(ex.reflect_var(u0, o + 2 * q)),
+                ex.Neg(ex.shift_var(u0, -(o + 2 * q))), sine(o + 3 * q),
+                ex.reflect_var(u0, o + 4 * q))
+    return cf.PeriodicCoefficient(T, _bumps(n, q, eps, clauses))
 
 
 def derivative(c: cf.PeriodicCoefficient, order: int = 1) -> cf.PeriodicCoefficient:
@@ -95,20 +99,12 @@ def make_a_eps(n: int, T: float, eps: float) -> cf.PeriodicCoefficient:
     u0 = _base_clause(n, T, eps)
     a0 = ex.Div(ex.Neg(u0.diff("x").diff("x")), u0)
 
-    pieces = []
-    removable = []
-    for j in range(n + 1):
-        o = j * 4 * q
-        pieces += [
-            (o, o + eps, ex.shift_var(a0, -o)),
-            (o + eps, o + 2 * q - eps, ex.Const(lam)),
-            (o + 2 * q - eps, o + 2 * q, ex.reflect_var(a0, o + 2 * q)),
-            (o + 2 * q, o + 2 * q + eps, ex.shift_var(a0, -(o + 2 * q))),
-            (o + 2 * q + eps, o + 4 * q - eps, ex.Const(lam)),
-            (o + 4 * q - eps, o + 4 * q, ex.reflect_var(a0, o + 4 * q)),
-        ]
-        removable += [o + q, o + 3 * q]
-    return cf.PeriodicCoefficient(T, tuple(pieces), tuple(removable))
+    def clauses(o):
+        return (ex.shift_var(a0, -o), ex.Const(lam),
+                ex.reflect_var(a0, o + 2 * q), ex.shift_var(a0, -(o + 2 * q)),
+                ex.Const(lam), ex.reflect_var(a0, o + 4 * q))
+    removable = tuple(j * 4 * q + k * q for j in range(n + 1) for k in (1, 3))
+    return cf.PeriodicCoefficient(T, _bumps(n, q, eps, clauses), removable)
 
 
 def tightness_sweep(n: int, T: float, eps_list) -> list[tuple[float, float]]:

@@ -475,6 +475,61 @@ def test_bad_floats_rejected(tmp_path, capsys, argv):
     assert exc.value.code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "two-step", "--period", "3"],
+    ["witness", "a-eps", "--alpha", "1"],
+    ["nonlinear", "check", "FILE", "--starts", "2"],
+    ["nonlinear", "solve", "FILE", "--n", "1"],
+    ["--seed", "3", "nonlinear", "solve", "FILE"],
+    ["--seed", "3", "eigs", "FILE"],
+])
+def test_option_of_another_command_rejected(tmp_path, capsys, argv):
+    """Each command accepts only the options it reads."""
+    f = coeff_file(tmp_path, cf.constant(0.0, T))
+    argv = [f if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+
+
+def test_manifest_records_the_options_read(tmp_path, capsys):
+    f = problem_file(tmp_path, {"f": "2*u - 2*sin(x)", "period": T,
+                                "u_box": [-1, 1]})
+    cases = [
+        (["witness", "a-eps", "--n", "2"],
+         {"family": "a-eps", "n": 2, "period": T, "eps": 0.05}),
+        (["witness", "two-step", "--x0", "1.5"],
+         {"family": "two-step", "alpha": 1.0, "x0": 1.5}),
+        (["nonlinear", "check", f, "--n", "1"],
+         {"action": "check", "problem_file": f, "n": 1}),
+        (["nonlinear", "solve", f, "--starts", "2", "--seed", "3"],
+         {"action": "solve", "problem_file": f, "starts": 2, "seed": 3}),
+    ]
+    for argv, params in cases:
+        code, out = run(capsys, *argv)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["command"] == " ".join(argv[:2])
+        assert manifest["parameters"] == {"subcommand": argv[0], **params}
+
+
+def test_exponent_beyond_a_float_exit_2(tmp_path, capsys):
+    """A piece or an f with an exponent a float cannot hold exits 2 with
+    one line, from every command that reads the file."""
+    big = "1" + "0" * 400
+    a = problem_file(tmp_path, {"period": T, "pieces": [
+        {"from": 0.0, "to": T, "expr": f"1 + 0.5*cos(x)^{big}"}]}, "a.json")
+    p = problem_file(tmp_path, {"f": f"u^{big}", "period": T,
+                                "u_box": [-1, 1]})
+    for argv in (["eigs", a], ["certify", a], ["zeros", a],
+                 ["chart", a, "--mu-from", "0", "--mu-to", "1"],
+                 ["nonlinear", "check", p], ["nonlinear", "solve", p]):
+        assert cli.main(argv) == cli.EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: integer exponent too large for a float")
+        assert err.count("\n") == 1
+
+
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     """main builds its parser on its first call, not on import, and keeps
     it: after two subcommands and a rejected call in one process, the next

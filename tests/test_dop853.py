@@ -15,8 +15,7 @@ coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
 
 def both(fun, t_span, y0, **kwargs):
     """(scipy's result, hillstab's) of one integration, asserted equal."""
-    kwargs = {"method": "DOP853", **kwargs}
-    want = scipy_ivp.solve_ivp(fun, t_span, y0, **kwargs)
+    want = scipy_ivp.solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
     got = _dop853.solve_ivp(fun, t_span, y0, **kwargs)
     assert got.y.shape == want.y.shape
     assert np.array_equal(got.y, want.y)

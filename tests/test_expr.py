@@ -123,6 +123,16 @@ def test_parse_rules_of_the_grammar():
     assert ex.parse("1.5e+2 + .5") == ex.Add(ex.Const(150.0), ex.Const(0.5))
 
 
+def test_exponent_beyond_a_float_refused():
+    """eval takes the exponent as a float: one that overflows a float is
+    refused, however many digits int() would take."""
+    assert ex.parse("x^" + "9" * 308) == ex.Pow(ex.Var("x"), int("9" * 308))
+    for digits in ("2" + "0" * 308, "1" + "0" * 400, "9" * 5000):
+        for sign in ("", "-"):
+            with pytest.raises(ParseError, match="too large for a float"):
+                ex.parse(f"1 + 0.5*cos(x)^{sign}{digits}")
+
+
 def test_depth_limit():
     deep = "sin(" * 70 + "x" + ")" * 70
     with pytest.raises(ParseError):

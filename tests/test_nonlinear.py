@@ -207,6 +207,29 @@ def test_check_classical_band():
     assert c.holds and c.n_or_p == 1
 
 
+@pytest.mark.parametrize("period, envelopes, u_box, n, want", [
+    (T, True, (-5.0, 5.0), 1, ["NL_L1_PERIODIC_N", "NL_CLASSICAL_BAND"]),
+    (T, True, (-5.0, 5.0), None, ["NL_CLASSICAL_BAND"]),
+    (PI, True, (-5.0, 5.0), 1,
+     ["NL_L1_PERIODIC_N", "NL_LINF_PERIODIC", "NL_CLASSICAL_BAND"]),
+    (PI, True, (-5.0, 5.0), None, ["NL_LINF_PERIODIC", "NL_CLASSICAL_BAND"]),
+    (PI, False, (-5.0, 5.0), 1, ["NL_CLASSICAL_BAND"]),
+    (T, False, None, 1, []),
+])
+def test_check_all_runs_what_the_data_allow(period, envelopes, u_box, n,
+                                            want):
+    """The L1 certificate needs the envelopes and n, the L-infinity one
+    the envelopes and period pi, the classical band a u box."""
+    alpha, beta = ((cf.constant(0.1, period), cf.constant(0.2, period))
+                   if envelopes else (None, None))
+    p = nl.NonlinearProblem(ex.parse("0.15*u", variables=("x", "u")), period,
+                            alpha_env=alpha, beta_env=beta, u_box=u_box)
+    certs = nl.check_all(p, n)
+    assert [c.theorem_id for c in certs] == want
+    if n is not None and envelopes:
+        assert certs[0].n_or_p == n
+
+
 def test_solve_linear_exact():
     r = nl.solve_periodic(linear_exact_problem())
     assert r.unique
