@@ -5,9 +5,10 @@ All JSON outputs embed a run manifest (command, inputs, parameters,
 tolerances, tool version) so artifacts are reproducible.  Exit codes:
 0 success, 1 any other ``HillstabError`` (for example ``witness a-eps
 --eps 10``, or a quadrature that cannot meet its tolerance), 2 parse error,
-bad option value, or a malformed or over-nested document, 3 root-search or
-integration failure, 4 a ``--verify`` pass found a certificate contradicted
-by the ground truth: the edge counts, how many band edges lie below mu = 0.
+bad option value, an option the command does not read, or a malformed or
+over-nested document, 3 root-search or integration failure, 4 a
+``--verify`` pass found a certificate contradicted by the ground truth: the
+edge counts, how many band edges lie below mu = 0.
 """
 
 from __future__ import annotations
